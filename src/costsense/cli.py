@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .harness import ALGO_IDS, PAPER_ETA_GRID, ExperimentConfig, run_cv, run_experiment
+from .sketch import SketchConditionError
 
 
 def _parse_grid(text: str) -> tuple:
@@ -38,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metric", choices=("sum", "cost"), default="sum")
     run.add_argument("--alpha-p", type=float, default=0.5)
     run.add_argument("--alpha-n", type=float, default=0.5)
-    run.add_argument("--cp", type=float, default=0.9)
-    run.add_argument("--cn", type=float, default=0.1)
+    run.add_argument("--cp", dest="c_p", type=float, default=0.9)
+    run.add_argument("--cn", dest="c_n", type=float, default=0.1)
     run.add_argument("--rho-mode", default="oracle",
                      help="oracle, laplace, or fixed:<value>")
     run.add_argument("--eta-grid", type=_parse_grid,
@@ -64,50 +65,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.loss is not None:
-        implied = 2 if args.algo.removesuffix("-diag").endswith("2") else 1
-        if args.algo not in ("perceptron", "pa1") and args.loss != implied:
-            print(
-                f"error: --loss {args.loss} conflicts with --algo {args.algo}",
-                file=sys.stderr,
-            )
-            return 2
+    # every option except --loss is named after an ExperimentConfig field
+    opts = vars(build_parser().parse_args(argv))
+    del opts["command"]
+    loss = opts.pop("loss")
     try:
-        cfg = ExperimentConfig(
-            dataset=args.dataset,
-            algo=args.algo,
-            metric=args.metric,
-            alpha_p=args.alpha_p,
-            alpha_n=args.alpha_n,
-            c_p=args.cp,
-            c_n=args.cn,
-            rho_mode=args.rho_mode,
-            eta_grid=args.eta_grid,
-            gamma=args.gamma,
-            sketch_size=args.sketch_size,
-            sketch_init=args.sketch_init,
-            sketch_lazy=args.sketch_lazy,
-            sketch_on_loss_only=args.sketch_on_loss_only,
-            update_rule=args.update_rule,
-            permutations=args.permutations,
-            seed=args.seed,
-            folds=args.folds,
-            out=args.out,
-            empty_class=args.empty_class,
-            d_override=args.d_override,
-        )
-        report = run_cv(cfg) if cfg.folds >= 2 else run_experiment(cfg)
-    except (ValueError, OSError) as exc:
+        cfg = ExperimentConfig(**opts)
+        has_variant = cfg.algo not in ("perceptron", "pa1")
+        if loss is not None and has_variant and loss != cfg.loss_variant:
+            raise ValueError(f"--loss {loss} conflicts with --algo {cfg.algo}")
+        report = run_cv(cfg) if cfg.folds else run_experiment(cfg)
+    except (ValueError, OSError, SketchConditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     agg, std = report.aggregate, report.std
-    mode = f"{cfg.folds}-fold CV" if cfg.folds >= 2 else f"{cfg.permutations} permutations"
+    mode = f"{cfg.folds}-fold CV" if cfg.folds else f"{cfg.permutations} permutations"
     print(f"{cfg.algo} on {cfg.dataset} ({cfg.metric}, {mode}), eta={report.eta:g}")
-    print(f"  sum         {agg['sum']:8.3f} +/- {std['sum']:.3f}")
-    print(f"  cost        {agg['cost']:8.3f} +/- {std['cost']:.3f}")
-    print(f"  sensitivity {agg['sensitivity']:8.3f} +/- {std['sensitivity']:.3f}")
-    print(f"  specificity {agg['specificity']:8.3f} +/- {std['specificity']:.3f}")
+    for key in ("sum", "cost", "sensitivity", "specificity"):
+        print(f"  {key:<11} {agg[key]:8.3f} +/- {std[key]:.3f}")
     if cfg.out:
         print(f"  report written to {cfg.out}")
     return 0

@@ -7,6 +7,7 @@ the ``Example`` record; learners address weight vectors through the 0-based
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,8 @@ def parse_libsvm_line(line: str, lineno: int | None = None) -> Example:
             val = float(val_s)
         except ValueError:
             raise LibsvmFormatError(where + f"malformed token {tok!r}") from None
+        if not math.isfinite(val):
+            raise LibsvmFormatError(where + f"non-finite feature value {tok!r}")
         if idx < 1:
             raise LibsvmFormatError(where + f"feature index {idx} < 1")
         if idx <= prev:

@@ -12,6 +12,7 @@ is in raw units.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -99,11 +100,27 @@ class ExperimentConfig:
             raise ValueError("eta grid must be nonempty")
         if self.permutations < 1:
             raise ValueError("permutations must be >= 1")
+        if self.selection_permutations < 1:
+            raise ValueError("selection_permutations must be >= 1")
+        if self.folds != 0 and self.folds < 2:
+            raise ValueError("folds must be 0 (online protocol) or >= 2")
         if self.metric not in ("sum", "cost"):
             raise ValueError("metric must be 'sum' or 'cost'")
-        mode = self.rho_mode
-        if mode not in ("oracle", "laplace") and not mode.startswith("fixed:"):
+        mode, sep, value = self.rho_mode.partition(":")
+        rho = None
+        if mode == "fixed" and sep:
+            try:
+                rho = float(value)
+            except ValueError:
+                raise ValueError(f"fixed rho must be a number, got {value!r}") from None
+        elif sep or mode not in ("oracle", "laplace"):
             raise ValueError("rho_mode must be 'oracle', 'laplace', or 'fixed:<value>'")
+        # every pass starts from a copy of this validated template
+        self._cost_model = CostModel(
+            metric=Metric(self.metric), alpha_p=self.alpha_p, alpha_n=self.alpha_n,
+            c_p=self.c_p, c_n=self.c_n, rho=rho,
+            rho_mode=RhoMode.LAPLACE if mode == "laplace" else RhoMode.FIXED_ORACLE,
+        )
 
     @property
     def loss_variant(self) -> LossVariant:
@@ -165,19 +182,56 @@ def make_learner(cfg: ExperimentConfig, d: int, eta: float):
 
 
 def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int] | None) -> CostModel:
-    metric = Metric.SUM if cfg.metric == "sum" else Metric.COST
-    if cfg.rho_mode == "laplace":
-        return CostModel(metric=metric, alpha_p=cfg.alpha_p, alpha_n=cfg.alpha_n,
-                         c_p=cfg.c_p, c_n=cfg.c_n, rho_mode=RhoMode.LAPLACE)
-    cm = CostModel(metric=metric, alpha_p=cfg.alpha_p, alpha_n=cfg.alpha_n,
-                   c_p=cfg.c_p, c_n=cfg.c_n, rho_mode=RhoMode.FIXED_ORACLE)
-    if cfg.rho_mode.startswith("fixed:"):
-        cm.rho = float(cfg.rho_mode.split(":", 1)[1])
-        if cm.rho <= 0:
-            raise ValueError("fixed rho must be positive")
-    else:
+    """A fresh copy of the config's cost model, with oracle rho resolved."""
+    cm = copy.copy(cfg._cost_model)
+    if cm.rho is None:
         cm.rho = resolve_rho(cm, counts)
     return cm
+
+
+def _online_pass(learner, cm, dataset, order, cc=None, trace=None) -> None:
+    """Score, update and (optionally) record every example of ``order`` in turn.
+
+    The revealed label joins the Laplace estimate before the update, so the
+    update's rho always reflects every label seen so far.  ``cm`` is None
+    for the rho-free learners.
+    """
+    laplace = cm is not None and cm.rho_mode == RhoMode.LAPLACE
+    for i in order:
+        e = dataset[i]
+        positions, values, y = e.positions, e.values, e.label
+        s = learner.score(positions, values)
+        if cc is not None:
+            cc.record(1 if s >= 0.0 else -1, y)
+        if laplace:
+            observe_label(cm, y)
+        l = learner.update(positions, values, y, cm.rho if cm is not None else None, score=s)
+        if trace is not None:
+            trace.losses.append(l)
+            trace.m_pos_series.append(cc.m_pos)
+            trace.m_neg_series.append(cc.m_neg)
+
+
+def _fresh_learner(cfg: ExperimentConfig, d: int, eta: float, counts: tuple[int, int]):
+    """The learner and its cost model (None for the rho-free learners)."""
+    learner = make_learner(cfg, d, eta)
+    cm = make_cost_model(cfg, counts) if cfg.algo not in ("perceptron", "pa1") else None
+    return learner, cm
+
+
+def _row(cfg: ExperimentConfig, seed: int, eta: float, cc: ConfusionCounts,
+         elapsed_ms: float) -> dict:
+    return {
+        "seed": seed,
+        "eta": eta,
+        "sum": 100.0 * sum_metric(cc, cfg.alpha_p, cfg.alpha_n, cfg.empty_class),
+        "cost": cost_metric(cc, cfg.c_p, cfg.c_n),
+        "sensitivity": 100.0 * cc.sensitivity,
+        "specificity": 100.0 * cc.specificity,
+        "mistakes_pos": cc.m_pos,
+        "mistakes_neg": cc.m_neg,
+        "elapsed_ms": elapsed_ms,
+    }
 
 
 def run_single(
@@ -190,45 +244,16 @@ def run_single(
     """One prequential pass over a seeded permutation of the dataset.
 
     Returns a metrics row dict, plus a :class:`RunTrace` when requested.
-    The revealed label joins the Laplace estimate before the update, so the
-    update's rho always reflects every label seen so far.
     """
     order = permutation(len(dataset), perm_seed)
-    learner = make_learner(cfg, dataset.d, eta)
-    uses_rho = cfg.algo not in ("perceptron", "pa1")
-    cm = make_cost_model(cfg, (dataset.t_pos, dataset.t_neg)) if uses_rho else None
-    laplace = uses_rho and cm.rho_mode == RhoMode.LAPLACE
+    learner, cm = _fresh_learner(cfg, dataset.d, eta, (dataset.t_pos, dataset.t_neg))
     cc = ConfusionCounts()
     trace = RunTrace(order=order) if collect_trace else None
-
     start = time.perf_counter()
-    for i in order:
-        e = dataset[i]
-        positions, values, y = e.positions, e.values, e.label
-        s = learner.score(positions, values)
-        cc.record(1 if s >= 0.0 else -1, y)
-        if laplace:
-            observe_label(cm, y)
-        l = learner.update(positions, values, y, cm.rho if uses_rho else None, score=s)
-        if collect_trace:
-            trace.losses.append(l)
-            trace.m_pos_series.append(cc.m_pos)
-            trace.m_neg_series.append(cc.m_neg)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-
-    row = {
-        "seed": perm_seed,
-        "eta": eta,
-        "sum": 100.0 * sum_metric(cc, cfg.alpha_p, cfg.alpha_n, cfg.empty_class),
-        "cost": cost_metric(cc, cfg.c_p, cfg.c_n),
-        "sensitivity": 100.0 * cc.sensitivity,
-        "specificity": 100.0 * cc.specificity,
-        "mistakes_pos": cc.m_pos,
-        "mistakes_neg": cc.m_neg,
-        "elapsed_ms": elapsed_ms,
-    }
+    _online_pass(learner, cm, dataset, order, cc, trace)
+    row = _row(cfg, perm_seed, eta, cc, (time.perf_counter() - start) * 1e3)
     if collect_trace:
-        trace.rho_final = cm.rho if uses_rho else 1.0
+        trace.rho_final = cm.rho if cm is not None else 1.0
         return row, trace
     return row
 
@@ -270,6 +295,14 @@ def aggregate_rows(rows: list) -> tuple[dict, dict]:
     return agg, std
 
 
+def _report(cfg: ExperimentConfig, eta: float, rows: list) -> RunReport:
+    agg, std = aggregate_rows(rows)
+    report = RunReport(config=cfg, eta=eta, rows=rows, aggregate=agg, std=std)
+    if cfg.out:
+        emit_csv(report, cfg.out)
+    return report
+
+
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
     """Grid-select, then evaluate over ``permutations`` seeded runs."""
     if dataset is None:
@@ -278,11 +311,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
     rows = [
         run_single(cfg, dataset, eta, cfg.seed + i) for i in range(cfg.permutations)
     ]
-    agg, std = aggregate_rows(rows)
-    report = RunReport(config=cfg, eta=eta, rows=rows, aggregate=agg, std=std)
-    if cfg.out:
-        emit_csv(report, cfg.out)
-    return report
+    return _report(cfg, eta, rows)
 
 
 def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
@@ -292,53 +321,26 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
     The training stream for fold i is a single permutation seeded with
     ``seed + i``; oracle rho comes from the training portion's class counts.
     """
-    if dataset is None:
-        dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
     if cfg.folds < 2:
         raise ValueError("run_cv needs folds >= 2")
+    if dataset is None:
+        dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
     eta = grid_select(cfg, dataset)
     folds = split_folds(dataset, cfg.folds, cfg.seed)
     rows = []
     for i, heldout in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
         t_pos = sum(1 for k in train_idx if dataset[k].label == 1)
-        t_neg = len(train_idx) - t_pos
-        learner = make_learner(cfg, dataset.d, eta)
-        uses_rho = cfg.algo not in ("perceptron", "pa1")
-        cm = make_cost_model(cfg, (t_pos, t_neg)) if uses_rho else None
-        laplace = uses_rho and cm.rho_mode == RhoMode.LAPLACE
-
+        learner, cm = _fresh_learner(cfg, dataset.d, eta, (t_pos, len(train_idx) - t_pos))
+        order = train_idx[permutation(len(train_idx), cfg.seed + i)]
         start = time.perf_counter()
-        for k in train_idx[permutation(len(train_idx), cfg.seed + i)]:
-            e = dataset[k]
-            if laplace:
-                observe_label(cm, e.label)
-            learner.update(
-                e.positions, e.values, e.label, cm.rho if uses_rho else None
-            )
+        _online_pass(learner, cm, dataset, order)
         cc = ConfusionCounts()
         for k in heldout:
             e = dataset[k]
-            _, pred = learner.predict(e.positions, e.values)
-            cc.record(pred, e.label)
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-
-        rows.append({
-            "seed": cfg.seed + i,
-            "eta": eta,
-            "sum": 100.0 * sum_metric(cc, cfg.alpha_p, cfg.alpha_n, cfg.empty_class),
-            "cost": cost_metric(cc, cfg.c_p, cfg.c_n),
-            "sensitivity": 100.0 * cc.sensitivity,
-            "specificity": 100.0 * cc.specificity,
-            "mistakes_pos": cc.m_pos,
-            "mistakes_neg": cc.m_neg,
-            "elapsed_ms": elapsed_ms,
-        })
-    agg, std = aggregate_rows(rows)
-    report = RunReport(config=cfg, eta=eta, rows=rows, aggregate=agg, std=std)
-    if cfg.out:
-        emit_csv(report, cfg.out)
-    return report
+            cc.record(learner.predict(e.positions, e.values)[1], e.label)
+        rows.append(_row(cfg, cfg.seed + i, eta, cc, (time.perf_counter() - start) * 1e3))
+    return _report(cfg, eta, rows)
 
 
 def _cell(value) -> str:

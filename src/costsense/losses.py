@@ -10,6 +10,7 @@ rho = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -107,8 +108,8 @@ class CostModel:
             raise ValueError("c_p in [0,1] and c_n in (0,1] required")
         if abs(self.c_p + self.c_n - 1.0) > 1e-12:
             raise ValueError("c_p + c_n must equal 1")
-        if self.rho is not None and self.rho <= 0.0:
-            raise ValueError("rho must be positive")
+        if self.rho is not None and not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and positive, got {self.rho}")
         if self.rho_mode == RhoMode.LAPLACE and self.rho is None:
             self.rho = self._laplace_rho()
 

@@ -149,6 +149,13 @@ class TestLoadDataset:
         with pytest.raises(LibsvmFormatError, match="line 2"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_rejected_at_load(self, tmp_path, value):
+        p = tmp_path / "nonfinite.libsvm"
+        p.write_text(f"+1 1:1\n-1 1:{value} 2:1\n")
+        with pytest.raises(LibsvmFormatError, match="line 2: non-finite"):
+            load_dataset(p)
+
     def test_samples_normalized(self, tmp_path):
         p = tmp_path / "toy.libsvm"
         p.write_text("+1 1:3 2:4\n")

@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from costsense import cli
 from costsense.baselines import Perceptron
 from costsense.data import load_dataset
 from costsense.harness import (
     ExperimentConfig,
+    RunReport,
     aggregate_rows,
     emit_csv,
     grid_select,
@@ -18,6 +20,7 @@ from costsense.harness import (
     run_single,
 )
 from costsense.metrics import ConfusionCounts, sum_metric
+from costsense.sketch import SketchConditionError
 
 TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libsvm"
 
@@ -249,6 +252,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(rho_mode="sometimes")
 
+    @pytest.mark.parametrize(
+        "rho_mode", ["fixed:nan", "fixed:inf", "fixed:abc", "fixed:-1", "fixed:0"]
+    )
+    def test_bad_fixed_rho_rejected_before_any_data(self, rho_mode):
+        with pytest.raises(ValueError):
+            ExperimentConfig(dataset="missing.libsvm", rho_mode=rho_mode)
+
+    def test_bad_cost_weights_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig(dataset="missing.libsvm", alpha_p=2.0)
+
+    def test_zero_selection_permutations_rejected(self):
+        with pytest.raises(ValueError, match="selection_permutations"):
+            ExperimentConfig(selection_permutations=0)
+
+    @pytest.mark.parametrize("folds", [-1, 1])
+    def test_degenerate_fold_count_rejected(self, folds):
+        with pytest.raises(ValueError, match="folds"):
+            ExperimentConfig(folds=folds)
+
+    def test_run_cv_checks_folds_before_loading(self):
+        cfg = ExperimentConfig(dataset="missing.libsvm", folds=0)
+        with pytest.raises(ValueError, match="folds"):
+            run_cv(cfg)
+
     def test_variant_derived_from_algo_id(self):
         from costsense.losses import LossVariant
 
@@ -257,6 +285,34 @@ class TestConfigValidation:
 
 
 class TestCli:
+    def test_flags_reach_config_fields(self, monkeypatch):
+        seen = {}
+
+        def fake_run(cfg):
+            seen["cfg"] = cfg
+            zeros = dict.fromkeys(("sum", "cost", "sensitivity", "specificity"), 0.0)
+            return RunReport(cfg, 1.0, [], zeros, zeros)
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        assert cli.main(["run", "--dataset", str(TOY), "--algo", "cog2", "--loss", "2",
+                         "--cp", "0.75", "--cn", "0.25", "--rho-mode", "fixed:3"]) == 0
+        cfg = seen["cfg"]
+        assert (cfg.c_p, cfg.c_n, cfg.rho_mode) == (0.75, 0.25, "fixed:3")
+
+    def test_sketch_condition_error_reported(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise SketchConditionError("Gram matrix is not positive semidefinite")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert cli.main(["run", "--dataset", str(TOY), "--algo", "sacog2"]) == 2
+        assert capsys.readouterr().err.startswith("error: Gram matrix")
+
+    @pytest.mark.parametrize("flags", [["--folds", "1"], ["--rho-mode", "fixed:nan"]])
+    def test_bad_config_reported_before_reading_data(self, flags, capsys):
+        assert cli.main(["run", "--dataset", "missing.libsvm", "--algo", "cog1"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.libsvm" not in err
+
     def test_end_to_end_run(self, tmp_path):
         out = tmp_path / "cli.csv"
         proc = subprocess.run(
