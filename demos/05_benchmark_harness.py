@@ -49,7 +49,7 @@ print(f"\n5-fold CV sum: {cv.aggregate['sum']:.2f} "
 # --- regret against the best fixed predictor in hindsight -------------------
 row, trace = run_single(ExperimentConfig(algo="acog2", eta_grid=(1.0,)),
                         ds, eta=1.0, perm_seed=0, collect_trace=True)
-stream = [(ds[i].positions, ds[i].values, ds[i].label) for i in trace.order]
+stream = list(ds.rows(trace.order))
 rho = ds.t_neg / ds.t_pos
 w_star = fit_comparator(stream, ds.d, rho, LossVariant.II, epochs=50)
 comp = stream_losses(w_star, stream, rho, LossVariant.II)
@@ -61,10 +61,10 @@ print(f"\nfinal regret {regret[-1]:.1f}, "
 rows = []
 cum = 0.0
 t_pos = t_neg = 0
-for t, i in enumerate(trace.order, start=1):
+for t, y in enumerate(ds.labels[trace.order].tolist(), start=1):
     cum += trace.losses[t - 1]
-    t_pos += ds[i].label == 1
-    t_neg += ds[i].label == -1
+    t_pos += y == 1
+    t_neg += y == -1
     cc = ConfusionCounts(t_pos, t_neg,
                          trace.m_pos_series[t - 1], trace.m_neg_series[t - 1])
     rows.append((t, cum, cc.m_pos, cc.m_neg,

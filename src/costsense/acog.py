@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .baselines import predict_label
 from .losses import LossVariant, gradient_scale, loss
 
 
@@ -30,14 +31,14 @@ def covariance_update(sigma: np.ndarray, x: np.ndarray, gamma: float) -> np.ndar
 def covariance_update_diag(
     sigma: np.ndarray, positions: np.ndarray, values: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """Diagonal analog: each touched entry shrinks by (sigma_i x_i)^2 / denom,
-    with denom = gamma + sum_j sigma_j x_j^2 over the sample's support."""
+    """Diagonal analog, in place: each touched entry shrinks by
+    (sigma_i x_i)^2 / denom, with denom = gamma + sum_j sigma_j x_j^2 over the
+    sample's support.  Returns ``sigma``."""
     sv = sigma[positions]
     sx = sv * values
     denom = gamma + float(values @ sx)
-    out = sigma.copy()
-    out[positions] = sv - (sx * sx) / denom
-    return out
+    sigma[positions] = sv - (sx * sx) / denom
+    return sigma
 
 
 def mean_update(mu: np.ndarray, sigma_used: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
@@ -66,10 +67,8 @@ class AdaptiveCSGD:
     ):
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        if eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not (eta > 0.0 and gamma > 0.0):
+            raise ValueError("eta and gamma must be positive")
         if update_rule not in ("new", "old"):
             raise ValueError("update_rule must be 'new' or 'old'")
         self.d = d
@@ -86,7 +85,7 @@ class AdaptiveCSGD:
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)
-        return s, (1 if s >= 0.0 else -1)
+        return s, predict_label(s)
 
     def update(self, positions, values, y, rho, score=None):
         s = self.score(positions, values) if score is None else score
@@ -95,29 +94,17 @@ class AdaptiveCSGD:
         if a == 0.0:
             return l
         if self.diagonal:
-            self._step_diag(positions, values, a)
+            before = self.sigma[positions]
+            after = covariance_update_diag(self.sigma, positions, values, self.gamma)[positions]
         else:
-            self._step_full(positions, values, a)
+            x = np.zeros(self.d)
+            x[positions] = values
+            before = self.sigma
+            self.sigma = after = covariance_update(before, x, self.gamma)
+        sigma_used = after if self.update_rule == "new" else before
+        if self.diagonal:
+            # touched coordinates only: both sigma and the gradient live on the support
+            self.mu[positions] -= self.eta * a * sigma_used * values
+        else:
+            self.mu = mean_update(self.mu, sigma_used, a * x, self.eta)
         return l
-
-    def _step_full(self, positions, values, a):
-        x = np.zeros(self.d)
-        x[positions] = values
-        g = a * x
-        if self.update_rule == "old":
-            sigma_used = self.sigma
-            self.mu = mean_update(self.mu, sigma_used, g, self.eta)
-            self.sigma = covariance_update(self.sigma, x, self.gamma)
-        else:
-            self.sigma = covariance_update(self.sigma, x, self.gamma)
-            self.mu = mean_update(self.mu, self.sigma, g, self.eta)
-
-    def _step_diag(self, positions, values, a):
-        # touched coordinates only: both sigma and the gradient live on the support
-        if self.update_rule == "old":
-            sig_used = self.sigma[positions].copy()
-            self.sigma = covariance_update_diag(self.sigma, positions, values, self.gamma)
-        else:
-            self.sigma = covariance_update_diag(self.sigma, positions, values, self.gamma)
-            sig_used = self.sigma[positions]
-        self.mu[positions] -= self.eta * a * sig_used * values

@@ -51,7 +51,7 @@ class PassiveAggressiveI(LinearLearner):
 
     def __init__(self, d: int, C: float = 1.0):
         super().__init__(d)
-        if C <= 0.0:
+        if not C > 0.0:
             raise ValueError("C must be positive")
         self.C = C
 
@@ -71,7 +71,7 @@ class CostSensitiveGD(LinearLearner):
 
     def __init__(self, d: int, eta: float, variant: LossVariant = LossVariant.I):
         super().__init__(d)
-        if eta <= 0.0:
+        if not eta > 0.0:
             raise ValueError("eta must be positive")
         self.eta = eta
         self.variant = LossVariant(variant)

@@ -1,8 +1,8 @@
 """LIBSVM-format data loading, per-sample normalization, and seeded shuffling.
 
-Feature indices are 1-based on disk (LIBSVM convention) and kept 1-based on
-the ``Example`` record; learners address weight vectors through the 0-based
-``positions`` array derived once at construction.
+Feature indices are 1-based on disk (LIBSVM convention) and on the
+``Example`` record; a loaded ``Dataset`` stores the 0-based ``positions``
+through which learners address weight vectors.
 """
 
 from __future__ import annotations
@@ -50,29 +50,44 @@ class Example:
         return float(np.linalg.norm(self.values))
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """An ordered sequence of examples plus the counts the learners need."""
+    """Samples stored as columns (CSR), plus the counts the learners need.
 
-    examples: list[Example]
+    Row ``i`` is ``labels[i]`` (+1/-1) with the 0-based feature ``positions``
+    and unit-norm ``values`` in ``indptr[i]:indptr[i + 1]``.
+    """
+
+    labels: np.ndarray
+    indptr: np.ndarray
+    positions: np.ndarray
+    values: np.ndarray
     d: int
     t_pos: int
     t_neg: int
 
+    def __post_init__(self):
+        # one (positions, values, label) tuple per row: cheaper per round than slicing
+        cuts = self.indptr[1:-1]
+        self._rows = list(
+            zip(np.split(self.positions, cuts), np.split(self.values, cuts), self.labels.tolist())
+        )
+
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self._rows)
 
     def __getitem__(self, i: int) -> Example:
-        return self.examples[i]
+        positions, values, label = self._rows[i]
+        return Example(label, positions + 1, values)
+
+    def rows(self, order: np.ndarray):
+        """``(positions, values, label)`` of each row index in ``order``, in turn;
+        the arrays are views of the columns, so callers must not write to them."""
+        return map(self._rows.__getitem__, order.tolist())
 
 
-def parse_libsvm_line(line: str, lineno: int | None = None) -> Example:
-    """Parse one ``<label> <index>:<value> ...`` line into an Example.
-
-    Labels +1/1 map to +1 and -1 maps to -1; anything else is rejected
-    (binary classification only).  A ``#`` starts a comment running to the
-    end of the line.
-    """
+def _tokenize(line: str, lineno: int | None) -> tuple[int, list, list]:
+    """Label, 1-based indices and values of one line, validated."""
     where = f"line {lineno}: " if lineno is not None else ""
     hash_at = line.find("#")
     if hash_at >= 0:
@@ -114,6 +129,17 @@ def parse_libsvm_line(line: str, lineno: int | None = None) -> Example:
         prev = idx
         indices.append(idx)
         values.append(val)
+    return label, indices, values
+
+
+def parse_libsvm_line(line: str, lineno: int | None = None) -> Example:
+    """Parse one ``<label> <index>:<value> ...`` line into an Example.
+
+    Labels +1/1 map to +1 and -1 maps to -1; anything else is rejected
+    (binary classification only).  A ``#`` starts a comment running to the
+    end of the line.
+    """
+    label, indices, values = _tokenize(line, lineno)
     return Example(label, np.array(indices, dtype=np.int64), np.array(values))
 
 
@@ -133,38 +159,40 @@ def normalize(e: Example) -> Example:
 
 
 def load_dataset(path, d_override: int | None = None) -> Dataset:
-    """Load and per-sample normalize a LIBSVM file.
+    """Load and per-sample normalize a LIBSVM file into columns.
 
     ``d_override`` widens the dimensionality when a companion split uses
     higher feature indices than this file; it may not shrink it.
     """
-    examples = []
-    d = 0
-    t_pos = 0
-    t_neg = 0
+    labels, indptr, indices, values, norms = [], [0], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
-            e = parse_libsvm_line(raw, lineno=lineno)
-            if e.nnz == 0 or e.norm() == 0.0:
+            label, idx, val = _tokenize(raw, lineno)
+            # the same norm, bit for bit, that ``normalize`` takes of the row
+            n = float(np.linalg.norm(val))
+            if n == 0.0:
                 raise LibsvmFormatError(
                     f"line {lineno}: all-zero feature vector cannot be normalized"
                 )
-            e = normalize(e)
-            examples.append(e)
-            d = max(d, int(e.indices[-1]))
-            if e.label == 1:
-                t_pos += 1
-            else:
-                t_neg += 1
-    if not examples:
+            labels.append(label)
+            indices += idx
+            values += val
+            indptr.append(len(indices))
+            norms.append(n)
+    if not labels:
         raise LibsvmFormatError(f"{path}: no examples found")
+    positions = np.array(indices, dtype=np.int64) - 1
+    d = int(positions.max()) + 1
     if d_override is not None:
         if d_override < d:
             raise ValueError(f"d_override {d_override} below observed max index {d}")
         d = d_override
-    return Dataset(examples, d, t_pos, t_neg)
+    values = np.array(values) / np.repeat(norms, np.diff(indptr))
+    t_pos = labels.count(1)
+    return Dataset(np.array(labels, dtype=np.int64), np.array(indptr, dtype=np.int64),
+                   positions, values, d, t_pos, len(labels) - t_pos)
 
 
 def permutation(n: int, seed: int) -> np.ndarray:

@@ -13,13 +13,14 @@ is in raw units.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acog import AdaptiveCSGD
-from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron
+from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron, predict_label
 from .data import Dataset, load_dataset, permutation, split_folds
 from .losses import CostModel, LossVariant, Metric, RhoMode, observe_label, resolve_rho
 from .metrics import ConfusionCounts, cost_metric, sum_metric
@@ -98,14 +99,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown algo {self.algo!r}; choose from {ALGO_IDS}")
         if not self.eta_grid:
             raise ValueError("eta grid must be nonempty")
-        if self.permutations < 1:
-            raise ValueError("permutations must be >= 1")
-        if self.selection_permutations < 1:
-            raise ValueError("selection_permutations must be >= 1")
+        if not all(0.0 < v < math.inf for v in (*self.eta_grid, self.gamma)):
+            raise ValueError(f"eta {self.eta_grid} and gamma {self.gamma} must be finite and > 0")
+        for name in ("permutations", "selection_permutations", "sketch_size", "sketch_lazy"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.folds != 0 and self.folds < 2:
             raise ValueError("folds must be 0 (online protocol) or >= 2")
-        if self.metric not in ("sum", "cost"):
-            raise ValueError("metric must be 'sum' or 'cost'")
+        for name, allowed in (("metric", ("sum", "cost")), ("update_rule", ("new", "old")),
+                              ("sketch_init", ("canonical", "random")),
+                              ("empty_class", ("error", "perfect"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
         mode, sep, value = self.rho_mode.partition(":")
         rho = None
         if mode == "fixed" and sep:
@@ -197,12 +202,10 @@ def _online_pass(learner, cm, dataset, order, cc=None, trace=None) -> None:
     for the rho-free learners.
     """
     laplace = cm is not None and cm.rho_mode == RhoMode.LAPLACE
-    for i in order:
-        e = dataset[i]
-        positions, values, y = e.positions, e.values, e.label
+    for positions, values, y in dataset.rows(order):
         s = learner.score(positions, values)
         if cc is not None:
-            cc.record(1 if s >= 0.0 else -1, y)
+            cc.record(predict_label(s), y)
         if laplace:
             observe_label(cm, y)
         l = learner.update(positions, values, y, cm.rho if cm is not None else None, score=s)
@@ -330,15 +333,14 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
     rows = []
     for i, heldout in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        t_pos = sum(1 for k in train_idx if dataset[k].label == 1)
+        t_pos = int(np.count_nonzero(dataset.labels[train_idx] == 1))
         learner, cm = _fresh_learner(cfg, dataset.d, eta, (t_pos, len(train_idx) - t_pos))
         order = train_idx[permutation(len(train_idx), cfg.seed + i)]
         start = time.perf_counter()
         _online_pass(learner, cm, dataset, order)
         cc = ConfusionCounts()
-        for k in heldout:
-            e = dataset[k]
-            cc.record(learner.predict(e.positions, e.values)[1], e.label)
+        for positions, values, y in dataset.rows(heldout):
+            cc.record(learner.predict(positions, values)[1], y)
         rows.append(_row(cfg, cfg.seed + i, eta, cc, (time.perf_counter() - start) * 1e3))
     return _report(cfg, eta, rows)
 

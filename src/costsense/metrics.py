@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossVariant, gradient_scale, loss
+from .baselines import CostSensitiveGD
+from .losses import LossVariant, loss
 
 
 @dataclass
@@ -133,25 +134,22 @@ def fit_comparator(
     Runs ``epochs`` sequential subgradient passes over the stream with step
     eta0/sqrt(k) on epoch k and returns the end-of-epoch iterate with the
     lowest total loss seen (the zero start included).  One epoch is exactly
-    a constant-step cost-sensitive gradient pass.
+    a constant-step cost-sensitive gradient (COG) pass.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     variant = LossVariant(variant)
-    w = np.zeros(d)
-    best_w = w.copy()
-    best_total = float(np.sum(stream_losses(w, stream, rho, variant)))
+    cog = CostSensitiveGD(d, eta0, variant)
+    best_w = cog.w.copy()
+    best_total = float(np.sum(stream_losses(cog.w, stream, rho, variant)))
     for k in range(1, epochs + 1):
-        eta_k = eta0 / np.sqrt(k)
+        cog.eta = eta0 / np.sqrt(k)
         for positions, values, y in stream:
-            l = loss(variant, float(w[positions] @ values), y, rho)
-            a = gradient_scale(variant, y, rho, l)
-            if a != 0.0:
-                w[positions] -= eta_k * a * values
-        total = float(np.sum(stream_losses(w, stream, rho, variant)))
+            cog.update(positions, values, y, rho)
+        total = float(np.sum(stream_losses(cog.w, stream, rho, variant)))
         if total < best_total:
             best_total = total
-            best_w = w.copy()
+            best_w = cog.w.copy()
     return best_w
 
 

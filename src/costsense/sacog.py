@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .baselines import predict_label
 from .losses import LossVariant, gradient_scale, loss
 from .sketch import OjaSketch, SparseOjaSketch, to_sketch_vector
 
 
-class SketchedCSGD:
-    """Second-order learner over a dense streaming sketch."""
+class _SketchedLearner:
+    """Constructor and sketch cadence shared by the sketched learners; each
+    subclass names its ``sketch_type`` and allocates its weights."""
 
     def __init__(
         self,
@@ -32,7 +34,7 @@ class SketchedCSGD:
         sketch_every: int = 1,
         sketch_on_loss_only: bool = False,
     ):
-        if eta <= 0.0 or gamma <= 0.0:
+        if not (eta > 0.0 and gamma > 0.0):
             raise ValueError("eta and gamma must be positive")
         if sketch_every < 1:
             raise ValueError("sketch_every must be >= 1")
@@ -40,31 +42,42 @@ class SketchedCSGD:
         self.eta = eta
         self.gamma = gamma
         self.variant = LossVariant(variant)
-        self.sketch = OjaSketch(m, d, init=sketch_init, seed=seed)
+        self.sketch = self.sketch_type(m, d, init=sketch_init, seed=seed)
         self.sketch_every = sketch_every
         self.sketch_on_loss_only = sketch_on_loss_only
         self.rounds = 0
-        self.mu = np.zeros(d)
+        self._init_weights()
+
+    def _advance_sketch(self, positions, values, active: bool):
+        """Count the round; when the sketch is due, feed it xhat = x / sqrt(gamma).
+        Returns ``(xhat, sketch.update(...))``, or ``(None, None)`` if it is not."""
+        due = (active or not self.sketch_on_loss_only) and self.rounds % self.sketch_every == 0
+        self.rounds += 1
+        if not due:
+            return None, None
+        xhat = to_sketch_vector(values, self.gamma)
+        return xhat, self.sketch.update(positions, xhat)
+
+
+class SketchedCSGD(_SketchedLearner):
+    """Second-order learner over a dense streaming sketch."""
+
+    sketch_type = OjaSketch
+
+    def _init_weights(self):
+        self.mu = np.zeros(self.d)
 
     def score(self, positions: np.ndarray, values: np.ndarray) -> float:
         return float(self.mu[positions] @ values)
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)
-        return s, (1 if s >= 0.0 else -1)
-
-    def _sketch_due(self, active: bool) -> bool:
-        if self.sketch_on_loss_only and not active:
-            return False
-        return self.rounds % self.sketch_every == 0
+        return s, predict_label(s)
 
     def update(self, positions, values, y, rho, score=None):
         s = self.score(positions, values) if score is None else score
         l = loss(self.variant, s, y, rho)
-        xhat = to_sketch_vector(values, self.gamma)
-        if self._sketch_due(l > 0.0):
-            self.sketch.update(positions, xhat)
-        self.rounds += 1
+        self._advance_sketch(positions, values, l > 0.0)
         if l > 0.0:
             a = gradient_scale(self.variant, y, rho, l)
             S, H = self.sketch.S, self.sketch.H
@@ -74,7 +87,7 @@ class SketchedCSGD:
         return l
 
 
-class SparseSketchedCSGD:
+class SparseSketchedCSGD(_SketchedLearner):
     """Sparse sketched learner with the w/b weight split.
 
     The implied weights are mu = w + Z^T b for the sketch's current Z; they
@@ -82,31 +95,10 @@ class SparseSketchedCSGD:
     :meth:`lazy_score` in O(m * nnz).
     """
 
-    def __init__(
-        self,
-        d: int,
-        eta: float,
-        gamma: float,
-        m: int = 5,
-        variant: LossVariant = LossVariant.I,
-        sketch_init: str = "canonical",
-        seed: int | None = None,
-        sketch_every: int = 1,
-        sketch_on_loss_only: bool = False,
-    ):
-        if eta <= 0.0 or gamma <= 0.0:
-            raise ValueError("eta and gamma must be positive")
-        if sketch_every < 1:
-            raise ValueError("sketch_every must be >= 1")
-        self.d = d
-        self.eta = eta
-        self.gamma = gamma
-        self.variant = LossVariant(variant)
-        self.sketch = SparseOjaSketch(m, d, init=sketch_init, seed=seed)
-        self.sketch_every = sketch_every
-        self.sketch_on_loss_only = sketch_on_loss_only
-        self.rounds = 0
-        self.w = np.zeros(d)
+    sketch_type = SparseOjaSketch
+
+    def _init_weights(self):
+        self.w = np.zeros(self.d)
         self.b = np.zeros(self.sketch.m)
 
     def lazy_score(self, positions: np.ndarray, values: np.ndarray) -> float:
@@ -119,32 +111,23 @@ class SparseSketchedCSGD:
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.lazy_score(positions, values)
-        return s, (1 if s >= 0.0 else -1)
+        return s, predict_label(s)
 
     def materialize_mu(self) -> np.ndarray:
         """The implied dense weights w + Z^T b (diagnostic/test use)."""
         return self.w + self.sketch.Z.T @ self.b
 
-    def _sketch_due(self, active: bool) -> bool:
-        if self.sketch_on_loss_only and not active:
-            return False
-        return self.rounds % self.sketch_every == 0
-
     def update(self, positions, values, y, rho, score=None):
         s = self.lazy_score(positions, values) if score is None else score
         l = loss(self.variant, s, y, rho)
-        xhat = to_sketch_vector(values, self.gamma)
-        if self._sketch_due(l > 0.0):
-            delta = self.sketch.update(positions, xhat)
-        else:
-            delta = np.zeros(self.sketch.m)
-        self.rounds += 1
-        # Whenever the sketch moves Z by delta * xhat^T, w must absorb
-        # -xhat * (delta . b) so the implied weights w + Z^T b stay put;
-        # without it every passive round would silently shift the model.
-        db = float(delta @ self.b)
-        if db != 0.0:
-            self.w[positions] -= db * xhat
+        xhat, delta = self._advance_sketch(positions, values, l > 0.0)
+        if delta is not None:
+            # The sketch moved Z by delta * xhat^T, so w must absorb
+            # -xhat * (delta . b) for the implied weights w + Z^T b to stay
+            # put; without it every passive round would silently shift the model.
+            db = float(delta @ self.b)
+            if db != 0.0:
+                self.w[positions] -= db * xhat
         if l > 0.0:
             a = gradient_scale(self.variant, y, rho, l)
             sk = self.sketch

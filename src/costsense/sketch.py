@@ -25,7 +25,7 @@ class SketchConditionError(RuntimeError):
 
 def to_sketch_vector(values: np.ndarray, gamma: float) -> np.ndarray:
     """Scale sample values by 1/sqrt(gamma); the sparsity pattern is unchanged."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     return values / np.sqrt(gamma)
 

@@ -297,7 +297,7 @@ def test_criterion_08_metric_bound_algebra_on_german():
         rho = (
             (alpha_p * ds.t_neg) / (alpha_n * ds.t_pos) if metric == "sum" else c_p / c_n
         )
-        stream = [(e.positions, e.values, e.label) for e in ds.examples]
+        stream = list(ds.rows(np.arange(len(ds))))
         w_star = fit_comparator(stream, ds.d, rho, LossVariant.II, epochs=50)
         comp_total = float(np.sum(stream_losses(w_star, stream, rho, LossVariant.II)))
         cfg = ExperimentConfig(algo="acog2", metric=metric, eta_grid=(1.0,))

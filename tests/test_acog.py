@@ -7,8 +7,10 @@ from costsense.acog import (
     covariance_update_diag,
     mean_update,
 )
-from costsense.baselines import CostSensitiveGD
+from costsense.baselines import CostSensitiveGD, PassiveAggressiveI
 from costsense.losses import LossVariant
+from costsense.sacog import SketchedCSGD, SparseSketchedCSGD
+from costsense.sketch import to_sketch_vector
 
 
 def random_stream(rng, d, T, one_hot=False):
@@ -43,6 +45,22 @@ class TestInit:
             AdaptiveCSGD(3, eta=1.0, gamma=0.0)
         with pytest.raises(ValueError):
             AdaptiveCSGD(3, eta=1.0, gamma=1.0, update_rule="sideways")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda nan: CostSensitiveGD(3, eta=nan),
+            lambda nan: PassiveAggressiveI(3, C=nan),
+            lambda nan: AdaptiveCSGD(3, eta=nan, gamma=1.0),
+            lambda nan: AdaptiveCSGD(3, eta=1.0, gamma=nan, diagonal=True),
+            lambda nan: SketchedCSGD(3, eta=nan, gamma=1.0, m=1),
+            lambda nan: SparseSketchedCSGD(3, eta=1.0, gamma=nan, m=1),
+            lambda nan: to_sketch_vector(np.ones(2), nan),
+        ],
+    )
+    def test_nan_parameters_rejected_by_every_learner(self, make):
+        with pytest.raises(ValueError):
+            make(float("nan"))
 
 
 class TestCovarianceUpdate:
@@ -97,6 +115,24 @@ class TestCovarianceUpdate:
             )
             np.testing.assert_allclose(np.diag(full), diag, atol=1e-12)
             assert np.abs(full - np.diag(np.diag(full))).max() < 1e-15
+
+
+    def test_diag_updates_in_place_bitwise_like_copy_formula(self):
+        def copy_formula(sigma, positions, values, gamma):
+            sv = sigma[positions]
+            sx = sv * values
+            denom = gamma + float(values @ sx)
+            out = sigma.copy()
+            out[positions] = sv - (sx * sx) / denom
+            return out
+
+        rng = np.random.default_rng(9)
+        sigma = np.ones(12)
+        for pos, vals, _ in random_stream(rng, 12, 200):
+            expected = copy_formula(sigma, pos, vals, 0.7)
+            out = covariance_update_diag(sigma, pos, vals, 0.7)
+            assert out is sigma
+            assert out.tobytes() == expected.tobytes()
 
 
 class TestMeanUpdate:

@@ -174,6 +174,40 @@ class TestLoadDataset:
         p.write_text("# header comment\n+1 1:1\n\n-1 2:1\n")
         assert len(load_dataset(p)) == 2
 
+    def test_rows_bitwise_equal_to_per_line_reference(self):
+        # the reference is the per-sample path: parse one line, then normalize it
+        path = DATASETS / "toy_imbalanced.libsvm"
+        lines = [l for l in path.read_text().splitlines() if l.strip() and not l.startswith("#")]
+        ds = load_dataset(path)
+        rows = list(ds.rows(np.arange(len(ds))))
+        assert len(rows) == len(lines) == 320
+        for line, (positions, values, y) in zip(lines, rows):
+            ref = normalize(parse_libsvm_line(line))
+            assert y == ref.label
+            assert positions.dtype == ref.positions.dtype
+            assert positions.tobytes() == ref.positions.tobytes()
+            assert values.tobytes() == ref.values.tobytes()
+
+    def test_rows_follow_order(self, tmp_path):
+        p = tmp_path / "toy.libsvm"
+        p.write_text("+1 1:1\n-1 2:1 3:1\n+1 4:2\n")
+        ds = load_dataset(p)
+        rows = list(ds.rows(np.array([2, 0, 2])))
+        assert [y for _, _, y in rows] == [1, 1, 1]
+        assert [p.tolist() for p, _, _ in rows] == [[3], [0], [3]]
+
+    def test_indexing_behaves_like_a_list(self, tmp_path):
+        p = tmp_path / "toy.libsvm"
+        p.write_text("+1 1:1\n-1 2:3 5:4\n")
+        ds = load_dataset(p)
+        last = ds[-1]
+        assert isinstance(last, Example)
+        assert (last.label, last.indices.tolist()) == (-1, [2, 5])
+        assert last.positions.tolist() == [1, 4]
+        np.testing.assert_array_equal(last.values, [0.6, 0.8])
+        with pytest.raises(IndexError):
+            ds[len(ds)]
+
 
 class TestBenchmarkFiles:
     def test_german_shape(self):

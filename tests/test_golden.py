@@ -28,16 +28,25 @@ for proto, kw in (("online", ONLINE), ("cv", CV)):
     CASES[f"acog2-laplace/{proto}"] = dict(algo="acog2", rho_mode="laplace", **kw)
     CASES[f"cog1-fixed/{proto}"] = dict(algo="cog1", rho_mode="fixed:2.5", **kw)
     CASES[f"ssacog2-cost/{proto}"] = dict(algo="ssacog2", metric="cost", **kw)
+    for algo in ("acog2", "acog2-diag"):
+        CASES[f"{algo}-old/{proto}"] = dict(algo=algo, update_rule="old", **kw)
+    for algo in ("sacog2", "ssacog2"):
+        CASES[f"{algo}-lazy3/{proto}"] = dict(algo=algo, sketch_lazy=3, **kw)
+        CASES[f"{algo}-lossonly/{proto}"] = dict(algo=algo, sketch_on_loss_only=True, **kw)
 
 DIGESTS = {
     "acog1-diag/cv": "148a73682ad3803926cebb6aef2379178ac621b485c7d8994aef0790f1b12f72",
     "acog1-diag/online": "69e68ff755f63a999b4289ad5445364eaccb8b2200fb629760c0f45784ef9a4c",
     "acog1/cv": "423775bc5da5c61214ce14476249222d0cd7e2a6215eb66c0c781de816b6d3f2",
     "acog1/online": "e4bbafe4a95ee15914189f6c7e7d3276e9a8414817a92c3733eebc0a881e1b46",
+    "acog2-diag-old/cv": "362b0690e64725543956677ec325ade8a3841fa4fa6dde36e17de61ba2f3ec01",
+    "acog2-diag-old/online": "8b8f989e5ee2f945af21533f5425fe1b5d3199f9d002e3d0e8a012119aba54ca",
     "acog2-diag/cv": "a68f1ea04d1d24cc09db5f9dab97f559f560920d41f2e705bd154ce08cdb81e1",
     "acog2-diag/online": "9f2541f8ac5e168805ab26ce7abd8db521afe7392df3fb9ae45aabbb916abbf5",
     "acog2-laplace/cv": "715dcb1a59af2b2f02bba7d31bddf3ef312ea64576fc6a1ff24fcdce9d073b49",
     "acog2-laplace/online": "8e686b7b1bdf6ebc9c07a60e28f9ff14c620e28ae06895a5e8cab1f50486d8c8",
+    "acog2-old/cv": "46753be5204ac596e3db8addada1b048232692d92241789707e735cf8a86bea6",
+    "acog2-old/online": "48c5f9d309c21baf470886a4285e9c09e9905800679525674cec7c24256f9e75",
     "acog2/cv": "5f9eb85ee0bd3225108e2a6cfc7ef5e716e4e1aee23ec74196790094cb62dd56",
     "acog2/online": "016aee75a0b4813369d3444360c0a0ef52f96fe0622f4b5df7c479f1c2287779",
     "cog1-fixed/cv": "f5b4acace6daeb76b04cb816080bed48a5c4a615067b957a53d200d59c54cb61",
@@ -52,12 +61,20 @@ DIGESTS = {
     "perceptron/online": "30eef18170e7388ab01f6e05b0b9ba003ba81755cc32ae8a81d6c135eb8092f0",
     "sacog1/cv": "a7fc3256dded796589cc7fd5bc89a9a4910d9dc5a8b7cc1306c497fb1c89ae7e",
     "sacog1/online": "ba39912d13a38738a4994e186d32d6683f711efeddbd87fd7a7b5ff5a7410b30",
+    "sacog2-lazy3/cv": "c9a69f7e3c22230d3159c130e00b825a21049a6b9ad221b88cf88eeb6eceaf00",
+    "sacog2-lazy3/online": "d58c842f18f7fe485a1b1d488b5149ffedacf211f0c6896053056e1074315e62",
+    "sacog2-lossonly/cv": "c1af3e10b2825329a6441e86c41e632f964bf4a139f569f1c680795d4bef9f33",
+    "sacog2-lossonly/online": "2d82833f711f82a33ec18f79919993e869aa19f0914be5f366be8b583749c751",
     "sacog2/cv": "131afcbc4c7297cb26c6d53fb16c60e77c9c63b6fd96f7c1f60e9b9c65a52b4f",
     "sacog2/online": "812ed9b389690621eb5e70d835d46acf39b8223c99d450ac9c085df94bf5afd3",
     "ssacog1/cv": "a7fc3256dded796589cc7fd5bc89a9a4910d9dc5a8b7cc1306c497fb1c89ae7e",
     "ssacog1/online": "ba39912d13a38738a4994e186d32d6683f711efeddbd87fd7a7b5ff5a7410b30",
     "ssacog2-cost/cv": "e38d88289d085569d285e364c044449bacf0877701cfcb76cb678a0a4ad719b3",
     "ssacog2-cost/online": "78408c89368647aa5cc1534db6424c27880f85fcbda03668fc7f426a30feafda",
+    "ssacog2-lazy3/cv": "c9a69f7e3c22230d3159c130e00b825a21049a6b9ad221b88cf88eeb6eceaf00",
+    "ssacog2-lazy3/online": "d58c842f18f7fe485a1b1d488b5149ffedacf211f0c6896053056e1074315e62",
+    "ssacog2-lossonly/cv": "c1af3e10b2825329a6441e86c41e632f964bf4a139f569f1c680795d4bef9f33",
+    "ssacog2-lossonly/online": "2d82833f711f82a33ec18f79919993e869aa19f0914be5f366be8b583749c751",
     "ssacog2/cv": "131afcbc4c7297cb26c6d53fb16c60e77c9c63b6fd96f7c1f60e9b9c65a52b4f",
     "ssacog2/online": "812ed9b389690621eb5e70d835d46acf39b8223c99d450ac9c085df94bf5afd3",
 }

@@ -205,9 +205,9 @@ class TestRunCv:
         # specificity 0, and the weighted sum collapses to alpha_p
         learner = Perceptron(toy.d)
         cc = ConfusionCounts()
-        for e in toy.examples[:50]:
-            _, pred = learner.predict(e.positions, e.values)
-            cc.record(pred, e.label)
+        for positions, values, y in toy.rows(np.arange(50)):
+            _, pred = learner.predict(positions, values)
+            cc.record(pred, y)
         assert sum_metric(cc, 0.3, 0.7) == pytest.approx(0.3)
 
     def test_fold_rows_and_determinism(self, toy):
@@ -271,6 +271,27 @@ class TestConfigValidation:
     def test_degenerate_fold_count_rejected(self, folds):
         with pytest.raises(ValueError, match="folds"):
             ExperimentConfig(folds=folds)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(algo="cog2", eta_grid=(float("nan"),)),
+            dict(algo="cog2", eta_grid=(1.0, float("inf"))),
+            dict(algo="cog2", eta_grid=(-1.0,)),
+            dict(algo="pa1", eta_grid=(0.0,)),
+            dict(algo="acog2-diag", gamma=float("nan")),
+            dict(algo="acog2", gamma=0.0),
+            dict(algo="acog2", gamma=float("inf")),
+            dict(algo="sacog2", sketch_size=0),
+            dict(algo="ssacog2", sketch_lazy=0),
+            dict(algo="sacog2", sketch_init="bogus"),
+            dict(algo="cog2", update_rule="bogus"),
+            dict(algo="cog2", empty_class="bogus"),
+        ],
+    )
+    def test_degenerate_learner_settings_rejected_before_any_data(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(dataset="missing.libsvm", **bad)
 
     def test_run_cv_checks_folds_before_loading(self):
         cfg = ExperimentConfig(dataset="missing.libsvm", folds=0)
