@@ -6,7 +6,7 @@ weighted sum/cost metrics, and a reproducible benchmark harness for
 LIBSVM-format data.
 """
 
-from .acog import AdaptiveCSGD, covariance_update, covariance_update_diag, mean_update
+from .acog import AdaptiveCSGD, covariance_update, covariance_update_diag
 from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron
 from .data import (
     Dataset,
@@ -44,6 +44,7 @@ from .losses import (
 from .metrics import (
     ConfusionCounts,
     RegretTrace,
+    class_rates,
     cost_metric,
     fit_comparator,
     regret_slope,

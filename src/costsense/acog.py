@@ -4,8 +4,9 @@ The learner keeps a Gaussian belief over weights: a mean vector ``mu`` used
 for prediction and a covariance ``sigma`` that starts at the identity and
 shrinks along observed directions.  On each loss-active round the covariance
 absorbs a rank-one term through its closed-form inverse update, and the mean
-then descends the loss subgradient preconditioned by the covariance.  A
-diagonal mode keeps only the diagonal of ``sigma`` for O(d) rounds.
+then descends the loss subgradient preconditioned by the covariance.  Both
+steps read only the sample's support and update ``sigma`` in place; a
+diagonal mode keeps only the diagonal of ``sigma`` for O(nnz) rounds.
 """
 
 from __future__ import annotations
@@ -15,17 +16,22 @@ import numpy as np
 from .baselines import predict_label
 from .losses import LossVariant, gradient_scale, loss
 
+# Largest full sigma allocated (d = 16384): a fixed policy, not a measured limit.
+FULL_SIGMA_MAX_BYTES = 2**31
 
-def covariance_update(sigma: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
-    """Rank-one shrinkage sigma - (sigma x)(sigma x)^T / (gamma + x^T sigma x).
 
-    Equivalent to inverting sigma^{-1} + x x^T / gamma without forming the
-    inverse.  The result is re-symmetrized to stop floating-point drift.
-    """
-    s = sigma @ x
-    denom = gamma + float(x @ s)
-    out = sigma - np.outer(s, s) / denom
-    return 0.5 * (out + out.T)
+def covariance_update(
+    sigma: np.ndarray, positions: np.ndarray, values: np.ndarray, gamma: float
+) -> np.ndarray:
+    """In place, sigma -= s s^T / (gamma + x^T s) with s = sigma x gathered from
+    the support's columns: the inverse of sigma^{-1} + x x^T / gamma.  s s^T
+    is exactly symmetric, so sigma stays bitwise symmetric.  Returns ``sigma``."""
+    s = sigma[:, positions] @ values
+    denom = gamma + float(values @ s[positions])
+    # row blocks keep the transient outer product at 64 x d rather than d x d
+    for lo in range(0, s.size, 64):
+        sigma[lo:lo + 64] -= np.outer(s[lo:lo + 64], s) / denom
+    return sigma
 
 
 def covariance_update_diag(
@@ -39,13 +45,6 @@ def covariance_update_diag(
     denom = gamma + float(values @ sx)
     sigma[positions] = sv - (sx * sx) / denom
     return sigma
-
-
-def mean_update(mu: np.ndarray, sigma_used: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-    """mu - eta * (sigma_used @ g); sigma_used may be the full matrix or a diagonal."""
-    if sigma_used.ndim == 1:
-        return mu - eta * sigma_used * g
-    return mu - eta * (sigma_used @ g)
 
 
 class AdaptiveCSGD:
@@ -67,6 +66,9 @@ class AdaptiveCSGD:
     ):
         if d < 1:
             raise ValueError("dimension must be >= 1")
+        if not diagonal and d * d * 8 > FULL_SIGMA_MAX_BYTES:
+            raise ValueError(f"full-matrix ACOG at d={d} needs {d * d * 8 / 2**30:.1f} GiB, over "
+                             f"{FULL_SIGMA_MAX_BYTES / 2**30:g} GiB; use the -diag variant")
         if not (eta > 0.0 and gamma > 0.0):
             raise ValueError("eta and gamma must be positive")
         if update_rule not in ("new", "old"):
@@ -96,15 +98,16 @@ class AdaptiveCSGD:
         if self.diagonal:
             before = self.sigma[positions]
             after = covariance_update_diag(self.sigma, positions, values, self.gamma)[positions]
-        else:
-            x = np.zeros(self.d)
-            x[positions] = values
-            before = self.sigma
-            self.sigma = after = covariance_update(before, x, self.gamma)
-        sigma_used = after if self.update_rule == "new" else before
-        if self.diagonal:
+            sigma_used = after if self.update_rule == "new" else before
             # touched coordinates only: both sigma and the gradient live on the support
             self.mu[positions] -= self.eta * a * sigma_used * values
-        else:
-            self.mu = mean_update(self.mu, sigma_used, a * x, self.eta)
+            return l
+        # the subgradient lives on the support, so sigma @ g reads only its columns
+        g = a * values
+        if self.update_rule == "old":
+            step = self.sigma[:, positions] @ g
+        covariance_update(self.sigma, positions, values, self.gamma)
+        if self.update_rule == "new":
+            step = self.sigma[:, positions] @ g
+        self.mu -= self.eta * step
         return l

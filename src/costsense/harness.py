@@ -23,7 +23,7 @@ from .acog import AdaptiveCSGD
 from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron, predict_label
 from .data import Dataset, load_dataset, permutation, split_folds
 from .losses import CostModel, LossVariant, Metric, RhoMode, observe_label, resolve_rho
-from .metrics import ConfusionCounts, cost_metric, sum_metric
+from .metrics import ConfusionCounts, class_rates, cost_metric, sum_metric
 from .sacog import SketchedCSGD, SparseSketchedCSGD
 
 ALGO_IDS = (
@@ -224,13 +224,14 @@ def _fresh_learner(cfg: ExperimentConfig, d: int, eta: float, counts: tuple[int,
 
 def _row(cfg: ExperimentConfig, seed: int, eta: float, cc: ConfusionCounts,
          elapsed_ms: float) -> dict:
+    sens, spec = class_rates(cc, cfg.empty_class)
     return {
         "seed": seed,
         "eta": eta,
         "sum": 100.0 * sum_metric(cc, cfg.alpha_p, cfg.alpha_n, cfg.empty_class),
         "cost": cost_metric(cc, cfg.c_p, cfg.c_n),
-        "sensitivity": 100.0 * cc.sensitivity,
-        "specificity": 100.0 * cc.specificity,
+        "sensitivity": 100.0 * sens,
+        "specificity": 100.0 * spec,
         "mistakes_pos": cc.m_pos,
         "mistakes_neg": cc.m_neg,
         "elapsed_ms": elapsed_ms,

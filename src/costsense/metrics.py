@@ -57,25 +57,24 @@ class ConfusionCounts:
         return (self.t_neg - self.m_neg) / self.t_neg
 
 
+def class_rates(cc: ConfusionCounts, empty_class: str = "error") -> tuple[float, float]:
+    """(sensitivity, specificity) in [0, 1].  A class with no examples is an
+    error, or counts as fully correct under ``empty_class="perfect"``."""
+    if (cc.t_pos == 0 or cc.t_neg == 0) and empty_class != "perfect":
+        raise ValueError(
+            "sum metric undefined: a class has no examples "
+            "(pass empty_class='perfect' to count it as fully correct)"
+        )
+    return (cc.sensitivity if cc.t_pos else 1.0), (cc.specificity if cc.t_neg else 1.0)
+
+
 def sum_metric(
     cc: ConfusionCounts, alpha_p: float, alpha_n: float, empty_class: str = "error"
 ) -> float:
-    """alpha_p * sensitivity + alpha_n * specificity, in [0, 1].
-
-    A class with zero examples makes its term undefined; by default that is
-    an error, while ``empty_class="perfect"`` lets the missing class
-    contribute its full weight.
-    """
-    if cc.t_pos == 0 or cc.t_neg == 0:
-        if empty_class != "perfect":
-            raise ValueError(
-                "sum metric undefined: a class has no examples "
-                "(pass empty_class='perfect' to count it as fully correct)"
-            )
-        sens = cc.sensitivity if cc.t_pos else 1.0
-        spec = cc.specificity if cc.t_neg else 1.0
-        return alpha_p * sens + alpha_n * spec
-    return alpha_p * cc.sensitivity + alpha_n * cc.specificity
+    """alpha_p * sensitivity + alpha_n * specificity, in [0, 1], with
+    :func:`class_rates`'s rule for a class with no examples."""
+    sens, spec = class_rates(cc, empty_class)
+    return alpha_p * sens + alpha_n * spec
 
 
 def cost_metric(cc: ConfusionCounts, c_p: float, c_n: float) -> float:

@@ -128,6 +128,10 @@ class SparseSketchedCSGD(_SketchedLearner):
             db = float(delta @ self.b)
             if db != 0.0:
                 self.w[positions] -= db * xhat
+            if self.sketch.last_fold is not None:
+                # Z was folded: move Z^T b into w, or b takes up Z's growth
+                self.w += self.sketch.last_fold.T @ self.b
+                self.b[:] = 0.0
         if l > 0.0:
             a = gradient_scale(self.variant, y, rho, l)
             sk = self.sketch

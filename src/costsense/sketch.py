@@ -6,8 +6,8 @@ exposes the pair (S, H) with which ``I_d - S^T H S`` approximates the inverse
 of ``I_d + sum_t xhat_t xhat_t^T``.  ``SparseOjaSketch`` maintains the same
 subspace factored as F @ Z, where Z changes by a sparse rank-one term per
 round and F re-orthonormalizes the rows under the inner product induced by
-the Gram matrix K = Z Z^T, so each update costs O(m^3 + m*s) instead of
-O(m^2 d).
+the Gram matrix K = Z Z^T (CholeskyQR2 on F K F^T, a few m x m numpy
+calls), so each update but a rare fold costs O(m^3 + m*s), not O(m^2 d).
 """
 
 from __future__ import annotations
@@ -18,9 +18,14 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+# Each round multiplies Z by I + x x^T / t, so K's eigenvalues stay >= 1 and
+# tr(K) bounds cond(K), to which F Z's orthonormality error is proportional.
+# Past this trace the sketch folds F into Z, which brings K back to I.
+FOLD_TRACE = 1e6
+
 
 class SketchConditionError(RuntimeError):
-    """The sketch state lost rank or the Gram matrix stopped being PSD."""
+    """The sketch basis lost rank during re-orthonormalization."""
 
 
 def to_sketch_vector(values: np.ndarray, gamma: float) -> np.ndarray:
@@ -103,7 +108,7 @@ class OjaSketch:
 class SparseOjaSketch:
     """Sparsity-respecting variant: the basis is F @ Z with Z updated by one
     rank-one term per round and F re-orthonormalized in the K = Z Z^T inner
-    product."""
+    product; once tr(K) > FOLD_TRACE, Z <- F Z and F, K restart near I."""
 
     def __init__(self, m: int, d: int, init: str = "canonical", seed: int | None = None):
         if not 1 <= m <= d:
@@ -116,7 +121,7 @@ class SparseOjaSketch:
         self.Z = _init_rows(m, d, init, seed)
         self.K = np.eye(m)
         self.H = np.ones(m)
-        self.last_delta = np.zeros(m)
+        self.last_delta, self.last_fold = np.zeros(m), None
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One streaming step; returns the direction-update coefficients delta."""
@@ -131,12 +136,13 @@ class SparseOjaSketch:
         xx = float(values @ values)
         self.K += np.outer(Zx, delta) + np.outer(delta, Zx) + xx * np.outer(delta, delta)
         self.Z[:, positions] += np.outer(delta, values)
-        L, Q = decompose(self.F, self.K)
-        if Q.shape[0] != self.m:
-            raise SketchConditionError(
-                "sketch basis lost rank during re-orthonormalization"
-            )
-        self.F = Q
+        self.F = decompose(self.F, self.K)
+        self.last_fold = None
+        if np.trace(self.K) > FOLD_TRACE:
+            # Z <- F Z at O(m^2 d); last_fold keeps the old Z for a learner's b
+            self.last_fold, self.Z = self.Z, self.F @ self.Z
+            self.K = self.Z @ self.Z.T
+            self.F = decompose(np.eye(self.m), self.K)
         self.H = 1.0 / (1.0 + self.t * self.lam)
         self.last_delta = delta
         return delta
@@ -147,38 +153,23 @@ class SparseOjaSketch:
         return np.eye(self.d) - FZ.T @ ((self.t * self.lam * self.H)[:, None] * FZ)
 
 
-def decompose(F: np.ndarray, K: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Gram-Schmidt on the rows of F under the inner product <a,b> = a^T K b.
-
-    Returns (L, Q) with L @ Q = F and Q K Q^T = I.  Rows of F already spanned
-    by earlier rows produce no Q row; the matching all-zero L columns and Q
-    rows are dropped, so Q is square exactly when F has full rank in the
-    K-metric.  Each row gets a second projection pass, which keeps Q's
-    K-orthonormality near machine precision without disturbing L @ Q = F.
-    """
-    m = F.shape[0]
-    L = np.zeros((m, m))
-    Q = np.zeros((m, m))
-    filled = np.zeros(m, dtype=bool)
-    for i in range(m):
-        f = F[i]
-        alpha = Q @ (K @ f)
-        beta = f - Q.T @ alpha
-        alpha2 = Q @ (K @ beta)
-        beta = beta - Q.T @ alpha2
-        alpha += alpha2
-        c_sq = float(beta @ (K @ beta))
-        if c_sq < -1e-12:
-            raise SketchConditionError("Gram matrix is not positive semidefinite")
-        c = np.sqrt(max(c_sq, 0.0))
-        if c > tol:
-            Q[i] = beta / c
-            filled[i] = True
-            alpha[i] = c
-        else:
-            alpha[i] = 0.0
-        L[i] = alpha
-    return L[:, filled], Q[filled]
+def decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Q with Q K Q^T = I and F = L Q, L lower triangular: Gram-Schmidt on the
+    rows of F in the inner product a^T K b, done as CholeskyQR2 (two passes of
+    R = cholesky(Q K Q^T), Q = R^{-1} Q from Q = F; R's diagonal holds the
+    residual norms).  A failed Cholesky or a pivot <= 1e-10 or NaN means lost
+    rank and raises :class:`SketchConditionError`."""
+    Q = F
+    for _ in range(2):
+        try:
+            R = np.linalg.cholesky(Q @ K @ Q.T)
+        except np.linalg.LinAlgError:
+            R = None
+        # second-pass pivots are ~1, so there the check only catches NaN
+        if R is None or not np.diagonal(R).min() > 1e-10:
+            raise SketchConditionError("sketch basis lost rank during re-orthonormalization")
+        Q = np.linalg.solve(R, Q)
+    return Q
 
 
 def _init_rows(m: int, d: int, init: str, seed: int | None) -> np.ndarray:

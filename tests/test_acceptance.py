@@ -143,7 +143,7 @@ def test_criterion_04_covariance_matches_direct_inverse():
             x = rng.standard_normal(d)
             if rng.random() < 0.4:  # loss-inactive round: no update
                 continue
-            sigma = covariance_update(sigma, x, gamma)
+            sigma = covariance_update(sigma, np.arange(d), x, gamma)
             inv_acc += np.outer(x, x) / gamma
         diff = np.abs(sigma - np.linalg.inv(inv_acc)).max()
         worst = max(worst, diff)
@@ -204,9 +204,7 @@ def test_criterion_06_rank_one_exactness():
         sk = OjaSketch(1, d)
         sigma = np.eye(d)
         for c in magnitudes:
-            x = np.zeros(d)
-            x[0] = c
-            sigma = covariance_update(sigma, x, gamma)
+            sigma = covariance_update(sigma, np.array([0]), np.array([c]), gamma)
             sk.update(np.array([0]), to_sketch_vector(np.array([c]), gamma))
             diff = np.abs(sk.reconstruct_sigma() - sigma).max()
             worst = max(worst, diff)
@@ -348,21 +346,24 @@ def test_criterion_09_sketch_invariants():
             assert err_v <= 1e-8
             assert err_fz <= 1e-6
 
-    worst_lq, worst_orth = 0.0, 0.0
+    worst_lq, worst_tri, worst_orth = 0.0, 0.0, 0.0
     for _ in range(1000):
         m = int(rng.integers(1, 7))
         F = rng.standard_normal((m, m))
         Z = rng.standard_normal((m, m + int(rng.integers(0, 6))))
         K = Z @ Z.T
-        L, Q = decompose(F, K)
+        Q = decompose(F, K)
         assert Q.shape == (m, m)
+        L = F @ K @ Q.T  # the factor with F = L Q, since Q K Q^T = I
         worst_lq = max(worst_lq, np.abs(L @ Q - F).max())
+        # any K-orthonormal Q gives L @ Q = F; Gram-Schmidt's L is lower triangular
+        worst_tri = max(worst_tri, np.abs(np.triu(L, 1)).max(initial=0.0))
         worst_orth = max(worst_orth, np.abs(Q @ K @ Q.T - np.eye(m)).max())
-        assert worst_lq <= 1e-8 and worst_orth <= 1e-8
+        assert worst_lq <= 1e-8 and worst_tri <= 1e-8 and worst_orth <= 1e-8
     passed(
         9,
         f"orthonormality V {worst_v:.2e} / FZ {worst_fz:.2e}; "
-        f"decompose LQ-F {worst_lq:.2e}, QKQ^T-I {worst_orth:.2e}",
+        f"decompose LQ-F {worst_lq:.2e}, triu(L) {worst_tri:.2e}, QKQ^T-I {worst_orth:.2e}",
     )
 
 

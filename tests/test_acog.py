@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from costsense.acog import (
+    FULL_SIGMA_MAX_BYTES,
     AdaptiveCSGD,
     covariance_update,
     covariance_update_diag,
-    mean_update,
 )
 from costsense.baselines import CostSensitiveGD, PassiveAggressiveI
-from costsense.losses import LossVariant
+from costsense.losses import LossVariant, gradient_scale, loss
 from costsense.sacog import SketchedCSGD, SparseSketchedCSGD
 from costsense.sketch import to_sketch_vector
 
@@ -46,6 +46,14 @@ class TestInit:
         with pytest.raises(ValueError):
             AdaptiveCSGD(3, eta=1.0, gamma=1.0, update_rule="sideways")
 
+    def test_full_matrix_over_memory_limit_refused_before_allocating(self):
+        d = int((FULL_SIGMA_MAX_BYTES / 8) ** 0.5) + 1
+        with pytest.raises(ValueError, match="-diag"):
+            AdaptiveCSGD(200_000, eta=1.0, gamma=1.0)  # 298 GiB if it tried
+        with pytest.raises(ValueError, match="-diag"):
+            AdaptiveCSGD(d, eta=1.0, gamma=1.0)
+        assert AdaptiveCSGD(200_000, eta=1.0, gamma=1.0, diagonal=True).sigma.shape == (200_000,)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -66,12 +74,12 @@ class TestInit:
 class TestCovarianceUpdate:
     def test_axis_vector_halves_entry(self):
         # oracle: (I + x x^T)^{-1} = diag(1/2, 1) for x = e_1, gamma = 1
-        out = covariance_update(np.eye(2), np.array([1.0, 0.0]), gamma=1.0)
+        out = covariance_update(np.eye(2), np.array([0]), np.array([1.0]), gamma=1.0)
         np.testing.assert_allclose(out, np.diag([0.5, 1.0]), atol=1e-15)
 
     def test_scalar_case(self):
         # oracle: sigma^{-1} = 2, add 1 -> 3, invert -> 1/3
-        out = covariance_update(np.array([[0.5]]), np.array([1.0]), gamma=1.0)
+        out = covariance_update(np.array([[0.5]]), np.array([0]), np.array([1.0]), gamma=1.0)
         np.testing.assert_allclose(out, [[1.0 / 3.0]], atol=1e-15)
 
     def test_shrinks_along_any_direction(self):
@@ -80,7 +88,7 @@ class TestCovarianceUpdate:
         for _ in range(30):
             x = rng.standard_normal(4)
             before = float(x @ sigma @ x)
-            sigma = covariance_update(sigma, x, gamma=0.7)
+            sigma = covariance_update(sigma, np.arange(4), x, gamma=0.7)
             assert float(x @ sigma @ x) < before
 
     def test_matches_direct_inverse_oracle(self):
@@ -94,7 +102,7 @@ class TestCovarianceUpdate:
                 x = rng.standard_normal(d)
                 if rng.random() < 0.35:  # loss-inactive round: no update
                     continue
-                sigma = covariance_update(sigma, x, gamma)
+                sigma = covariance_update(sigma, np.arange(d), x, gamma)
                 inv_acc += np.outer(x, x) / gamma
                 np.testing.assert_allclose(
                     sigma, np.linalg.inv(inv_acc), atol=1e-8
@@ -107,9 +115,7 @@ class TestCovarianceUpdate:
         for _ in range(100):
             j = int(rng.integers(0, 5))
             v = float(rng.standard_normal())
-            x = np.zeros(5)
-            x[j] = v
-            full = covariance_update(full, x, gamma=1.3)
+            full = covariance_update(full, np.array([j]), np.array([v]), gamma=1.3)
             diag = covariance_update_diag(
                 diag, np.array([j]), np.array([v]), gamma=1.3
             )
@@ -133,26 +139,6 @@ class TestCovarianceUpdate:
             out = covariance_update_diag(sigma, pos, vals, 0.7)
             assert out is sigma
             assert out.tobytes() == expected.tobytes()
-
-
-class TestMeanUpdate:
-    def test_matrix_vector_product(self):
-        mu = mean_update(
-            np.zeros(2), np.diag([0.5, 1.0]), np.array([-1.0, 0.0]), eta=0.1
-        )
-        np.testing.assert_allclose(mu, [0.05, 0.0])
-
-    def test_zero_gradient_is_identity(self):
-        mu = mean_update(np.array([3.0, -2.0]), np.eye(2), np.zeros(2), eta=5.0)
-        np.testing.assert_allclose(mu, [3.0, -2.0])
-
-    def test_scalar_case(self):
-        mu = mean_update(np.array([0.0]), np.array([[0.5]]), np.array([-2.0]), eta=1.0)
-        np.testing.assert_allclose(mu, [1.0])
-
-    def test_diagonal_sigma_accepted(self):
-        mu = mean_update(np.zeros(2), np.array([0.5, 1.0]), np.array([-1.0, 0.0]), 0.1)
-        np.testing.assert_allclose(mu, [0.05, 0.0])
 
 
 class TestStep:
@@ -256,3 +242,49 @@ class TestInvariants:
         m.sigma = 0.5 * np.eye(4)  # any positive-definite stand-in
         after = [m.predict(p, v)[1] for p, v, _ in probe]
         assert before == after
+
+
+class DenseReference:
+    """The full-matrix rule in its dense form: x densified, sigma @ x, a new
+    re-symmetrized covariance each round and the mean step sigma_used @ g."""
+
+    def __init__(self, d, eta, gamma, variant, update_rule):
+        self.eta, self.gamma, self.variant, self.update_rule = eta, gamma, variant, update_rule
+        self.mu = np.zeros(d)
+        self.sigma = np.eye(d)
+
+    def update(self, positions, values, y, rho):
+        l = loss(self.variant, float(self.mu[positions] @ values), y, rho)
+        a = gradient_scale(self.variant, y, rho, l)
+        if a == 0.0:
+            return l
+        x = np.zeros(self.mu.size)
+        x[positions] = values
+        s = self.sigma @ x
+        out = self.sigma - np.outer(s, s) / (self.gamma + float(x @ s))
+        after = 0.5 * (out + out.T)
+        sigma_used = after if self.update_rule == "new" else self.sigma
+        self.mu = self.mu - self.eta * (sigma_used @ (a * x))
+        self.sigma = after
+        return l
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("update_rule", ["new", "old"])
+    def test_support_update_matches_dense_formula(self, update_rule):
+        rng = np.random.default_rng(15)
+        d = 12
+        ref = DenseReference(d, 0.5, 0.8, LossVariant.II, update_rule)
+        m = AdaptiveCSGD(d, eta=0.5, gamma=0.8, variant=LossVariant.II,
+                         update_rule=update_rule)
+        sigma = m.sigma
+        active = 0
+        for pos, vals, y in random_stream(rng, d, 2500):
+            vals = vals / np.linalg.norm(vals)
+            active += ref.update(pos, vals, y, rho=2.0) > 0.0
+            m.update(pos, vals, y, rho=2.0)
+            assert m.sigma is sigma  # updated in place, never rebuilt
+            assert np.array_equal(m.sigma, m.sigma.T)
+            assert np.abs(m.sigma - ref.sigma).max() <= 1e-12
+            assert np.abs(m.mu - ref.mu).max() <= 1e-12
+        assert active >= 1000

@@ -334,6 +334,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.libsvm" not in err
 
+    @pytest.mark.parametrize("empty_class", ["perfect", "error"])
+    def test_cv_fold_without_positives(self, empty_class, tmp_path, capsys):
+        # one positive in six rows: two of the three held-out folds have none
+        data = tmp_path / "one_pos.libsvm"
+        data.write_text("+1 1:1 2:0.5\n-1 1:0.2 2:1\n-1 1:-1 2:0.3\n"
+                        "-1 1:0.4 2:-1\n-1 1:-0.5 2:-0.5\n-1 1:0.1 2:0.9\n")
+        code = cli.main(["run", "--dataset", str(data), "--algo", "cog2",
+                         "--rho-mode", "laplace", "--folds", "3", "--eta-grid", "1",
+                         "--empty-class", empty_class, "--out", str(tmp_path / "cv.csv")])
+        captured = capsys.readouterr()
+        if empty_class == "perfect":
+            assert code == 0, captured.err
+            assert "sensitivity  100.000" in captured.out
+        else:
+            assert code == 2
+            assert captured.err.startswith("error: sum metric undefined")
+
+    def test_full_acog_over_memory_limit_reported(self, capsys):
+        assert cli.main(["run", "--dataset", str(TOY), "--algo", "acog2",
+                         "--d-override", "200000", "--eta-grid", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: full-matrix ACOG") and "-diag" in err
+
     def test_end_to_end_run(self, tmp_path):
         out = tmp_path / "cli.csv"
         proc = subprocess.run(

@@ -7,6 +7,7 @@ from costsense.losses import LossVariant, loss
 from costsense.metrics import (
     ConfusionCounts,
     RegretTrace,
+    class_rates,
     cost_metric,
     fit_comparator,
     regret_slope,
@@ -85,6 +86,13 @@ class TestSumMetric:
     def test_empty_class_perfect_convention(self):
         cc = ConfusionCounts(t_pos=0, t_neg=4, m_neg=2)
         assert sum_metric(cc, 0.5, 0.5, empty_class="perfect") == pytest.approx(0.75)
+
+    def test_class_rates_follow_the_empty_class_rule(self):
+        cc = ConfusionCounts(t_pos=0, t_neg=4, m_neg=1)
+        assert class_rates(cc, "perfect") == (1.0, 0.75)
+        assert class_rates(ConfusionCounts(t_pos=2, t_neg=0, m_pos=1), "perfect") == (0.5, 1.0)
+        with pytest.raises(ValueError, match="no examples"):
+            class_rates(cc)
 
 
 class TestCostMetric:

@@ -233,3 +233,23 @@ class TestLearnerEquivalence:
             a.update(pos, vals, y, rho=3.0, score=sa)
             b.update(pos, vals, y, rho=3.0, score=sb)
             assert np.abs(a.mu - b.materialize_mu()).max() <= 1e-6
+
+    def test_folds_keep_implied_weights(self):
+        # gamma = 1e-2 makes |xhat|^2 ~ 100 |x|^2: the sparse sketch's K
+        # passes FOLD_TRACE within a few rounds and folds many times
+        rng = np.random.default_rng(38)
+        d = 6
+        a = SketchedCSGD(d, eta=0.5, gamma=1e-2, m=2)
+        b = SparseSketchedCSGD(d, eta=0.5, gamma=1e-2, m=2)
+        folds = 0
+        for _ in range(300):
+            pos, vals = random_sparse(rng, d)
+            vals /= np.linalg.norm(vals)
+            y = 1 if rng.random() < 0.3 else -1
+            a.update(pos, vals, y, rho=3.0)
+            b.update(pos, vals, y, rho=3.0)
+            folds += b.sketch.last_fold is not None
+            assert np.abs(a.mu - b.materialize_mu()).max() <= 1e-9 * max(1.0, np.abs(a.mu).max())
+            # w and Z^T b do not grow apart: nothing cancels far above mu's size
+            assert np.abs(b.w).max() <= 1e4 * max(1.0, np.abs(a.mu).max())
+        assert folds >= 10

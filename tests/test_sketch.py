@@ -3,8 +3,10 @@ import logging
 import numpy as np
 import pytest
 
+from costsense import sketch
 from costsense.acog import covariance_update
 from costsense.sketch import (
+    FOLD_TRACE,
     OjaSketch,
     SketchConditionError,
     SparseOjaSketch,
@@ -130,9 +132,8 @@ class TestReconstruction:
         sigma = np.eye(2)
         for t in range(1, 101):
             c = float(rng.uniform(0.2, 2.0))
-            x = np.array([c, 0.0])
-            sigma = covariance_update(sigma, x, gamma)
-            sk.update(np.array([0]), to_sketch_vector(x, gamma)[:1])
+            sigma = covariance_update(sigma, np.array([0]), np.array([c]), gamma)
+            sk.update(np.array([0]), to_sketch_vector(np.array([c]), gamma))
             np.testing.assert_allclose(sk.reconstruct_sigma(), sigma, atol=1e-9)
 
 
@@ -199,6 +200,32 @@ class TestSparseSketchUpdate:
             FZ = sk.F @ sk.Z
             assert np.abs(FZ @ FZ.T - np.eye(3)).max() <= 1e-6
 
+    def test_folds_on_the_round_the_trace_passes_fold_trace(self, monkeypatch):
+        # one sample, again and again: tr(K) grows ~ t^2 / 2 and passes
+        # FOLD_TRACE near round 1400
+        x = np.full(4, 0.5)
+        sk, unfolded = SparseOjaSketch(2, 4), SparseOjaSketch(2, 4)
+        traces = []
+        for _ in range(3000):
+            traces.append(np.trace(sk.K))
+            sk.update(np.arange(4), x)
+            with monkeypatch.context() as mp:
+                mp.setattr(sketch, "FOLD_TRACE", np.inf)
+                unfolded.update(np.arange(4), x)
+            if sk.last_fold is not None:
+                break
+        assert sk.last_fold is not None, "no fold in 3000 rounds"
+        # just below the limit on the round before, just above it on this one
+        assert max(traces) == traces[-1] <= FOLD_TRACE < np.sum(sk.last_fold**2)
+        np.testing.assert_array_equal(sk.K, sk.Z @ sk.Z.T)
+        assert np.trace(sk.K) == pytest.approx(2.0, rel=1e-12)
+        FZ = sk.F @ sk.Z
+        assert np.abs(FZ @ FZ.T - np.eye(2)).max() <= 1e-14
+        # the fold keeps the basis that the unfolded sketch holds
+        assert np.abs(FZ - unfolded.F @ unfolded.Z).max() <= 1e-9
+        sk.update(np.arange(4), x)
+        assert sk.last_fold is None
+
     def test_rank_loss_raises_condition_error(self):
         sk = SparseOjaSketch(2, 4)
         sk.K = np.zeros((2, 2))  # corrupted Gram matrix: basis lost its extent
@@ -228,14 +255,13 @@ class TestDenseSparseEquivalence:
 
 class TestDecompose:
     def test_identity_passthrough(self):
-        L, Q = decompose(np.eye(2), np.eye(2))
-        np.testing.assert_allclose(L, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(Q, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(decompose(np.eye(2), np.eye(2)), np.eye(2), atol=1e-15)
 
     def test_diagonal_gram_hand_case(self):
-        L, Q = decompose(np.eye(2), np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(L, np.diag([2.0, 1.0]), atol=1e-15)
+        F, K = np.eye(2), np.diag([4.0, 1.0])
+        Q = decompose(F, K)
         np.testing.assert_allclose(Q, np.diag([0.5, 1.0]), atol=1e-15)
+        np.testing.assert_allclose(F @ K @ Q.T, np.diag([2.0, 1.0]), atol=1e-15)
 
     def test_random_instances_factor_and_orthonormalize(self):
         rng = np.random.default_rng(26)
@@ -244,22 +270,26 @@ class TestDecompose:
             F = rng.standard_normal((m, m))
             Z = rng.standard_normal((m, m + int(rng.integers(0, 5))))
             K = Z @ Z.T
-            L, Q = decompose(F, K)
+            Q = decompose(F, K)
             assert Q.shape == (m, m)
+            L = F @ K @ Q.T  # F = L Q, since Q K Q^T = I
+            np.testing.assert_allclose(np.triu(L, 1), 0.0, atol=1e-8)
             np.testing.assert_allclose(L @ Q, F, atol=1e-8)
             np.testing.assert_allclose(Q @ K @ Q.T, np.eye(m), atol=1e-8)
 
     def test_rank_deficient_f_drops_rows(self):
         F = np.array([[1.0, 0.0], [2.0, 0.0]])  # second row dependent
-        L, Q = decompose(F, np.eye(2))
-        assert Q.shape == (1, 2)
-        assert L.shape == (2, 1)
-        np.testing.assert_allclose(L @ Q, F, atol=1e-12)
+        with pytest.raises(SketchConditionError, match="rank"):
+            decompose(F, np.eye(2))
 
     def test_non_psd_gram_rejected(self):
         K = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(SketchConditionError):
             decompose(np.eye(2), K)
+
+    def test_non_finite_gram_rejected(self):
+        with pytest.raises(SketchConditionError):
+            decompose(np.eye(2), np.full((2, 2), np.nan))
 
 
 class TestDegenerateRows:
