@@ -6,7 +6,9 @@ shrinks along observed directions.  On each loss-active round the covariance
 absorbs a rank-one term through its closed-form inverse update, and the mean
 then descends the loss subgradient preconditioned by the covariance.  Both
 steps read only the sample's support and update ``sigma`` in place; a
-diagonal mode keeps only the diagonal of ``sigma`` for O(nnz) rounds.
+diagonal mode keeps only the diagonal of ``sigma`` for O(nnz) rounds, and
+:class:`DiagonalLanes` runs one diagonal learner per step-size grid value
+side by side in one pass for grid selection.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import predict_label
-from .losses import LossVariant, gradient_scale, loss
+from .losses import LossVariant, gradient_scale, lane_gradient_scale, loss
 
 # Largest full sigma allocated (d = 16384): a fixed policy, not a measured limit.
 FULL_SIGMA_MAX_BYTES = 2**31
@@ -111,3 +113,35 @@ class AdaptiveCSGD:
             step = self.sigma[:, positions] @ g
         self.mu -= self.eta * step
         return l
+
+
+class DiagonalLanes:
+    """Diagonal :class:`AdaptiveCSGD` with step size ``eta[g]`` on lane g: column
+    g of the d x G ``mu`` and ``sigma`` is lane g's state.  ``step`` is
+    ``update`` applied to every lane at once, entry by entry, and leaves the
+    state of passive lanes unchanged."""
+
+    def __init__(self, d: int, eta: np.ndarray, gamma: float,
+                 variant: LossVariant = LossVariant.I, update_rule: str = "new"):
+        self.eta = np.asarray(eta, dtype=np.float64)
+        self.gamma = gamma
+        self.variant = LossVariant(variant)
+        self.update_rule = update_rule
+        self.mu = np.zeros((d, self.eta.size))
+        self.sigma = np.ones((d, self.eta.size))
+
+    def scores(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return values @ self.mu.take(positions, 0)
+
+    def step(self, positions, values, y, rho, scores):
+        a = lane_gradient_scale(self.variant, y, rho, scores)
+        if not np.count_nonzero(a):
+            return
+        x = values[:, None]
+        before = self.sigma.take(positions, 0)
+        # covariance_update_diag per lane; passive lanes shrink by zero
+        sx = before * x
+        after = before - (sx * sx) / (self.gamma + values @ sx) * (a != 0.0)
+        self.sigma[positions] = after
+        sigma_used = after if self.update_rule == "new" else before
+        self.mu[positions] = self.mu.take(positions, 0) - self.eta * a * sigma_used * x

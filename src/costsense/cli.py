@@ -83,6 +83,10 @@ def main(argv=None) -> int:
     print(f"{cfg.algo} on {cfg.dataset} ({cfg.metric}, {mode}), eta={report.eta:g}")
     for key in ("sum", "cost", "sensitivity", "specificity"):
         print(f"  {key:<11} {agg[key]:8.3f} +/- {std[key]:.3f}")
+    if report.grid:
+        print(f"  eta selection, mean {cfg.metric} over {cfg.selection_permutations} permutations:")
+        for eta, score in report.grid.items():
+            print(f"    {eta:<8g} {score:10.3f}{'  <- selected' if eta == report.eta else ''}")
     if cfg.out:
         print(f"  report written to {cfg.out}")
     return 0

@@ -207,24 +207,25 @@ def permutation(n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    order = np.arange(n, dtype=np.int64)
     if n == 1:
-        return order
+        return np.zeros(1, dtype=np.int64)
     bits = np.random.Philox(key=seed)
-    buf = bits.random_raw(2 * n)
+    # Python ints and lists: cheaper per swap than numpy scalars and arrays
+    words = bits.random_raw(2 * n).tolist()
+    order = list(range(n))
     k = 0
     for i in range(n - 1, 0, -1):
         mask = (1 << i.bit_length()) - 1
         while True:
-            if k == buf.size:
-                buf = bits.random_raw(n)
+            if k == len(words):
+                words = bits.random_raw(n).tolist()
                 k = 0
-            j = int(buf[k]) & mask
+            j = words[k] & mask
             k += 1
             if j <= i:
                 break
         order[i], order[j] = order[j], order[i]
-    return order
+    return np.array(order, dtype=np.int64)
 
 
 def split_folds(ds_or_n, k: int, seed: int) -> list[np.ndarray]:

@@ -3,6 +3,8 @@
 One experiment = pick a step size from the grid on dedicated selection
 permutations, then evaluate the learner prequentially over ``permutations``
 seeded shuffles of the dataset, reporting per-run and aggregate metrics.
+For the learners with O(d) state (:data:`LANE_ALGOS`) one pass per
+selection permutation advances every grid value at once, as lanes.
 Everything downstream of (config, base seed) is deterministic; elapsed-time
 columns are the only environment-dependent output.
 
@@ -19,8 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acog import AdaptiveCSGD
-from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron, predict_label
+from .acog import FULL_SIGMA_MAX_BYTES, AdaptiveCSGD, DiagonalLanes
+from .baselines import (
+    CostSensitiveGD,
+    CostSensitiveGDLanes,
+    PassiveAggressiveI,
+    PassiveAggressiveILanes,
+    Perceptron,
+    predict_label,
+)
 from .data import Dataset, load_dataset, permutation, split_folds
 from .losses import CostModel, LossVariant, Metric, RhoMode, observe_label, resolve_rho
 from .metrics import ConfusionCounts, class_rates, cost_metric, sum_metric
@@ -40,6 +49,11 @@ ALGO_IDS = (
     "ssacog1",
     "ssacog2",
 )
+
+# learners whose state is O(d) per step size: grid selection runs every grid
+# value in one pass per selection permutation, as lanes of one batch
+LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1-diag", "acog2-diag")
+RHO_FREE_ALGOS = ("perceptron", "pa1")
 
 # selection permutations draw seeds far above any sane evaluation seed range
 SELECTION_SEED_OFFSET = 1_000_003
@@ -151,6 +165,7 @@ class RunReport:
     rows: list
     aggregate: dict
     std: dict
+    grid: dict = field(default_factory=dict)  # eta -> mean selection score; empty if none ran
 
 
 def make_learner(cfg: ExperimentConfig, d: int, eta: float):
@@ -186,6 +201,16 @@ def make_learner(cfg: ExperimentConfig, d: int, eta: float):
     )
 
 
+def make_lanes(cfg: ExperimentConfig, d: int, etas: list):
+    """One learner per step size in ``etas``, as lanes of one batch
+    (``cfg.algo`` must be one of :data:`LANE_ALGOS`)."""
+    if cfg.algo == "pa1":
+        return PassiveAggressiveILanes(d, etas)
+    if cfg.algo in ("cog1", "cog2"):
+        return CostSensitiveGDLanes(d, etas, cfg.loss_variant)
+    return DiagonalLanes(d, etas, cfg.gamma, cfg.loss_variant, cfg.update_rule)
+
+
 def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int] | None) -> CostModel:
     """A fresh copy of the config's cost model, with oracle rho resolved."""
     cm = copy.copy(cfg._cost_model)
@@ -215,11 +240,15 @@ def _online_pass(learner, cm, dataset, order, cc=None, trace=None) -> None:
             trace.m_neg_series.append(cc.m_neg)
 
 
+def _pass_cost_model(cfg: ExperimentConfig, counts: tuple[int, int]) -> CostModel | None:
+    """A pass's cost model: None for the rho-free learners."""
+    return make_cost_model(cfg, counts) if cfg.algo not in RHO_FREE_ALGOS else None
+
+
 def _fresh_learner(cfg: ExperimentConfig, d: int, eta: float, counts: tuple[int, int]):
     """The learner and its cost model (None for the rho-free learners)."""
     learner = make_learner(cfg, d, eta)
-    cm = make_cost_model(cfg, counts) if cfg.algo not in ("perceptron", "pa1") else None
-    return learner, cm
+    return learner, _pass_cost_model(cfg, counts)
 
 
 def _row(cfg: ExperimentConfig, seed: int, eta: float, cc: ConfusionCounts,
@@ -244,12 +273,16 @@ def run_single(
     eta: float,
     perm_seed: int,
     collect_trace: bool = False,
+    order: np.ndarray | None = None,
 ):
     """One prequential pass over a seeded permutation of the dataset.
 
-    Returns a metrics row dict, plus a :class:`RunTrace` when requested.
+    ``order`` is ``permutation(len(dataset), perm_seed)``, computed here
+    unless the caller already has it.  Returns a metrics row dict, plus a
+    :class:`RunTrace` when requested.
     """
-    order = permutation(len(dataset), perm_seed)
+    if order is None:
+        order = permutation(len(dataset), perm_seed)
     learner, cm = _fresh_learner(cfg, dataset.d, eta, (dataset.t_pos, dataset.t_neg))
     cc = ConfusionCounts()
     trace = RunTrace(order=order) if collect_trace else None
@@ -262,21 +295,77 @@ def run_single(
     return row
 
 
-def grid_select(cfg: ExperimentConfig, dataset: Dataset) -> float:
-    """Best step size on the selection permutations; ties go to the smaller value.
+def _lane_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list, seeds: list,
+               orders: list) -> dict:
+    """``selection_rows`` for :data:`LANE_ALGOS`: one pass per order advances
+    a block of grid values as lanes.
+
+    The loop is :func:`_online_pass` with ``ConfusionCounts.record``'s tally
+    kept per lane.  Every lane sees the same labels in the same order, so
+    one cost model serves them all.  Blocks keep lane state (two d-vectors
+    per lane at most) within ``FULL_SIGMA_MAX_BYTES``.
+    """
+    rows = {eta: [] for eta in grid}
+    block = max(1, FULL_SIGMA_MAX_BYTES // (16 * dataset.d))
+    counts = (dataset.t_pos, dataset.t_neg)
+    for lo in range(0, len(grid), block):
+        etas = grid[lo:lo + block]
+        for seed, order in zip(seeds, orders):
+            lanes = make_lanes(cfg, dataset.d, etas)
+            cm = _pass_cost_model(cfg, counts)
+            laplace = cm is not None and cm.rho_mode == RhoMode.LAPLACE
+            # rounds each lane predicted +1 (predict_label's s >= 0.0), per label
+            plus_pos = np.zeros(len(etas), dtype=np.int64)
+            plus_neg = np.zeros(len(etas), dtype=np.int64)
+            start = time.perf_counter()
+            for positions, values, y in dataset.rows(order):
+                s = lanes.scores(positions, values)
+                plus = plus_pos if y == 1 else plus_neg
+                plus += s >= 0.0
+                if laplace:
+                    observe_label(cm, y)
+                lanes.step(positions, values, y, cm.rho if cm is not None else None, s)
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            for eta, hits, m_neg in zip(etas, plus_pos.tolist(), plus_neg.tolist()):
+                cc = ConfusionCounts(dataset.t_pos, dataset.t_neg, dataset.t_pos - hits, m_neg)
+                rows[eta].append(_row(cfg, seed, eta, cc, elapsed_ms))
+    return rows
+
+
+def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:
+    """Each grid value's rows on the selection permutations, in seed order.
 
     Selection seeds are disjoint from the evaluation seeds, so chosen
-    hyperparameters never peek at evaluation shuffles.
+    hyperparameters never peek at evaluation shuffles.  Each permutation is
+    computed once and shared by every grid value.
+    """
+    seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(cfg.selection_permutations)]
+    orders = [permutation(len(dataset), s) for s in seeds]
+    if cfg.algo in LANE_ALGOS:
+        return _lane_rows(cfg, dataset, grid, seeds, orders)
+    return {
+        eta: [run_single(cfg, dataset, eta, s, order=o) for s, o in zip(seeds, orders)]
+        for eta in grid
+    }
+
+
+def grid_select(cfg: ExperimentConfig, dataset: Dataset, table: dict | None = None) -> float:
+    """Best step size by mean score on the selection permutations; ties go to
+    the smaller value.
+
+    ``table``, when given, receives each grid value's mean selection score.
+    A one-value grid, or the perceptron (which ignores the step size, so
+    every value ties), is settled without a pass.
     """
     grid = sorted(cfg.eta_grid)
-    if len(grid) == 1:
+    if len(grid) == 1 or cfg.algo == "perceptron":
         return grid[0]
-    seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(cfg.selection_permutations)]
     maximize = cfg.metric == "sum"
     best_eta, best_score = None, None
-    for eta in grid:
-        vals = [run_single(cfg, dataset, eta, s)[cfg.metric] for s in seeds]
-        score = float(np.mean(vals))
+    for eta, rows in selection_rows(cfg, dataset, grid).items():
+        score = float(np.mean([r[cfg.metric] for r in rows]))
+        if table is not None:
+            table[eta] = score
         better = (
             best_score is None
             or (maximize and score > best_score)
@@ -299,9 +388,9 @@ def aggregate_rows(rows: list) -> tuple[dict, dict]:
     return agg, std
 
 
-def _report(cfg: ExperimentConfig, eta: float, rows: list) -> RunReport:
+def _report(cfg: ExperimentConfig, eta: float, rows: list, grid: dict) -> RunReport:
     agg, std = aggregate_rows(rows)
-    report = RunReport(config=cfg, eta=eta, rows=rows, aggregate=agg, std=std)
+    report = RunReport(config=cfg, eta=eta, rows=rows, aggregate=agg, std=std, grid=grid)
     if cfg.out:
         emit_csv(report, cfg.out)
     return report
@@ -311,11 +400,12 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
     """Grid-select, then evaluate over ``permutations`` seeded runs."""
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
-    eta = grid_select(cfg, dataset)
+    table = {}
+    eta = grid_select(cfg, dataset, table)
     rows = [
         run_single(cfg, dataset, eta, cfg.seed + i) for i in range(cfg.permutations)
     ]
-    return _report(cfg, eta, rows)
+    return _report(cfg, eta, rows, table)
 
 
 def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
@@ -329,13 +419,17 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
         raise ValueError("run_cv needs folds >= 2")
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
-    eta = grid_select(cfg, dataset)
+    table = {}
+    eta = grid_select(cfg, dataset, table)
     folds = split_folds(dataset, cfg.folds, cfg.seed)
     rows = []
     for i, heldout in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
         t_pos = int(np.count_nonzero(dataset.labels[train_idx] == 1))
-        learner, cm = _fresh_learner(cfg, dataset.d, eta, (t_pos, len(train_idx) - t_pos))
+        try:
+            learner, cm = _fresh_learner(cfg, dataset.d, eta, (t_pos, len(train_idx) - t_pos))
+        except ValueError as exc:  # e.g. oracle rho of a training fold with no positives
+            raise ValueError(f"CV fold {i + 1} of {cfg.folds}: {exc}") from None
         order = train_idx[permutation(len(train_idx), cfg.seed + i)]
         start = time.perf_counter()
         _online_pass(learner, cm, dataset, order)
@@ -343,7 +437,7 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
         for positions, values, y in dataset.rows(heldout):
             cc.record(learner.predict(positions, values)[1], y)
         rows.append(_row(cfg, cfg.seed + i, eta, cc, (time.perf_counter() - start) * 1e3))
-    return _report(cfg, eta, rows)
+    return _report(cfg, eta, rows, table)
 
 
 def _cell(value) -> str:

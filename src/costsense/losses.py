@@ -57,6 +57,16 @@ def gradient_scale(variant: LossVariant, y: int, rho: float, loss_value: float) 
     return -class_weight(y, rho) * float(y)
 
 
+def lane_gradient_scale(variant: LossVariant, y: int, rho: float,
+                        scores: np.ndarray) -> np.ndarray:
+    """:func:`gradient_scale` of :func:`loss` at each entry of ``scores``, one
+    per lane, with the same floating-point tests: 0.0 where that loss is 0."""
+    weight = class_weight(y, rho)
+    if variant == LossVariant.I:
+        return np.where(weight - y * scores > 0.0, -float(y), 0.0)
+    return np.where(weight * (1.0 - y * scores) > 0.0, -weight * float(y), 0.0)
+
+
 def subgradient(
     variant: LossVariant,
     positions: np.ndarray,
@@ -135,7 +145,8 @@ def resolve_rho(cm: CostModel, dataset_counts: tuple[int, int] | None = None) ->
         raise ValueError("sum-metric oracle rho needs dataset counts (T_p, T_n)")
     t_p, t_n = dataset_counts
     if t_p <= 0:
-        raise ValueError("oracle rho undefined with no positive examples")
+        raise ValueError("oracle rho undefined with no positive examples; "
+                         "use rho mode 'laplace' or 'fixed:<value>' (--rho-mode)")
     return (cm.alpha_p * t_n) / (cm.alpha_n * t_p)
 
 

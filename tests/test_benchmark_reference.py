@@ -6,7 +6,8 @@ This test generates each workload's file at seed 0 with the benchmark's own
 generator, runs the workload's algorithms the way ``perfbench/child.py``
 does, and checks each CSV with ``run.check_csv`` against that record.  A
 numerical change that flips a single mistake count then fails here, not
-only in benchmark runs.  ``perfbench/`` is only read; the data and CSVs go
+only in benchmark runs.  Grid selection alone is also checked on the
+ijcnn1-grid files of seeds 0-9.  ``perfbench/`` is only read; the data and CSVs go
 to a temporary directory.
 """
 
@@ -19,7 +20,7 @@ from unittest import mock
 import pytest
 
 from costsense.data import load_dataset
-from costsense.harness import ExperimentConfig, run_cv, run_experiment
+from costsense.harness import ExperimentConfig, grid_select, run_cv, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,3 +58,17 @@ def test_seed0_matches_benchmark_reference(name, tmp_path):
         digest, problems = RUN.check_csv(str(out), wl, 0, ds.t_pos, ds.t_neg)
         assert problems == [], algo
         assert {"eta": eta, "digest": digest} == expected[algo], algo
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ijcnn1_grid_selection_matches_benchmark_reference(seed, tmp_path):
+    # selection only: the eta each algorithm picks on the paper grid
+    wl = RUN.WORKLOADS["ijcnn1-grid"]
+    expected = RUN.load_reference()[wl.name][str(seed)]
+    data = tmp_path / f"{wl.shape.name}.libsvm"
+    RUN.generate(wl.shape, seed, data)
+    ds = load_dataset(data)
+    for algo in wl.algos:
+        cfg = ExperimentConfig(algo=algo, metric=wl.metric, rho_mode=wl.rho_mode,
+                               eta_grid=wl.eta_grid, seed=seed)
+        assert grid_select(cfg, ds) == expected[algo]["eta"], algo

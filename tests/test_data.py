@@ -269,6 +269,45 @@ class TestPermutation:
         with pytest.raises(ValueError):
             permutation(0, 1)
 
+    @staticmethod
+    def frozen_loop(n, seed):
+        """The numpy-array loop ``permutation`` used before it moved to Python
+        lists, plus whether it ran out of its first 2n words (the refill)."""
+        order = np.arange(n, dtype=np.int64)
+        if n == 1:
+            return order, False
+        bits = np.random.Philox(key=seed)
+        buf = bits.random_raw(2 * n)
+        k = 0
+        refilled = False
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if k == buf.size:
+                    buf = bits.random_raw(n)
+                    k = 0
+                    refilled = True
+                j = int(buf[k]) & mask
+                k += 1
+                if j <= i:
+                    break
+            order[i], order[j] = order[j], order[i]
+        return order, refilled
+
+    @pytest.mark.parametrize("n,seeds", [(1, 50), (2, 2000), (3, 2000), (17, 2000), (1500, 100)])
+    def test_equals_frozen_loop(self, n, seeds):
+        for seed in range(seeds):
+            got = permutation(n, seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, self.frozen_loop(n, seed)[0]), seed
+
+    def test_refill_branch_covered(self):
+        # seeds in the ranges above whose draws pass the first 2n words
+        for n, seed in ((3, 1178), (17, 529)):
+            want, refilled = self.frozen_loop(n, seed)
+            assert refilled
+            assert np.array_equal(permutation(n, seed), want)
+
 
 class TestSplitFolds:
     def test_even_split(self):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from costsense import cli
 from costsense.baselines import Perceptron
-from costsense.data import load_dataset
+from costsense.data import load_dataset, permutation
 from costsense.harness import (
     ExperimentConfig,
     RunReport,
@@ -23,6 +24,10 @@ from costsense.metrics import ConfusionCounts, sum_metric
 from costsense.sketch import SketchConditionError
 
 TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libsvm"
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the CLI subprocess imports this checkout's package, installed or not
+CLI_ENV = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +121,35 @@ class TestGridSelect:
         expected = min(sorted(means), key=lambda e: (means[e], e))
         assert grid_select(cfg, toy) == expected
 
+    @pytest.mark.parametrize("algo", ["perceptron", "acog2", "sacog2", "ssacog2", "cog2"])
+    def test_each_selection_permutation_computed_once(self, toy, algo, monkeypatch):
+        from costsense import harness
+
+        seeds = []
+
+        def counted(n, seed):
+            seeds.append(seed)
+            return permutation(n, seed)
+        monkeypatch.setattr(harness, "permutation", counted)
+        cfg = ExperimentConfig(algo=algo, eta_grid=(0.1, 1.0, 10.0))
+        table = {}
+        grid_select(cfg, toy, table)
+        if algo == "perceptron":
+            # it ignores eta, so the smallest value wins the tie without a pass
+            assert seeds == [] and table == {}
+        else:
+            offset = harness.SELECTION_SEED_OFFSET
+            assert seeds == [offset, offset + 1, offset + 2]
+            assert sorted(table) == [0.1, 1.0, 10.0]
+
+    def test_table_holds_the_mean_selection_scores(self, toy):
+        cfg = ExperimentConfig(algo="acog2", eta_grid=(10.0, 0.1, 1.0), metric="cost")
+        table = {}
+        eta = grid_select(cfg, toy, table)
+        assert table == {e: float(m) for e, m in self._selection_means(cfg, toy).items()}
+        assert list(table) == [0.1, 1.0, 10.0]
+        assert table[eta] == min(table.values())
+
 
 class TestRunExperiment:
     def test_single_permutation_has_zero_std(self, toy):
@@ -149,6 +183,15 @@ class TestRunExperiment:
         agg_fwd, std_fwd = aggregate_rows(report.rows)
         agg_rev, std_rev = aggregate_rows(list(reversed(report.rows)))
         assert agg_fwd == agg_rev and std_fwd == std_rev
+
+    def test_report_keeps_the_selection_table(self, toy):
+        cfg = ExperimentConfig(algo="cog2", eta_grid=(0.1, 1.0), permutations=1)
+        report = run_experiment(cfg, toy)
+        table = {}
+        assert grid_select(cfg, toy, table) == report.eta
+        assert report.grid == table and len(table) == 2
+        one = run_experiment(ExperimentConfig(algo="cog2", eta_grid=(1.0,), permutations=1), toy)
+        assert one.grid == {}
 
     def test_writes_csv_when_out_set(self, toy, tmp_path):
         out = tmp_path / "report.csv"
@@ -351,6 +394,27 @@ class TestCli:
             assert code == 2
             assert captured.err.startswith("error: sum metric undefined")
 
+    def test_cv_training_fold_without_positives_names_the_fold(self, tmp_path, capsys):
+        # one positive in six rows: the fold that holds it out trains on none
+        data = tmp_path / "one_pos.libsvm"
+        data.write_text("+1 1:1 2:0.5\n-1 1:0.2 2:1\n-1 1:-1 2:0.3\n"
+                        "-1 1:0.4 2:-1\n-1 1:-0.5 2:-0.5\n-1 1:0.1 2:0.9\n")
+        code = cli.main(["run", "--dataset", str(data), "--algo", "cog2", "--folds", "3",
+                         "--eta-grid", "1", "--empty-class", "perfect"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: CV fold ") and " of 3: oracle rho undefined" in err
+        assert "laplace" in err and "fixed:<value>" in err and "Traceback" not in err
+
+    def test_selection_table_printed_under_summary(self, capsys):
+        assert cli.main(["run", "--dataset", str(TOY), "--algo", "acog2-diag",
+                         "--eta-grid", "0.1,1", "--permutations", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        head = out.index("  eta selection, mean sum over 3 permutations:")
+        assert out[head - 1].startswith("  specificity")
+        assert [line.split()[0] for line in out[head + 1:]] == ["0.1", "1"]
+        assert sum(line.endswith("<- selected") for line in out) == 1
+
     def test_full_acog_over_memory_limit_reported(self, capsys):
         assert cli.main(["run", "--dataset", str(TOY), "--algo", "acog2",
                          "--d-override", "200000", "--eta-grid", "1"]) == 2
@@ -364,7 +428,7 @@ class TestCli:
              "--dataset", str(TOY), "--algo", "acog2-diag",
              "--eta-grid", "0.1,1", "--permutations", "2",
              "--seed", "3", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
@@ -374,7 +438,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "costsense.cli", "run",
              "--dataset", str(TOY), "--algo", "acog2", "--loss", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 2
         assert "conflicts" in proc.stderr
@@ -385,7 +449,7 @@ class TestCli:
             [sys.executable, "-m", "costsense.cli", "run",
              "--dataset", str(TOY), "--algo", "cog2",
              "--eta-grid", "1", "--folds", "3", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert "CV" in proc.stdout
