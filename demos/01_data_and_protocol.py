@@ -16,8 +16,10 @@ ds = load_dataset(ROOT / "datasets" / "toy_imbalanced.libsvm")
 print(f"loaded {len(ds)} examples, d={ds.d}, "
       f"{ds.t_pos} positive : {ds.t_neg} negative (1:{ds.t_neg / ds.t_pos:.2f})")
 
-e = ds[0]
-print(f"first example: label {e.label:+d}, {e.nnz} nonzeros, norm {e.norm():.12f}")
+# every row is (0-based positions, unit-norm values, label)
+positions, values, label = next(ds.rows(np.arange(1)))
+print(f"first example: label {label:+d}, {positions.size} nonzeros, "
+      f"norm {np.linalg.norm(values):.12f}")
 
 # a seeded shuffle is reproducible across machines
 order = permutation(len(ds), seed=0)
@@ -27,11 +29,10 @@ assert permutation(len(ds), seed=0).tolist() == order.tolist()
 # predict -> reveal -> update, one pass
 learner = Perceptron(ds.d)
 mistakes = 0
-for i in order:
-    ex = ds[i]
-    _, predicted = learner.predict(ex.positions, ex.values)
-    mistakes += predicted != ex.label
-    learner.update(ex.positions, ex.values, ex.label)
+for positions, values, label in ds.rows(order):
+    _, predicted = learner.predict(positions, values)
+    mistakes += predicted != label
+    learner.update(positions, values, label)
 print(f"perceptron made {mistakes} mistakes on one pass "
       f"({100 * mistakes / len(ds):.1f}% error)")
 

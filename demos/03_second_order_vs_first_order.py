@@ -45,11 +45,10 @@ order = permutation(len(ds), seed=0)
 print(f"{'learner':<16} {'sum %':>7} {'sens %':>7} {'spec %':>7} {'cost':>7}")
 for name, learner in learners.items():
     cc = ConfusionCounts()
-    for i in order:
-        e = ds[i]
-        s = learner.score(e.positions, e.values)
-        cc.record(1 if s >= 0 else -1, e.label)
-        learner.update(e.positions, e.values, e.label, rho, score=s)
+    for positions, values, y in ds.rows(order):
+        s = learner.score(positions, values)
+        cc.record(1 if s >= 0 else -1, y)
+        learner.update(positions, values, y, rho, score=s)
     print(f"{name:<16} {100 * sum_metric(cc, 0.5, 0.5):7.2f} "
           f"{100 * cc.sensitivity:7.2f} {100 * cc.specificity:7.2f} "
           f"{cost_metric(cc, 0.9, 0.1):7.2f}")

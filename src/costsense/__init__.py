@@ -10,14 +10,11 @@ from .acog import AdaptiveCSGD, covariance_update, covariance_update_diag
 from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron
 from .data import (
     Dataset,
-    Example,
     LibsvmFormatError,
     load_dataset,
-    normalize,
     parse_libsvm_line,
     permutation,
     split_folds,
-    to_libsvm_line,
 )
 from .harness import (
     ALGO_IDS,
@@ -39,11 +36,9 @@ from .losses import (
     loss,
     observe_label,
     resolve_rho,
-    subgradient,
 )
 from .metrics import (
     ConfusionCounts,
-    RegretTrace,
     class_rates,
     cost_metric,
     fit_comparator,

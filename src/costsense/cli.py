@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Example::
+Usage::
 
     costsense run --dataset datasets/german.numer --algo acog2 --metric sum \
         --permutations 20 --seed 0 --out german_acog2.csv
@@ -11,7 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ALGO_IDS, PAPER_ETA_GRID, ExperimentConfig, run_cv, run_experiment
+from .harness import (
+    ALGO_IDS,
+    PAPER_ETA_GRID,
+    SELECTION_PERMUTATIONS,
+    ExperimentConfig,
+    run_cv,
+    run_experiment,
+)
 from .sketch import SketchConditionError
 
 
@@ -34,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment and emit a CSV report")
     run.add_argument("--dataset", required=True, help="LIBSVM-format data file")
     run.add_argument("--algo", required=True, choices=ALGO_IDS)
-    run.add_argument("--loss", type=int, choices=(1, 2), default=None,
-                     help="surrogate loss variant; must agree with the algo id")
     run.add_argument("--metric", choices=("sum", "cost"), default="sum")
     run.add_argument("--alpha-p", type=float, default=0.5)
     run.add_argument("--alpha-n", type=float, default=0.5)
@@ -65,15 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # every option except --loss is named after an ExperimentConfig field
+    # every option is named after an ExperimentConfig field
     opts = vars(build_parser().parse_args(argv))
     del opts["command"]
-    loss = opts.pop("loss")
     try:
         cfg = ExperimentConfig(**opts)
-        has_variant = cfg.algo not in ("perceptron", "pa1")
-        if loss is not None and has_variant and loss != cfg.loss_variant:
-            raise ValueError(f"--loss {loss} conflicts with --algo {cfg.algo}")
         report = run_cv(cfg) if cfg.folds else run_experiment(cfg)
     except (ValueError, OSError, SketchConditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
     for key in ("sum", "cost", "sensitivity", "specificity"):
         print(f"  {key:<11} {agg[key]:8.3f} +/- {std[key]:.3f}")
     if report.grid:
-        print(f"  eta selection, mean {cfg.metric} over {cfg.selection_permutations} permutations:")
+        print(f"  eta selection, mean {cfg.metric} over {SELECTION_PERMUTATIONS} permutations:")
         for eta, score in report.grid.items():
             print(f"    {eta:<8g} {score:10.3f}{'  <- selected' if eta == report.eta else ''}")
     if cfg.out:

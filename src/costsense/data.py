@@ -1,53 +1,20 @@
 """LIBSVM-format data loading, per-sample normalization, and seeded shuffling.
 
-Feature indices are 1-based on disk (LIBSVM convention) and on the
-``Example`` record; a loaded ``Dataset`` stores the 0-based ``positions``
-through which learners address weight vectors.
+Feature indices are 1-based on disk (LIBSVM convention); every row the
+package hands out is ``(positions, values, label)`` with the 0-based
+``positions`` through which learners address weight vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class LibsvmFormatError(ValueError):
     """Malformed LIBSVM text: bad label, bad token, or bad index order."""
-
-
-@dataclass(eq=False)
-class Example:
-    """One labeled sparse sample.
-
-    ``indices`` are the 1-based on-disk feature indices, strictly increasing;
-    ``values`` are the matching feature values.
-    """
-
-    label: int
-    indices: np.ndarray
-    values: np.ndarray
-    positions: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.label not in (-1, 1):
-            raise LibsvmFormatError(f"label must be +1 or -1, got {self.label}")
-        if self.indices.size:
-            if self.indices[0] < 1:
-                raise LibsvmFormatError("feature indices must be >= 1")
-            if np.any(np.diff(self.indices) <= 0):
-                raise LibsvmFormatError("feature indices must be strictly increasing")
-        self.positions = self.indices - 1
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(eq=False)
@@ -76,9 +43,8 @@ class Dataset:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, i: int) -> Example:
-        positions, values, label = self._rows[i]
-        return Example(label, positions + 1, values)
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray, int]:
+        return self._rows[i]
 
     def rows(self, order: np.ndarray):
         """``(positions, values, label)`` of each row index in ``order``, in turn;
@@ -132,30 +98,17 @@ def _tokenize(line: str, lineno: int | None) -> tuple[int, list, list]:
     return label, indices, values
 
 
-def parse_libsvm_line(line: str, lineno: int | None = None) -> Example:
-    """Parse one ``<label> <index>:<value> ...`` line into an Example.
+def parse_libsvm_line(line: str, lineno: int | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse one ``<label> <index>:<value> ...`` line into ``(positions,
+    values, label)``: 0-based int64 positions and the raw float64 values.
 
     Labels +1/1 map to +1 and -1 maps to -1; anything else is rejected
     (binary classification only).  A ``#`` starts a comment running to the
     end of the line.
     """
     label, indices, values = _tokenize(line, lineno)
-    return Example(label, np.array(indices, dtype=np.int64), np.array(values))
-
-
-def to_libsvm_line(e: Example) -> str:
-    """Serialize an Example back to LIBSVM text (round-trips with the parser)."""
-    head = "+1" if e.label == 1 else "-1"
-    pairs = " ".join(f"{i}:{float(v)!r}" for i, v in zip(e.indices, e.values))
-    return head + (" " + pairs if pairs else "")
-
-
-def normalize(e: Example) -> Example:
-    """Scale features to unit Euclidean norm; the label is untouched."""
-    n = e.norm()
-    if n == 0.0:
-        raise ValueError("cannot normalize an all-zero feature vector")
-    return Example(e.label, e.indices.copy(), e.values / n)
+    return np.array(indices, dtype=np.int64) - 1, np.array(values, dtype=np.float64), label
 
 
 def load_dataset(path, d_override: int | None = None) -> Dataset:
@@ -170,7 +123,6 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
             label, idx, val = _tokenize(raw, lineno)
-            # the same norm, bit for bit, that ``normalize`` takes of the row
             n = float(np.linalg.norm(val))
             if n == 0.0:
                 raise LibsvmFormatError(

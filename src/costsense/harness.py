@@ -55,7 +55,9 @@ ALGO_IDS = (
 LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1-diag", "acog2-diag")
 RHO_FREE_ALGOS = ("perceptron", "pa1")
 
-# selection permutations draw seeds far above any sane evaluation seed range
+# grid selection runs on this many permutations, whose seeds lie far above
+# any sane evaluation seed range
+SELECTION_PERMUTATIONS = 3
 SELECTION_SEED_OFFSET = 1_000_003
 
 CSV_COLUMNS = (
@@ -106,7 +108,6 @@ class ExperimentConfig:
     out: str | None = None
     empty_class: str = "error"
     d_override: int | None = None
-    selection_permutations: int = 3
 
     def __post_init__(self):
         if self.algo not in ALGO_IDS:
@@ -115,9 +116,11 @@ class ExperimentConfig:
             raise ValueError("eta grid must be nonempty")
         if not all(0.0 < v < math.inf for v in (*self.eta_grid, self.gamma)):
             raise ValueError(f"eta {self.eta_grid} and gamma {self.gamma} must be finite and > 0")
-        for name in ("permutations", "selection_permutations", "sketch_size", "sketch_lazy"):
+        for name in ("permutations", "sketch_size", "sketch_lazy"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.folds != 0 and self.folds < 2:
             raise ValueError("folds must be 0 (online protocol) or >= 2")
         for name, allowed in (("metric", ("sum", "cost")), ("update_rule", ("new", "old")),
@@ -245,12 +248,6 @@ def _pass_cost_model(cfg: ExperimentConfig, counts: tuple[int, int]) -> CostMode
     return make_cost_model(cfg, counts) if cfg.algo not in RHO_FREE_ALGOS else None
 
 
-def _fresh_learner(cfg: ExperimentConfig, d: int, eta: float, counts: tuple[int, int]):
-    """The learner and its cost model (None for the rho-free learners)."""
-    learner = make_learner(cfg, d, eta)
-    return learner, _pass_cost_model(cfg, counts)
-
-
 def _row(cfg: ExperimentConfig, seed: int, eta: float, cc: ConfusionCounts,
          elapsed_ms: float) -> dict:
     sens, spec = class_rates(cc, cfg.empty_class)
@@ -283,7 +280,8 @@ def run_single(
     """
     if order is None:
         order = permutation(len(dataset), perm_seed)
-    learner, cm = _fresh_learner(cfg, dataset.d, eta, (dataset.t_pos, dataset.t_neg))
+    learner = make_learner(cfg, dataset.d, eta)
+    cm = _pass_cost_model(cfg, (dataset.t_pos, dataset.t_neg))
     cc = ConfusionCounts()
     trace = RunTrace(order=order) if collect_trace else None
     start = time.perf_counter()
@@ -339,7 +337,7 @@ def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:
     hyperparameters never peek at evaluation shuffles.  Each permutation is
     computed once and shared by every grid value.
     """
-    seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(cfg.selection_permutations)]
+    seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
     orders = [permutation(len(dataset), s) for s in seeds]
     if cfg.algo in LANE_ALGOS:
         return _lane_rows(cfg, dataset, grid, seeds, orders)
@@ -353,11 +351,12 @@ def grid_select(cfg: ExperimentConfig, dataset: Dataset, table: dict | None = No
     """Best step size by mean score on the selection permutations; ties go to
     the smaller value.
 
-    ``table``, when given, receives each grid value's mean selection score.
-    A one-value grid, or the perceptron (which ignores the step size, so
-    every value ties), is settled without a pass.
+    The grid is a set: duplicates run once.  ``table``, when given, receives
+    each grid value's mean selection score.  A grid of one distinct value,
+    or the perceptron (which ignores the step size, so every value ties), is
+    settled without a pass.
     """
-    grid = sorted(cfg.eta_grid)
+    grid = sorted(set(cfg.eta_grid))
     if len(grid) == 1 or cfg.algo == "perceptron":
         return grid[0]
     maximize = cfg.metric == "sum"
@@ -419,15 +418,17 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
         raise ValueError("run_cv needs folds >= 2")
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
+    # the fold count is checked against the row count before any selection pass
+    folds = split_folds(dataset, cfg.folds, cfg.seed)
     table = {}
     eta = grid_select(cfg, dataset, table)
-    folds = split_folds(dataset, cfg.folds, cfg.seed)
     rows = []
     for i, heldout in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
         t_pos = int(np.count_nonzero(dataset.labels[train_idx] == 1))
         try:
-            learner, cm = _fresh_learner(cfg, dataset.d, eta, (t_pos, len(train_idx) - t_pos))
+            learner = make_learner(cfg, dataset.d, eta)
+            cm = _pass_cost_model(cfg, (t_pos, len(train_idx) - t_pos))
         except ValueError as exc:  # e.g. oracle rho of a training fold with no positives
             raise ValueError(f"CV fold {i + 1} of {cfg.folds}: {exc}") from None
         order = train_idx[permutation(len(train_idx), cfg.seed + i)]

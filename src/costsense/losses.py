@@ -67,27 +67,6 @@ def lane_gradient_scale(variant: LossVariant, y: int, rho: float,
     return np.where(weight * (1.0 - y * scores) > 0.0, -weight * float(y), 0.0)
 
 
-def subgradient(
-    variant: LossVariant,
-    positions: np.ndarray,
-    values: np.ndarray,
-    y: int,
-    rho: float,
-    loss_value: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse subgradient (positions, values) for the given sample.
-
-    Returns empty arrays when the loss is zero; otherwise the input sparsity
-    pattern with values scaled by :func:`gradient_scale`.
-    """
-    positions = np.asarray(positions)
-    values = np.asarray(values, dtype=np.float64)
-    a = gradient_scale(variant, y, rho, loss_value)
-    if a == 0.0:
-        return np.empty(0, dtype=positions.dtype), np.empty(0)
-    return positions, a * values
-
-
 @dataclass
 class CostModel:
     """Metric weights plus the bias parameter rho and its supply mode.

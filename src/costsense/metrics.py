@@ -36,14 +36,6 @@ class ConfusionCounts:
                 self.m_neg += 1
         return self
 
-    def merge(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.t_pos + other.t_pos,
-            self.t_neg + other.t_neg,
-            self.m_pos + other.m_pos,
-            self.m_neg + other.m_neg,
-        )
-
     @property
     def sensitivity(self) -> float:
         if self.t_pos == 0:
@@ -80,34 +72,6 @@ def sum_metric(
 def cost_metric(cc: ConfusionCounts, c_p: float, c_n: float) -> float:
     """c_p * (positive mistakes) + c_n * (negative mistakes), in raw units."""
     return c_p * cc.m_pos + c_n * cc.m_neg
-
-
-class RegretTrace:
-    """Running learner loss against a fixed comparator's loss on the same stream."""
-
-    def __init__(self):
-        self.losses: list[float] = []
-        self.comparator_losses: list[float] = []
-
-    def record(self, loss_value: float) -> None:
-        self.losses.append(float(loss_value))
-
-    def record_comparator(self, loss_value: float) -> None:
-        self.comparator_losses.append(float(loss_value))
-
-    @property
-    def cumulative_loss(self) -> float:
-        return float(np.sum(self.losses))
-
-    @property
-    def comparator_loss(self) -> float:
-        return float(np.sum(self.comparator_losses))
-
-    def regret_series(self) -> np.ndarray:
-        n = min(len(self.losses), len(self.comparator_losses))
-        if n == 0:
-            raise ValueError("empty trace")
-        return np.cumsum(self.losses[:n]) - np.cumsum(self.comparator_losses[:n])
 
 
 def stream_losses(
@@ -152,16 +116,13 @@ def fit_comparator(
     return best_w
 
 
-def regret_slope(trace_or_series) -> float:
+def regret_slope(series) -> float:
     """Least-squares slope of log(max(regret_t, 1)) against log(t).
 
     Fitted over the second half of the series; needs at least 100 rounds and
     a positive regret somewhere in that tail.
     """
-    if isinstance(trace_or_series, RegretTrace):
-        series = trace_or_series.regret_series()
-    else:
-        series = np.asarray(trace_or_series, dtype=np.float64)
+    series = np.asarray(series, dtype=np.float64)
     n = series.size
     if n < 100:
         raise ValueError(f"need at least 100 rounds, got {n}")

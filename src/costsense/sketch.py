@@ -121,7 +121,7 @@ class SparseOjaSketch:
         self.Z = _init_rows(m, d, init, seed)
         self.K = np.eye(m)
         self.H = np.ones(m)
-        self.last_delta, self.last_fold = np.zeros(m), None
+        self.last_fold = None
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One streaming step; returns the direction-update coefficients delta."""
@@ -144,7 +144,6 @@ class SparseOjaSketch:
             self.K = self.Z @ self.Z.T
             self.F = decompose(np.eye(self.m), self.K)
         self.H = 1.0 / (1.0 + self.t * self.lam)
-        self.last_delta = delta
         return delta
 
     def reconstruct_sigma(self) -> np.ndarray:

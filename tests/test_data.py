@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from costsense.data import (
-    Example,
     LibsvmFormatError,
     load_dataset,
-    normalize,
     parse_libsvm_line,
     permutation,
     split_folds,
-    to_libsvm_line,
 )
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
@@ -26,19 +23,19 @@ def dataset_or_skip(name):
 
 class TestParseLine:
     def test_basic_positive(self):
-        e = parse_libsvm_line("+1 1:0.5 3:2")
-        assert e.label == 1
-        assert e.indices.tolist() == [1, 3]
-        assert e.values.tolist() == [0.5, 2.0]
+        positions, values, label = parse_libsvm_line("+1 1:0.5 3:2")
+        assert label == 1
+        assert positions.tolist() == [0, 2]
+        assert values.dtype == np.float64 and values.tolist() == [0.5, 2.0]
 
     def test_basic_negative(self):
-        e = parse_libsvm_line("-1 2:1")
-        assert e.label == -1
-        assert e.indices.tolist() == [2]
-        assert e.values.tolist() == [1.0]
+        positions, values, label = parse_libsvm_line("-1 2:1")
+        assert label == -1
+        assert positions.tolist() == [1]
+        assert values.tolist() == [1.0]
 
     def test_bare_one_is_positive(self):
-        assert parse_libsvm_line("1 1:1").label == 1
+        assert parse_libsvm_line("1 1:1")[2] == 1
 
     def test_non_binary_label_rejected(self):
         with pytest.raises(LibsvmFormatError, match="non-binary"):
@@ -67,52 +64,67 @@ class TestParseLine:
             parse_libsvm_line("+1 0:1", lineno=7)
 
     def test_comment_stripped(self):
-        e = parse_libsvm_line("+1 1:2 # trailing note")
-        assert e.indices.tolist() == [1]
+        positions, _, _ = parse_libsvm_line("+1 1:2 # trailing note")
+        assert positions.tolist() == [0]
 
     def test_positions_are_zero_based(self):
-        e = parse_libsvm_line("+1 1:0.5 3:2")
-        assert e.positions.tolist() == [0, 2]
+        positions, _, _ = parse_libsvm_line("+1 1:0.5 3:2")
+        assert positions.dtype == np.int64 and positions.tolist() == [0, 2]
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         for text in ["+1 1:0.5 3:2", "-1 2:1", "+1 1:-3.25 7:1e-09 12:4"]:
-            e = parse_libsvm_line(text)
-            again = parse_libsvm_line(to_libsvm_line(e))
-            assert again.label == e.label
-            assert again.indices.tolist() == e.indices.tolist()
-            assert again.values.tolist() == e.values.tolist()
+            positions, values, label = parse_libsvm_line(text)
+            line = write_rows(tmp_path / "row.libsvm", [(label, positions + 1, values)]).read_text()
+            again = parse_libsvm_line(line)
+            assert again[2] == label
+            assert again[0].tolist() == positions.tolist()
+            assert again[1].tolist() == values.tolist()
+
+
+def write_rows(path, rows):
+    """A LIBSVM file of (label, 1-based indices, values) rows, values in full precision."""
+    path.write_text("".join(
+        f"{label:+d} " + " ".join(f"{i}:{float(v)!r}" for i, v in zip(idx, vals)) + "\n"
+        for label, idx, vals in rows
+    ))
+    return path
 
 
 class TestNormalize:
-    def test_three_four_five(self):
-        e = normalize(parse_libsvm_line("+1 1:3 2:4"))
-        np.testing.assert_allclose(e.values, [0.6, 0.8])
+    """Per-sample unit-norm scaling, as ``load_dataset`` applies it."""
 
-    def test_single_negative_coordinate(self):
-        e = normalize(parse_libsvm_line("+1 5:-2"))
-        np.testing.assert_allclose(e.values, [-1.0])
+    def test_three_four_five(self, tmp_path):
+        ds = load_dataset(write_rows(tmp_path / "one.libsvm", [(1, [1, 2], [3.0, 4.0])]))
+        np.testing.assert_allclose(ds[0][1], [0.6, 0.8])
 
-    def test_zero_vector_rejected(self):
-        e = Example(1, np.array([1]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            normalize(e)
+    def test_single_negative_coordinate(self, tmp_path):
+        ds = load_dataset(write_rows(tmp_path / "one.libsvm", [(1, [5], [-2.0])]))
+        np.testing.assert_allclose(ds[0][1], [-1.0])
 
-    def test_unit_norm_within_tolerance(self):
+    def test_zero_vector_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="all-zero"):
+            load_dataset(write_rows(tmp_path / "zero.libsvm", [(1, [1], [0.0])]))
+
+    def test_unit_norm_within_tolerance(self, tmp_path):
         rng = np.random.default_rng(0)
+        rows = []
         for _ in range(50):
             nnz = rng.integers(1, 20)
             idx = np.sort(rng.choice(1000, size=nnz, replace=False)) + 1
             vals = rng.standard_normal(nnz) * 10.0 ** rng.integers(-3, 4)
-            e = normalize(Example(1, idx, vals))
-            assert abs(e.norm() - 1.0) < 1e-12
+            rows.append((1, idx, vals))
+        ds = load_dataset(write_rows(tmp_path / "rand.libsvm", rows))
+        for _, values, _ in ds.rows(np.arange(len(ds))):
+            assert abs(np.linalg.norm(values) - 1.0) < 1e-12
 
-    def test_idempotent(self):
-        e = normalize(parse_libsvm_line("+1 1:3 2:4 9:-1"))
-        twice = normalize(e)
-        np.testing.assert_allclose(twice.values, e.values, atol=1e-12)
+    def test_idempotent(self, tmp_path):
+        once = load_dataset(write_rows(tmp_path / "a.libsvm", [(1, [1, 2, 9], [3.0, 4.0, -1.0])]))
+        positions, values, label = once[0]
+        twice = load_dataset(write_rows(tmp_path / "b.libsvm", [(label, positions + 1, values)]))
+        np.testing.assert_allclose(twice[0][1], values, atol=1e-12)
 
-    def test_label_unchanged(self):
-        assert normalize(parse_libsvm_line("-1 1:5")).label == -1
+    def test_label_unchanged(self, tmp_path):
+        assert load_dataset(write_rows(tmp_path / "neg.libsvm", [(-1, [1], [5.0])]))[0][2] == -1
 
 
 class TestLoadDataset:
@@ -160,7 +172,7 @@ class TestLoadDataset:
         p = tmp_path / "toy.libsvm"
         p.write_text("+1 1:3 2:4\n")
         ds = load_dataset(p)
-        np.testing.assert_allclose(ds[0].values, [0.6, 0.8])
+        np.testing.assert_allclose(ds[0][1], [0.6, 0.8])
 
     def test_d_override(self, tmp_path):
         p = tmp_path / "toy.libsvm"
@@ -175,18 +187,19 @@ class TestLoadDataset:
         assert len(load_dataset(p)) == 2
 
     def test_rows_bitwise_equal_to_per_line_reference(self):
-        # the reference is the per-sample path: parse one line, then normalize it
+        # the reference is the per-sample path: parse one line, then divide by its norm
         path = DATASETS / "toy_imbalanced.libsvm"
         lines = [l for l in path.read_text().splitlines() if l.strip() and not l.startswith("#")]
         ds = load_dataset(path)
         rows = list(ds.rows(np.arange(len(ds))))
         assert len(rows) == len(lines) == 320
         for line, (positions, values, y) in zip(lines, rows):
-            ref = normalize(parse_libsvm_line(line))
-            assert y == ref.label
-            assert positions.dtype == ref.positions.dtype
-            assert positions.tobytes() == ref.positions.tobytes()
-            assert values.tobytes() == ref.values.tobytes()
+            ref_positions, ref_values, ref_label = parse_libsvm_line(line)
+            ref_values = ref_values / float(np.linalg.norm(ref_values))
+            assert y == ref_label
+            assert positions.dtype == ref_positions.dtype
+            assert positions.tobytes() == ref_positions.tobytes()
+            assert values.tobytes() == ref_values.tobytes()
 
     def test_rows_follow_order(self, tmp_path):
         p = tmp_path / "toy.libsvm"
@@ -200,11 +213,10 @@ class TestLoadDataset:
         p = tmp_path / "toy.libsvm"
         p.write_text("+1 1:1\n-1 2:3 5:4\n")
         ds = load_dataset(p)
-        last = ds[-1]
-        assert isinstance(last, Example)
-        assert (last.label, last.indices.tolist()) == (-1, [2, 5])
-        assert last.positions.tolist() == [1, 4]
-        np.testing.assert_array_equal(last.values, [0.6, 0.8])
+        positions, values, label = ds[-1]
+        assert label == -1
+        assert positions.tolist() == [1, 4]
+        np.testing.assert_array_equal(values, [0.6, 0.8])
         with pytest.raises(IndexError):
             ds[len(ds)]
 

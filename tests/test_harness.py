@@ -10,6 +10,8 @@ from costsense import cli
 from costsense.baselines import Perceptron
 from costsense.data import load_dataset, permutation
 from costsense.harness import (
+    SELECTION_PERMUTATIONS,
+    SELECTION_SEED_OFFSET,
     ExperimentConfig,
     RunReport,
     aggregate_rows,
@@ -33,6 +35,16 @@ CLI_ENV = {**os.environ,
 @pytest.fixture(scope="module")
 def toy():
     return load_dataset(TOY)
+
+
+@pytest.fixture
+def no_selection(monkeypatch):
+    """Fail the test if grid selection runs a pass."""
+    from costsense import harness
+
+    def no_pass(*args):
+        raise AssertionError("a selection pass ran")
+    monkeypatch.setattr(harness, "selection_rows", no_pass)
 
 
 def strip_elapsed(row):
@@ -90,15 +102,17 @@ class TestRunSingle:
 
 
 class TestGridSelect:
-    def test_single_element_grid(self, toy):
-        cfg = ExperimentConfig(algo="cog2", eta_grid=(0.25,))
-        assert grid_select(cfg, toy) == 0.25
+    def test_single_element_grid(self, toy, no_selection):
+        # a grid is a set: one value given twice is still one value, for the
+        # lane learners and the one-pass-per-value learners alike
+        for algo in ("cog2", "acog2", "ssacog2"):
+            for grid in ((0.25,), (0.25, 0.25)):
+                table = {}
+                assert grid_select(ExperimentConfig(algo=algo, eta_grid=grid), toy, table) == 0.25
+                assert table == {}
 
     def _selection_means(self, cfg, toy):
-        from costsense.harness import SELECTION_SEED_OFFSET
-
-        seeds = [cfg.seed + SELECTION_SEED_OFFSET + i
-                 for i in range(cfg.selection_permutations)]
+        seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
         return {
             eta: np.mean([run_single(cfg, toy, eta, s)[cfg.metric] for s in seeds])
             for eta in cfg.eta_grid
@@ -265,6 +279,11 @@ class TestRunCv:
         with pytest.raises(ValueError):
             run_cv(cfg, toy)
 
+    def test_fold_count_checked_before_selection(self, toy, no_selection):
+        cfg = ExperimentConfig(algo="cog2", folds=len(toy) + 1)
+        with pytest.raises(ValueError, match=f"fold count {len(toy) + 1} out of range"):
+            run_cv(cfg, toy)
+
     def test_cv_beats_chance_on_toy(self, toy):
         cfg = ExperimentConfig(algo="acog2", eta_grid=(0.1, 1.0, 10.0), folds=5)
         report = run_cv(cfg, toy)
@@ -305,10 +324,6 @@ class TestConfigValidation:
     def test_bad_cost_weights_rejected_at_construction(self):
         with pytest.raises(ValueError, match="alpha"):
             ExperimentConfig(dataset="missing.libsvm", alpha_p=2.0)
-
-    def test_zero_selection_permutations_rejected(self):
-        with pytest.raises(ValueError, match="selection_permutations"):
-            ExperimentConfig(selection_permutations=0)
 
     @pytest.mark.parametrize("folds", [-1, 1])
     def test_degenerate_fold_count_rejected(self, folds):
@@ -358,7 +373,7 @@ class TestCli:
             return RunReport(cfg, 1.0, [], zeros, zeros)
 
         monkeypatch.setattr(cli, "run_experiment", fake_run)
-        assert cli.main(["run", "--dataset", str(TOY), "--algo", "cog2", "--loss", "2",
+        assert cli.main(["run", "--dataset", str(TOY), "--algo", "cog2",
                          "--cp", "0.75", "--cn", "0.25", "--rho-mode", "fixed:3"]) == 0
         cfg = seen["cfg"]
         assert (cfg.c_p, cfg.c_n, cfg.rho_mode) == (0.75, 0.25, "fixed:3")
@@ -371,7 +386,9 @@ class TestCli:
         assert cli.main(["run", "--dataset", str(TOY), "--algo", "sacog2"]) == 2
         assert capsys.readouterr().err.startswith("error: Gram matrix")
 
-    @pytest.mark.parametrize("flags", [["--folds", "1"], ["--rho-mode", "fixed:nan"]])
+    @pytest.mark.parametrize(
+        "flags", [["--folds", "1"], ["--rho-mode", "fixed:nan"], ["--seed", "-1"]]
+    )
     def test_bad_config_reported_before_reading_data(self, flags, capsys):
         assert cli.main(["run", "--dataset", "missing.libsvm", "--algo", "cog1"] + flags) == 2
         err = capsys.readouterr().err
@@ -433,15 +450,6 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
         assert "sum" in proc.stdout
-
-    def test_loss_flag_conflict_rejected(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "costsense.cli", "run",
-             "--dataset", str(TOY), "--algo", "acog2", "--loss", "1"],
-            capture_output=True, text=True, env=CLI_ENV,
-        )
-        assert proc.returncode == 2
-        assert "conflicts" in proc.stderr
 
     def test_cv_mode_via_folds_flag(self, tmp_path):
         out = tmp_path / "cv.csv"

@@ -19,6 +19,7 @@ import pytest
 from costsense.data import load_dataset
 from costsense.harness import (
     LANE_ALGOS,
+    SELECTION_PERMUTATIONS,
     SELECTION_SEED_OFFSET,
     ExperimentConfig,
     grid_select,
@@ -76,7 +77,7 @@ def test_every_case_is_a_lane_algo():
 def test_lanes_match_scalar_passes(dataset, algo, rule, rho_mode, metric):
     cfg = ExperimentConfig(algo=algo, update_rule=rule, rho_mode=rho_mode, metric=metric)
     grid = sorted(cfg.eta_grid)
-    seeds = [SELECTION_SEED_OFFSET + i for i in range(cfg.selection_permutations)]
+    seeds = [SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
     lanes = selection_rows(cfg, dataset, grid)
     scalar = {eta: [run_single(cfg, dataset, eta, s) for s in seeds] for eta in grid}
     for eta in grid:

@@ -10,10 +10,10 @@ from costsense.losses import (
     RhoMode,
     class_weight,
     gradient_scale,
+    lane_gradient_scale,
     loss,
     observe_label,
     resolve_rho,
-    subgradient,
 )
 
 
@@ -74,24 +74,20 @@ class TestLoss:
 
 
 class TestSubgradient:
+    # the subgradient w.r.t. mu is gradient_scale(...) * x
+
     def test_active_variant_one(self):
-        pos, vals = subgradient(
-            LossVariant.I, np.array([0]), np.array([1.0]), 1, 3.0, 3.0
-        )
-        assert pos.tolist() == [0]
-        np.testing.assert_allclose(vals, [-1.0])
+        a = gradient_scale(LossVariant.I, 1, 3.0, 3.0)
+        np.testing.assert_allclose(a * np.array([1.0]), [-1.0])
 
     def test_active_variant_two_scaled(self):
-        pos, vals = subgradient(
-            LossVariant.II, np.array([0]), np.array([1.0]), 1, 3.0, 3.0
-        )
-        np.testing.assert_allclose(vals, [-3.0])
+        a = gradient_scale(LossVariant.II, 1, 3.0, 3.0)
+        np.testing.assert_allclose(a * np.array([1.0]), [-3.0])
 
     def test_inactive_is_zero_vector(self):
-        pos, vals = subgradient(
-            LossVariant.I, np.array([0]), np.array([1.0]), 1, 3.0, 0.0
-        )
-        assert pos.size == 0 and vals.size == 0
+        assert gradient_scale(LossVariant.I, 1, 3.0, 0.0) == 0.0
+        lanes = lane_gradient_scale(LossVariant.I, 1, 3.0, np.array([3.0, 5.0]))
+        assert lanes.tolist() == [0.0, 0.0]
 
     def test_variant_two_negative_class_unscaled(self):
         # slope follows the class weight: 1 for negatives

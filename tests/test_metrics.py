@@ -6,7 +6,6 @@ from costsense.baselines import CostSensitiveGD
 from costsense.losses import LossVariant, loss
 from costsense.metrics import (
     ConfusionCounts,
-    RegretTrace,
     class_rates,
     cost_metric,
     fit_comparator,
@@ -48,12 +47,6 @@ class TestConfusionCounts:
     def test_false_alarm(self):
         cc = ConfusionCounts().record(1, -1)
         assert (cc.t_neg, cc.m_neg) == (1, 1)
-
-    def test_merge_adds_everything(self):
-        a = ConfusionCounts(3, 5, 1, 2)
-        b = ConfusionCounts(4, 1, 0, 1)
-        m = a.merge(b)
-        assert (m.t_pos, m.t_neg, m.m_pos, m.m_neg) == (7, 6, 1, 3)
 
 
 class TestSumMetric:
@@ -108,7 +101,9 @@ class TestCostMetric:
         for _ in range(100):
             a = ConfusionCounts(*(int(x) for x in rng.integers(0, 20, size=4)))
             b = ConfusionCounts(*(int(x) for x in rng.integers(0, 20, size=4)))
-            assert cost_metric(a.merge(b), 0.9, 0.1) == pytest.approx(
+            both = ConfusionCounts(a.t_pos + b.t_pos, a.t_neg + b.t_neg,
+                                   a.m_pos + b.m_pos, a.m_neg + b.m_neg)
+            assert cost_metric(both, 0.9, 0.1) == pytest.approx(
                 cost_metric(a, 0.9, 0.1) + cost_metric(b, 0.9, 0.1)
             )
 
@@ -177,14 +172,6 @@ class TestRegretSlope:
     def test_nonpositive_tail_rejected(self):
         with pytest.raises(ValueError):
             regret_slope(np.full(200, -3.0))
-
-    def test_accepts_trace_object(self):
-        trace = RegretTrace()
-        for t in range(1, 301):
-            trace.record(1.0)
-            trace.record_comparator(1.0 - 1.0 / np.sqrt(t))
-        # regret_t = sum 1/sqrt(i) ~ 2 sqrt(t): slope near 0.5
-        assert regret_slope(trace) == pytest.approx(0.5, abs=0.05)
 
 
 class TestMetricBounds:
