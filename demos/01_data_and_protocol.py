@@ -37,6 +37,6 @@ print(f"perceptron made {mistakes} mistakes on one pass "
       f"({100 * mistakes / len(ds):.1f}% error)")
 
 # folds partition the index range with near-equal sizes
-folds = split_folds(ds, k=5, seed=0)
+folds = split_folds(len(ds), k=5, seed=0)
 print("fold sizes:", [len(f) for f in folds],
       "| disjoint union:", sorted(np.concatenate(folds).tolist()) == list(range(len(ds))))

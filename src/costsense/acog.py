@@ -6,16 +6,17 @@ shrinks along observed directions.  On each loss-active round the covariance
 absorbs a rank-one term through its closed-form inverse update, and the mean
 then descends the loss subgradient preconditioned by the covariance.  Both
 steps read only the sample's support and update ``sigma`` in place; a
-diagonal mode keeps only the diagonal of ``sigma`` for O(nnz) rounds, and
-:class:`DiagonalLanes` runs one diagonal learner per step-size grid value
-side by side in one pass for grid selection.
+diagonal mode keeps only the diagonal of ``sigma`` for O(nnz) rounds.  Given
+a sequence of G step sizes the diagonal learner runs them as lanes, for grid
+selection: column g of the d x G ``mu`` and ``sigma`` is the learner with
+value g, and ``scores``/``step`` apply ``score``/``update`` to every lane.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .baselines import predict_label
+from .baselines import predict_label, step_sizes
 from .losses import LossVariant, gradient_scale, lane_gradient_scale, loss
 
 # Largest full sigma allocated (d = 16384): a fixed policy, not a measured limit.
@@ -54,7 +55,8 @@ class AdaptiveCSGD:
 
     ``update_rule`` selects whether the mean step is preconditioned by the
     freshly shrunk covariance ("new", the default) or by the covariance from
-    before this round ("old", the ablation setting).
+    before this round ("old", the ablation setting).  A sequence ``eta``
+    gives one lane per value; only the diagonal learner takes one.
     """
 
     def __init__(
@@ -71,21 +73,28 @@ class AdaptiveCSGD:
         if not diagonal and d * d * 8 > FULL_SIGMA_MAX_BYTES:
             raise ValueError(f"full-matrix ACOG at d={d} needs {d * d * 8 / 2**30:.1f} GiB, over "
                              f"{FULL_SIGMA_MAX_BYTES / 2**30:g} GiB; use the -diag variant")
-        if not (eta > 0.0 and gamma > 0.0):
-            raise ValueError("eta and gamma must be positive")
+        self.eta = step_sizes(eta, "eta")
+        lanes = np.shape(self.eta)
+        if lanes and not diagonal:
+            raise ValueError("full-matrix ACOG takes one eta; a sequence needs diagonal=True")
+        if not gamma > 0.0:
+            raise ValueError("gamma must be positive")
         if update_rule not in ("new", "old"):
             raise ValueError("update_rule must be 'new' or 'old'")
         self.d = d
-        self.eta = eta
         self.gamma = gamma
         self.variant = LossVariant(variant)
         self.diagonal = diagonal
         self.update_rule = update_rule
-        self.mu = np.zeros(d)
-        self.sigma = np.ones(d) if diagonal else np.eye(d)
+        self.mu = np.zeros((d, *lanes))
+        self.sigma = np.ones((d, *lanes)) if diagonal else np.eye(d)
 
     def score(self, positions: np.ndarray, values: np.ndarray) -> float:
         return float(self.mu[positions] @ values)
+
+    def scores(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Every lane's score (lanes only)."""
+        return values @ self.mu.take(positions, 0)
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)
@@ -114,26 +123,9 @@ class AdaptiveCSGD:
         self.mu -= self.eta * step
         return l
 
-
-class DiagonalLanes:
-    """Diagonal :class:`AdaptiveCSGD` with step size ``eta[g]`` on lane g: column
-    g of the d x G ``mu`` and ``sigma`` is lane g's state.  ``step`` is
-    ``update`` applied to every lane at once, entry by entry, and leaves the
-    state of passive lanes unchanged."""
-
-    def __init__(self, d: int, eta: np.ndarray, gamma: float,
-                 variant: LossVariant = LossVariant.I, update_rule: str = "new"):
-        self.eta = np.asarray(eta, dtype=np.float64)
-        self.gamma = gamma
-        self.variant = LossVariant(variant)
-        self.update_rule = update_rule
-        self.mu = np.zeros((d, self.eta.size))
-        self.sigma = np.ones((d, self.eta.size))
-
-    def scores(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return values @ self.mu.take(positions, 0)
-
     def step(self, positions, values, y, rho, scores):
+        """``update`` on every lane, with the sample as a column; a lane whose
+        loss is 0 keeps its state."""
         a = lane_gradient_scale(self.variant, y, rho, scores)
         if not np.count_nonzero(a):
             return

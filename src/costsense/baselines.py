@@ -6,8 +6,9 @@ All learners share the sparse step interface used by the harness:
 returning the surrogate loss that drove it (0.0 when the step was passive).
 Ties score = 0 predict +1 everywhere in this package.
 
-PA-I and COG also come as lanes (:class:`LinearLanes`): one learner per
-step-size grid value, run side by side in one pass for grid selection.
+PA-I and COG given a sequence of G step sizes run them as lanes, for grid
+selection: column g of the d x G weights is the learner with value g, and
+``scores``/``step`` apply ``score``/``update`` to every lane at once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,20 @@ from .losses import LossVariant, gradient_scale, lane_gradient_scale, loss
 
 def predict_label(score: float) -> int:
     return 1 if score >= 0.0 else -1
+
+
+def step_sizes(value, name: str):
+    """A learner's step-size argument, checked: a number is kept as given (one
+    learner), a sequence becomes a float64 array (one lane per value).  Every
+    value must be > 0."""
+    if np.ndim(value) == 0:
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+        return value
+    lanes = np.asarray(value, dtype=np.float64)
+    if lanes.ndim != 1 or lanes.size == 0 or not (lanes > 0.0).all():
+        raise ValueError(f"{name} must be positive, or a nonempty 1-D sequence of positive values")
+    return lanes
 
 
 class LinearLearner:
@@ -33,21 +48,13 @@ class LinearLearner:
     def score(self, positions: np.ndarray, values: np.ndarray) -> float:
         return float(self.w[positions] @ values)
 
+    def scores(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Every lane's score (d x G weights only)."""
+        return values @ self.w.take(positions, 0)
+
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)
         return s, predict_label(s)
-
-
-class LinearLanes:
-    """G linear learners side by side: column g of the d x G ``w`` is lane g's
-    weights.  A subclass's ``step`` is its scalar class's ``update`` applied
-    to every lane at once, entry by entry, with a zero step on passive lanes."""
-
-    def __init__(self, d: int, lanes: int):
-        self.w = np.zeros((d, lanes))
-
-    def scores(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return values @ self.w.take(positions, 0)
 
 
 class Perceptron(LinearLearner):
@@ -62,13 +69,14 @@ class Perceptron(LinearLearner):
 
 
 class PassiveAggressiveI(LinearLearner):
-    """PA-I: closed-form margin restoration with aggressiveness capped at C."""
+    """PA-I: closed-form margin restoration with aggressiveness capped at C
+    (one lane per value when ``C`` is a sequence)."""
 
     def __init__(self, d: int, C: float = 1.0):
         super().__init__(d)
-        if not C > 0.0:
-            raise ValueError("C must be positive")
-        self.C = C
+        self.C = step_sizes(C, "C")
+        if np.ndim(self.C):
+            self.w = np.zeros((d, self.C.size))
 
     def update(self, positions, values, y, rho=None, score=None):
         s = self.score(positions, values) if score is None else score
@@ -80,29 +88,24 @@ class PassiveAggressiveI(LinearLearner):
         self.w[positions] += tau * y * values
         return hinge
 
-
-class PassiveAggressiveILanes(LinearLanes):
-    """:class:`PassiveAggressiveI` with cap ``C[g]`` on lane g."""
-
-    def __init__(self, d: int, C: np.ndarray):
-        super().__init__(d, len(C))
-        self.C = np.asarray(C, dtype=np.float64)
-
     def step(self, positions, values, y, rho, scores):
+        """``update`` on every lane, with the sample as a column; a lane whose
+        hinge is 0 takes a zero step."""
         hinge = np.fmax(0.0, 1.0 - y * scores)  # max(0.0, nan) is 0.0, as in update
         if np.count_nonzero(hinge):
             tau = np.minimum(self.C, hinge / float(values @ values))
-            self.w[positions] = self.w.take(positions, 0) + np.multiply.outer(values, tau * y)
+            self.w[positions] = self.w.take(positions, 0) + tau * y * values[:, None]
 
 
 class CostSensitiveGD(LinearLearner):
-    """COG: subgradient descent on the cost-sensitive surrogate loss."""
+    """COG: subgradient descent on the cost-sensitive surrogate loss (one
+    lane per value when ``eta`` is a sequence)."""
 
     def __init__(self, d: int, eta: float, variant: LossVariant = LossVariant.I):
         super().__init__(d)
-        if not eta > 0.0:
-            raise ValueError("eta must be positive")
-        self.eta = eta
+        self.eta = step_sizes(eta, "eta")
+        if np.ndim(self.eta):
+            self.w = np.zeros((d, self.eta.size))
         self.variant = LossVariant(variant)
 
     def update(self, positions, values, y, rho, score=None):
@@ -113,16 +116,9 @@ class CostSensitiveGD(LinearLearner):
             self.w[positions] -= self.eta * a * values
         return l
 
-
-class CostSensitiveGDLanes(LinearLanes):
-    """:class:`CostSensitiveGD` with step size ``eta[g]`` on lane g."""
-
-    def __init__(self, d: int, eta: np.ndarray, variant: LossVariant = LossVariant.I):
-        super().__init__(d, len(eta))
-        self.eta = np.asarray(eta, dtype=np.float64)
-        self.variant = LossVariant(variant)
-
     def step(self, positions, values, y, rho, scores):
+        """``update`` on every lane, with the sample as a column; a lane whose
+        loss is 0 takes a zero step."""
         a = lane_gradient_scale(self.variant, y, rho, scores)
         if np.count_nonzero(a):
-            self.w[positions] = self.w.take(positions, 0) - np.multiply.outer(values, self.eta * a)
+            self.w[positions] = self.w.take(positions, 0) - self.eta * a * values[:, None]

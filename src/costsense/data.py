@@ -180,12 +180,11 @@ def permutation(n: int, seed: int) -> np.ndarray:
     return np.array(order, dtype=np.int64)
 
 
-def split_folds(ds_or_n, k: int, seed: int) -> list[np.ndarray]:
+def split_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Partition indices 0..n-1 into k seeded folds of near-equal size.
 
     The first ``n mod k`` folds carry one extra element.
     """
-    n = ds_or_n if isinstance(ds_or_n, int) else len(ds_or_n)
     if k < 2 or k > n:
         raise ValueError(f"fold count {k} out of range for {n} examples")
     order = permutation(n, seed)

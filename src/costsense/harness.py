@@ -4,7 +4,9 @@ One experiment = pick a step size from the grid on dedicated selection
 permutations, then evaluate the learner prequentially over ``permutations``
 seeded shuffles of the dataset, reporting per-run and aggregate metrics.
 For the learners with O(d) state (:data:`LANE_ALGOS`) one pass per
-selection permutation advances every grid value at once, as lanes.
+selection permutation advances every grid value at once: ``make_learner``
+given the grid builds one learner whose step size is a sequence, with one
+lane per value.
 Everything downstream of (config, base seed) is deterministic; elapsed-time
 columns are the only environment-dependent output.
 
@@ -21,15 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acog import FULL_SIGMA_MAX_BYTES, AdaptiveCSGD, DiagonalLanes
-from .baselines import (
-    CostSensitiveGD,
-    CostSensitiveGDLanes,
-    PassiveAggressiveI,
-    PassiveAggressiveILanes,
-    Perceptron,
-    predict_label,
-)
+from .acog import FULL_SIGMA_MAX_BYTES, AdaptiveCSGD
+from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron, predict_label
 from .data import Dataset, load_dataset, permutation, split_folds
 from .losses import CostModel, LossVariant, Metric, RhoMode, observe_label, resolve_rho
 from .metrics import ConfusionCounts, class_rates, cost_metric, sum_metric
@@ -121,6 +116,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # permutation seeds run up to this one; Philox keys stop below 2**128
+        last = self.seed + max(self.permutations, self.folds,
+                               SELECTION_SEED_OFFSET + SELECTION_PERMUTATIONS) - 1
+        if last >= 2**128:
+            raise ValueError(f"seed {self.seed} too large: its runs need permutation seeds "
+                             f"up to {last}, past the 2**128 key range")
         if self.folds != 0 and self.folds < 2:
             raise ValueError("folds must be 0 (online protocol) or >= 2")
         for name, allowed in (("metric", ("sum", "cost")), ("update_rule", ("new", "old")),
@@ -171,7 +172,10 @@ class RunReport:
     grid: dict = field(default_factory=dict)  # eta -> mean selection score; empty if none ran
 
 
-def make_learner(cfg: ExperimentConfig, d: int, eta: float):
+def make_learner(cfg: ExperimentConfig, d: int, eta):
+    """The learner ``cfg.algo`` names, at step size ``eta``; a sequence of
+    step sizes gives one learner with a lane per value (:data:`LANE_ALGOS`
+    only)."""
     variant = cfg.loss_variant
     algo = cfg.algo
     if algo == "perceptron":
@@ -202,16 +206,6 @@ def make_learner(cfg: ExperimentConfig, d: int, eta: float):
         sketch_every=cfg.sketch_lazy,
         sketch_on_loss_only=cfg.sketch_on_loss_only,
     )
-
-
-def make_lanes(cfg: ExperimentConfig, d: int, etas: list):
-    """One learner per step size in ``etas``, as lanes of one batch
-    (``cfg.algo`` must be one of :data:`LANE_ALGOS`)."""
-    if cfg.algo == "pa1":
-        return PassiveAggressiveILanes(d, etas)
-    if cfg.algo in ("cog1", "cog2"):
-        return CostSensitiveGDLanes(d, etas, cfg.loss_variant)
-    return DiagonalLanes(d, etas, cfg.gamma, cfg.loss_variant, cfg.update_rule)
 
 
 def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int] | None) -> CostModel:
@@ -309,7 +303,7 @@ def _lane_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list, seeds: list,
     for lo in range(0, len(grid), block):
         etas = grid[lo:lo + block]
         for seed, order in zip(seeds, orders):
-            lanes = make_lanes(cfg, dataset.d, etas)
+            lanes = make_learner(cfg, dataset.d, etas)
             cm = _pass_cost_model(cfg, counts)
             laplace = cm is not None and cm.rho_mode == RhoMode.LAPLACE
             # rounds each lane predicted +1 (predict_label's s >= 0.0), per label
@@ -359,20 +353,12 @@ def grid_select(cfg: ExperimentConfig, dataset: Dataset, table: dict | None = No
     grid = sorted(set(cfg.eta_grid))
     if len(grid) == 1 or cfg.algo == "perceptron":
         return grid[0]
-    maximize = cfg.metric == "sum"
-    best_eta, best_score = None, None
-    for eta, rows in selection_rows(cfg, dataset, grid).items():
-        score = float(np.mean([r[cfg.metric] for r in rows]))
-        if table is not None:
-            table[eta] = score
-        better = (
-            best_score is None
-            or (maximize and score > best_score)
-            or (not maximize and score < best_score)
-        )
-        if better:
-            best_eta, best_score = eta, score
-    return best_eta
+    means = {eta: float(np.mean([r[cfg.metric] for r in rows]))
+             for eta, rows in selection_rows(cfg, dataset, grid).items()}
+    if table is not None:
+        table.update(means)
+    # max and min keep the first of equal means, and the grid is sorted
+    return (max if cfg.metric == "sum" else min)(means, key=means.get)
 
 
 def aggregate_rows(rows: list) -> tuple[dict, dict]:
@@ -419,7 +405,7 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
     # the fold count is checked against the row count before any selection pass
-    folds = split_folds(dataset, cfg.folds, cfg.seed)
+    folds = split_folds(len(dataset), cfg.folds, cfg.seed)
     table = {}
     eta = grid_select(cfg, dataset, table)
     rows = []

@@ -34,6 +34,8 @@ class _SketchedLearner:
         sketch_every: int = 1,
         sketch_on_loss_only: bool = False,
     ):
+        if np.ndim(eta):
+            raise ValueError("sketched learners take one eta, not a sequence")
         if not (eta > 0.0 and gamma > 0.0):
             raise ValueError("eta and gamma must be positive")
         if sketch_every < 1:

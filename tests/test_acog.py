@@ -70,6 +70,40 @@ class TestInit:
         with pytest.raises(ValueError):
             make(float("nan"))
 
+    @pytest.mark.parametrize("steps", [[], [[0.1, 1.0]], [0.1, 0.0], [0.1, float("nan")]])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda steps: CostSensitiveGD(3, eta=steps),
+            lambda steps: PassiveAggressiveI(3, C=steps),
+            lambda steps: AdaptiveCSGD(3, eta=steps, gamma=1.0, diagonal=True),
+        ],
+    )
+    def test_bad_step_size_sequences_rejected(self, make, steps):
+        # a sequence must be nonempty, 1-D and positive in every entry
+        with pytest.raises(ValueError):
+            make(steps)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: AdaptiveCSGD(3, eta=[0.1, 1.0], gamma=1.0),
+            lambda: SketchedCSGD(3, eta=[0.1, 1.0], gamma=1.0, m=1),
+            lambda: SparseSketchedCSGD(3, eta=[0.1, 1.0], gamma=1.0, m=1),
+        ],
+    )
+    def test_step_size_sequence_refused_without_lanes(self, make):
+        # full-matrix ACOG and the sketched learners run one step size only
+        with pytest.raises(ValueError):
+            make()
+
+    def test_step_size_sequence_gives_one_lane_per_value(self):
+        assert CostSensitiveGD(3, eta=[0.1, 1.0]).w.shape == (3, 2)
+        assert PassiveAggressiveI(3, C=(0.1, 1.0, 10.0)).w.shape == (3, 3)
+        m = AdaptiveCSGD(3, eta=np.array([1.0]), gamma=1.0, diagonal=True)
+        assert m.mu.shape == m.sigma.shape == (3, 1)
+        assert CostSensitiveGD(3, eta=0.1).w.shape == (3,)
+
 
 class TestCovarianceUpdate:
     def test_axis_vector_halves_entry(self):

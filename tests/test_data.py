@@ -346,9 +346,9 @@ class TestSplitFolds:
         with pytest.raises(ValueError):
             split_folds(10, 11, seed=0)
 
-    def test_accepts_dataset(self, tmp_path):
+    def test_folds_of_a_loaded_dataset(self, tmp_path):
         p = tmp_path / "toy.libsvm"
         p.write_text("".join(f"+1 1:{i + 1}\n" for i in range(6)))
         ds = load_dataset(p)
-        folds = split_folds(ds, 3, seed=0)
+        folds = split_folds(len(ds), 3, seed=0)
         assert [len(f) for f in folds] == [2, 2, 2]

@@ -135,6 +135,25 @@ class TestGridSelect:
         expected = min(sorted(means), key=lambda e: (means[e], e))
         assert grid_select(cfg, toy) == expected
 
+    @pytest.mark.parametrize("metric", ["sum", "cost"])
+    def test_equal_means_go_to_the_smaller_eta(self, toy, metric, monkeypatch):
+        from costsense import harness
+
+        # 0.1 scores worse than 1 and 10, which tie; rows come in grid order
+        best, worse = (75.0, 2.0), (50.0, 9.0)
+        scores = {0.1: worse, 1.0: best, 10.0: best}
+
+        def rows(cfg, dataset, grid):
+            assert grid == sorted(scores)
+            return {eta: [dict(zip(("sum", "cost"), scores[eta]))] * 2 for eta in grid}
+
+        monkeypatch.setattr(harness, "selection_rows", rows)
+        cfg = ExperimentConfig(algo="cog2", metric=metric, eta_grid=(10.0, 1.0, 0.1))
+        table = {}
+        assert grid_select(cfg, toy, table) == 1.0
+        column = 0 if metric == "sum" else 1
+        assert table == {eta: score[column] for eta, score in scores.items()}
+
     @pytest.mark.parametrize("algo", ["perceptron", "acog2", "sacog2", "ssacog2", "cog2"])
     def test_each_selection_permutation_computed_once(self, toy, algo, monkeypatch):
         from costsense import harness
@@ -351,6 +370,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="missing.libsvm", **bad)
 
+    def test_largest_seed_within_the_key_range(self):
+        # its last selection permutation seed is 2**128 - 1, Philox's largest key
+        largest = 2**128 - SELECTION_SEED_OFFSET - SELECTION_PERMUTATIONS
+        ExperimentConfig(seed=largest)
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=largest + 1)
+        with pytest.raises(ValueError, match="seed"):  # one evaluation seed too many
+            ExperimentConfig(seed=largest, permutations=SELECTION_SEED_OFFSET + SELECTION_PERMUTATIONS + 1)
+
     def test_run_cv_checks_folds_before_loading(self):
         cfg = ExperimentConfig(dataset="missing.libsvm", folds=0)
         with pytest.raises(ValueError, match="folds"):
@@ -387,7 +415,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: Gram matrix")
 
     @pytest.mark.parametrize(
-        "flags", [["--folds", "1"], ["--rho-mode", "fixed:nan"], ["--seed", "-1"]]
+        "flags",
+        [
+            ["--folds", "1"],
+            ["--rho-mode", "fixed:nan"],
+            ["--seed", "-1"],
+            # past Philox's 2**128 key range: the evaluation seed itself, and
+            # the selection seeds of the largest seed below 2**128
+            ["--eta-grid", "1", "--permutations", "1", "--seed", str(2**128)],
+            ["--eta-grid", "1,10", "--seed", str(2**128 - 1)],
+        ],
     )
     def test_bad_config_reported_before_reading_data(self, flags, capsys):
         assert cli.main(["run", "--dataset", "missing.libsvm", "--algo", "cog1"] + flags) == 2

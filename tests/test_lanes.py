@@ -24,7 +24,6 @@ from costsense.harness import (
     ExperimentConfig,
     grid_select,
     make_learner,
-    make_lanes,
     run_single,
     selection_rows,
 )
@@ -112,7 +111,7 @@ def test_lane_state_tracks_scalar_learners(algo, rule):
     d = 40
     cfg = ExperimentConfig(algo=algo, update_rule=rule)
     grid = sorted(cfg.eta_grid)
-    lanes = make_lanes(cfg, d, grid)
+    lanes = make_learner(cfg, d, grid)
     learners = [make_learner(cfg, d, eta) for eta in grid]
     for t in range(3000):
         positions = np.sort(rng.choice(d, size=rng.integers(1, 12), replace=False))
