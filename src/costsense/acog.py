@@ -7,9 +7,10 @@ absorbs a rank-one term through its closed-form inverse update, and the mean
 then descends the loss subgradient preconditioned by the covariance.  Both
 steps read only the sample's support and update ``sigma`` in place; a
 diagonal mode keeps only the diagonal of ``sigma`` for O(nnz) rounds.  Given
-a sequence of G step sizes the diagonal learner runs them as lanes, for grid
-selection: column g of the d x G ``mu`` and ``sigma`` is the learner with
-value g, and ``scores``/``step`` apply ``score``/``update`` to every lane.
+a sequence of G step sizes the diagonal learner runs them as lanes: column g
+of the d x G ``mu`` and ``sigma`` is the learner with value g, and
+``scores``/``step`` apply ``score``/``update`` to every lane, each on its own
+row, in the layout ``baselines`` describes.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ class AdaptiveCSGD:
     def score(self, positions: np.ndarray, values: np.ndarray) -> float:
         return float(self.mu[positions] @ values)
 
-    def scores(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Every lane's score (lanes only)."""
-        return values @ self.mu.take(positions, 0)
+    def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Every lane's score on its own row (lanes only)."""
+        return np.vecdot(self.mu.take(flat), values)
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)
@@ -123,17 +124,17 @@ class AdaptiveCSGD:
         self.mu -= self.eta * step
         return l
 
-    def step(self, positions, values, y, rho, scores):
-        """``update`` on every lane, with the sample as a column; a lane whose
-        loss is 0 keeps its state."""
-        a = lane_gradient_scale(self.variant, y, rho, scores)
+    def step(self, flat, values, y, weight, scores, sq_norms=None):
+        """``update`` on every lane's own row; a lane whose loss is 0 keeps its
+        state."""
+        a = lane_gradient_scale(self.variant, y, weight, scores)
         if not np.count_nonzero(a):
             return
-        x = values[:, None]
-        before = self.sigma.take(positions, 0)
+        before = self.sigma.take(flat)
         # covariance_update_diag per lane; passive lanes shrink by zero
-        sx = before * x
-        after = before - (sx * sx) / (self.gamma + values @ sx) * (a != 0.0)
-        self.sigma[positions] = after
+        sx = before * values
+        denom = self.gamma + np.vecdot(values, sx)
+        after = before - (sx * sx) / denom[:, None] * (a != 0.0)[:, None]
+        self.sigma.put(flat, after)
         sigma_used = after if self.update_rule == "new" else before
-        self.mu[positions] = self.mu.take(positions, 0) - self.eta * a * sigma_used * x
+        self.mu.put(flat, self.mu.take(flat) - (self.eta * a)[:, None] * sigma_used * values)

@@ -6,9 +6,15 @@ All learners share the sparse step interface used by the harness:
 returning the surrogate loss that drove it (0.0 when the step was passive).
 Ties score = 0 predict +1 everywhere in this package.
 
-PA-I and COG given a sequence of G step sizes run them as lanes, for grid
-selection: column g of the d x G weights is the learner with value g, and
-``scores``/``step`` apply ``score``/``update`` to every lane at once.
+PA-I and COG given a sequence of G step sizes run them as lanes: column g
+of the d x G weights is the learner with value g.  Each lane reads its own
+row in a round, so one batch covers every (step size, permutation) pair of
+a selection, or every permutation of an evaluation.  ``scores``/``step``
+apply ``score``/``update`` to every lane at once: row g of their
+``flat``/``values`` (G x K, K the longest row) is lane g's sample, addressed
+as ``position * G + g`` in the C-order weights and padded with value 0.0 at
+a position no sample uses; ``y``, ``weight`` (``losses.class_weight``)
+and ``sq_norms`` (``values @ values``) hold one entry per lane.
 """
 
 from __future__ import annotations
@@ -48,9 +54,10 @@ class LinearLearner:
     def score(self, positions: np.ndarray, values: np.ndarray) -> float:
         return float(self.w[positions] @ values)
 
-    def scores(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Every lane's score (d x G weights only)."""
-        return values @ self.w.take(positions, 0)
+    def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Every lane's score on its own row (d x G weights only): one dot
+        product per lane, as ``score`` takes it."""
+        return np.vecdot(self.w.take(flat), values)
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)
@@ -88,13 +95,13 @@ class PassiveAggressiveI(LinearLearner):
         self.w[positions] += tau * y * values
         return hinge
 
-    def step(self, positions, values, y, rho, scores):
-        """``update`` on every lane, with the sample as a column; a lane whose
-        hinge is 0 takes a zero step."""
+    def step(self, flat, values, y, weight, scores, sq_norms):
+        """``update`` on every lane's own row, given each row's ``values @
+        values``; a lane whose hinge is 0 takes a zero step."""
         hinge = np.fmax(0.0, 1.0 - y * scores)  # max(0.0, nan) is 0.0, as in update
         if np.count_nonzero(hinge):
-            tau = np.minimum(self.C, hinge / float(values @ values))
-            self.w[positions] = self.w.take(positions, 0) + tau * y * values[:, None]
+            tau = np.minimum(self.C, hinge / sq_norms)
+            self.w.put(flat, self.w.take(flat) + (tau * y)[:, None] * values)
 
 
 class CostSensitiveGD(LinearLearner):
@@ -116,9 +123,9 @@ class CostSensitiveGD(LinearLearner):
             self.w[positions] -= self.eta * a * values
         return l
 
-    def step(self, positions, values, y, rho, scores):
-        """``update`` on every lane, with the sample as a column; a lane whose
-        loss is 0 takes a zero step."""
-        a = lane_gradient_scale(self.variant, y, rho, scores)
+    def step(self, flat, values, y, weight, scores, sq_norms=None):
+        """``update`` on every lane's own row; a lane whose loss is 0 takes a
+        zero step."""
+        a = lane_gradient_scale(self.variant, y, weight, scores)
         if np.count_nonzero(a):
-            self.w[positions] = self.w.take(positions, 0) - self.eta * a * values[:, None]
+            self.w.put(flat, self.w.take(flat) - (self.eta * a)[:, None] * values)

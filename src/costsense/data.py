@@ -2,19 +2,34 @@
 
 Feature indices are 1-based on disk (LIBSVM convention); every row the
 package hands out is ``(positions, values, label)`` with the 0-based
-``positions`` through which learners address weight vectors.
+``positions`` through which learners address weight vectors.  Passes that
+read a different row per lane take all rows at once from ``Dataset.padded``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 
 class LibsvmFormatError(ValueError):
     """Malformed LIBSVM text: bad label, bad token, or bad index order."""
+
+
+class PaddedRows(NamedTuple):
+    """Every row at once, padded to the longest: row ``i`` is
+    ``positions[i]``/``values[i]`` (n x K).  Positions are renumbered onto the
+    columns some row uses, in order; ``width - 1`` is a column no row uses,
+    and every padding slot points there with value 0.0."""
+
+    positions: np.ndarray
+    values: np.ndarray
+    width: int
+    sq_norms: np.ndarray  # each row's values @ values, as one-row code takes it
 
 
 @dataclass(eq=False)
@@ -50,6 +65,23 @@ class Dataset:
         """``(positions, values, label)`` of each row index in ``order``, in turn;
         the arrays are views of the columns, so callers must not write to them."""
         return map(self._rows.__getitem__, order.tolist())
+
+    @cached_property
+    def padded(self) -> PaddedRows:
+        """The rows as :class:`PaddedRows`, built on first use and kept."""
+        in_use = np.zeros(self.d, dtype=bool)
+        in_use[self.positions] = True
+        used = np.flatnonzero(in_use)
+        nnz = np.diff(self.indptr)
+        shape = (len(nnz), int(nnz.max()))
+        row = np.repeat(np.arange(shape[0]), nnz)
+        slot = np.arange(self.positions.size) - np.repeat(self.indptr[:-1], nnz)
+        positions = np.full(shape, used.size, dtype=np.int64)
+        positions[row, slot] = np.searchsorted(used, self.positions)
+        values = np.zeros(shape)
+        values[row, slot] = self.values
+        sq_norms = np.array([float(v @ v) for _, v, _ in self._rows])
+        return PaddedRows(positions, values, used.size + 1, sq_norms)
 
 
 def _tokenize(line: str, lineno: int | None) -> tuple[int, list, list]:

@@ -3,12 +3,16 @@
 One experiment = pick a step size from the grid on dedicated selection
 permutations, then evaluate the learner prequentially over ``permutations``
 seeded shuffles of the dataset, reporting per-run and aggregate metrics.
-For the learners with O(d) state (:data:`LANE_ALGOS`) one pass per
-selection permutation advances every grid value at once: ``make_learner``
-given the grid builds one learner whose step size is a sequence, with one
-lane per value.
+For the learners with O(d) state (:data:`LANE_ALGOS`) each phase is one
+batched pass: ``make_learner`` given a sequence of step sizes builds one
+learner with a lane per value, and each lane reads the rows in its own
+order.  Selection runs a lane per (grid value, selection permutation),
+evaluation a lane per evaluation permutation at the selected value.
 Everything downstream of (config, base seed) is deterministic; elapsed-time
-columns are the only environment-dependent output.
+columns are the only environment-dependent output.  A row's ``elapsed_ms``
+is the wall time of the pass that produced it divided by that pass's lane
+count, so a one-lane pass (every other learner, and every CV fold) reports
+its own time, and the rows of a batched pass add up to the pass's time.
 
 Reported ``sum``/``sensitivity``/``specificity`` are percentages; ``cost``
 is in raw units.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +31,8 @@ import numpy as np
 from .acog import FULL_SIGMA_MAX_BYTES, AdaptiveCSGD
 from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron, predict_label
 from .data import Dataset, load_dataset, permutation, split_folds
-from .losses import CostModel, LossVariant, Metric, RhoMode, observe_label, resolve_rho
+from .losses import (CostModel, LossVariant, Metric, RhoMode, lane_class_weight, observe_label,
+                     resolve_rho)
 from .metrics import ConfusionCounts, class_rates, cost_metric, sum_metric
 from .sacog import SketchedCSGD, SparseSketchedCSGD
 
@@ -45,9 +51,13 @@ ALGO_IDS = (
     "ssacog2",
 )
 
-# learners whose state is O(d) per step size: grid selection runs every grid
-# value in one pass per selection permutation, as lanes of one batch
+# learners whose state is O(d) per step size: selection runs every (grid
+# value, permutation) pair, and evaluation every permutation, as lanes of one
+# batched pass
 LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1-diag", "acog2-diag")
+# a batched pass gathers the rows of this many (round, lane, slot) entries
+# at a time, about 256 KiB per gathered array
+LANE_GATHER_ENTRIES = 2**15
 RHO_FREE_ALGOS = ("perceptron", "pa1")
 
 # grid selection runs on this many permutations, whose seeds lie far above
@@ -124,6 +134,10 @@ class ExperimentConfig:
                              f"up to {last}, past the 2**128 key range")
         if self.folds != 0 and self.folds < 2:
             raise ValueError("folds must be 0 (online protocol) or >= 2")
+        if self.d_override is not None and self.d_override < 1:
+            raise ValueError(f"d_override must be >= 1, got {self.d_override}")
+        if self.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
+            raise ValueError(f"no directory to write {self.out!r} into")
         for name, allowed in (("metric", ("sum", "cost")), ("update_rule", ("new", "old")),
                               ("sketch_init", ("canonical", "random")),
                               ("empty_class", ("error", "perfect"))):
@@ -287,40 +301,61 @@ def run_single(
     return row
 
 
-def _lane_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list, seeds: list,
-               orders: list) -> dict:
-    """``selection_rows`` for :data:`LANE_ALGOS`: one pass per order advances
-    a block of grid values as lanes.
+def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
+               orders: list) -> list:
+    """:func:`run_single`'s row for each lane g = (``etas[g]``, ``seeds[g]``,
+    ``orders[g]``), from one batched pass per block of lanes
+    (:data:`LANE_ALGOS` only).
 
+    In round t lane g reads row ``orders[g][t]`` of :attr:`Dataset.padded`,
+    so lane state covers the columns in use plus the padding column, not d.
     The loop is :func:`_online_pass` with ``ConfusionCounts.record``'s tally
-    kept per lane.  Every lane sees the same labels in the same order, so
-    one cost model serves them all.  Blocks keep lane state (two d-vectors
-    per lane at most) within ``FULL_SIGMA_MAX_BYTES``.
+    and ``observe_label``'s Laplace counts kept per lane.  Blocks keep lane
+    state (two columns per lane at most) within ``FULL_SIGMA_MAX_BYTES``.
     """
-    rows = {eta: [] for eta in grid}
-    block = max(1, FULL_SIGMA_MAX_BYTES // (16 * dataset.d))
+    padded = dataset.padded
+    n, k = padded.positions.shape
+    block = max(1, FULL_SIGMA_MAX_BYTES // (16 * padded.width))
     counts = (dataset.t_pos, dataset.t_neg)
-    for lo in range(0, len(grid), block):
-        etas = grid[lo:lo + block]
-        for seed, order in zip(seeds, orders):
-            lanes = make_learner(cfg, dataset.d, etas)
-            cm = _pass_cost_model(cfg, counts)
-            laplace = cm is not None and cm.rho_mode == RhoMode.LAPLACE
-            # rounds each lane predicted +1 (predict_label's s >= 0.0), per label
-            plus_pos = np.zeros(len(etas), dtype=np.int64)
-            plus_neg = np.zeros(len(etas), dtype=np.int64)
-            start = time.perf_counter()
-            for positions, values, y in dataset.rows(order):
-                s = lanes.scores(positions, values)
-                plus = plus_pos if y == 1 else plus_neg
-                plus += s >= 0.0
-                if laplace:
-                    observe_label(cm, y)
-                lanes.step(positions, values, y, cm.rho if cm is not None else None, s)
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            for eta, hits, m_neg in zip(etas, plus_pos.tolist(), plus_neg.tolist()):
-                cc = ConfusionCounts(dataset.t_pos, dataset.t_neg, dataset.t_pos - hits, m_neg)
-                rows[eta].append(_row(cfg, seed, eta, cc, elapsed_ms))
+    rows = []
+    for lo in range(0, len(etas), block):
+        lane_orders = orders[lo:lo + block]
+        g = len(lane_orders)
+        lanes = make_learner(cfg, padded.width, etas[lo:lo + block])
+        cm = _pass_cost_model(cfg, counts)
+        laplace = cm is not None and cm.rho_mode == RhoMode.LAPLACE
+        lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
+        seen_pos = np.zeros(g, dtype=np.int64)
+        m_pos = np.zeros(g, dtype=np.int64)
+        m_neg = np.zeros(g, dtype=np.int64)
+        chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
+        start = time.perf_counter()
+        for t0 in range(0, n, chunk):
+            idx = np.stack([order[t0:t0 + chunk] for order in lane_orders], axis=1)
+            flat = padded.positions[idx] * g + lane
+            values = padded.values[idx]
+            sq_norms = padded.sq_norms[idx]
+            y = dataset.labels[idx].astype(np.float64)
+            if laplace:  # each lane's rho after its rows up to and including this round
+                pos = seen_pos + np.cumsum(y == 1, axis=0)
+                rho = cm.laplace_rho(pos, np.arange(t0 + 1, t0 + len(idx) + 1)[:, None] - pos)
+                seen_pos = pos[-1]
+            else:
+                rho = cm.rho if cm is not None else 1.0  # the rho-free learners ignore it
+            weight = lane_class_weight(y, rho)
+            scores = np.empty(idx.shape)
+            for t in range(len(idx)):
+                f, v = flat[t], values[t]
+                s = scores[t] = lanes.scores(f, v)
+                lanes.step(f, v, y[t], weight[t], s, sq_norms[t])
+            plus = scores >= 0.0  # predict_label's +1
+            m_pos += np.count_nonzero((y == 1) & ~plus, axis=0)
+            m_neg += np.count_nonzero((y != 1) & plus, axis=0)
+        elapsed_ms = (time.perf_counter() - start) * 1e3 / g
+        for eta, seed, mp, mn in zip(etas[lo:lo + block], seeds[lo:lo + block],
+                                     m_pos.tolist(), m_neg.tolist()):
+            cc = ConfusionCounts(dataset.t_pos, dataset.t_neg, mp, mn)
+            rows.append(_row(cfg, seed, eta, cc, elapsed_ms))
     return rows
 
 
@@ -334,7 +369,10 @@ def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:
     seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
     orders = [permutation(len(dataset), s) for s in seeds]
     if cfg.algo in LANE_ALGOS:
-        return _lane_rows(cfg, dataset, grid, seeds, orders)
+        p = len(seeds)
+        rows = _lane_pass(cfg, dataset, [eta for eta in grid for _ in seeds],
+                          seeds * len(grid), orders * len(grid))
+        return {eta: rows[i * p:(i + 1) * p] for i, eta in enumerate(grid)}
     return {
         eta: [run_single(cfg, dataset, eta, s, order=o) for s, o in zip(seeds, orders)]
         for eta in grid
@@ -387,9 +425,12 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
     table = {}
     eta = grid_select(cfg, dataset, table)
-    rows = [
-        run_single(cfg, dataset, eta, cfg.seed + i) for i in range(cfg.permutations)
-    ]
+    seeds = [cfg.seed + i for i in range(cfg.permutations)]
+    if cfg.algo in LANE_ALGOS:
+        orders = [permutation(len(dataset), s) for s in seeds]
+        rows = _lane_pass(cfg, dataset, [eta] * len(seeds), seeds, orders)
+    else:
+        rows = [run_single(cfg, dataset, eta, s) for s in seeds]
     return _report(cfg, eta, rows, table)
 
 

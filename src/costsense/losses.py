@@ -57,14 +57,20 @@ def gradient_scale(variant: LossVariant, y: int, rho: float, loss_value: float) 
     return -class_weight(y, rho) * float(y)
 
 
-def lane_gradient_scale(variant: LossVariant, y: int, rho: float,
+def lane_class_weight(y: np.ndarray, rho) -> np.ndarray:
+    """:func:`class_weight` of each label in ``y``, at one rho or at each
+    label's own."""
+    return np.where(y == 1, rho, 1.0)
+
+
+def lane_gradient_scale(variant: LossVariant, y: np.ndarray, weight: np.ndarray,
                         scores: np.ndarray) -> np.ndarray:
-    """:func:`gradient_scale` of :func:`loss` at each entry of ``scores``, one
-    per lane, with the same floating-point tests: 0.0 where that loss is 0."""
-    weight = class_weight(y, rho)
+    """:func:`gradient_scale` of :func:`loss` per lane, from each lane's label,
+    class weight and score, with the same floating-point tests: 0.0 where
+    that loss is 0."""
     if variant == LossVariant.I:
-        return np.where(weight - y * scores > 0.0, -float(y), 0.0)
-    return np.where(weight * (1.0 - y * scores) > 0.0, -weight * float(y), 0.0)
+        return np.where(weight - y * scores > 0.0, -y, 0.0)
+    return np.where(weight * (1.0 - y * scores) > 0.0, -weight * y, 0.0)
 
 
 @dataclass
@@ -100,12 +106,14 @@ class CostModel:
         if self.rho is not None and not 0.0 < self.rho < math.inf:
             raise ValueError(f"rho must be finite and positive, got {self.rho}")
         if self.rho_mode == RhoMode.LAPLACE and self.rho is None:
-            self.rho = self._laplace_rho()
+            self.rho = self.laplace_rho(self.seen_pos, self.seen_neg)
 
-    def _laplace_rho(self) -> float:
+    def laplace_rho(self, seen_pos, seen_neg):
+        """The Laplace estimate after ``seen_pos`` positive and ``seen_neg``
+        negative labels: ints, or arrays of counts for one estimate each."""
         if self.metric == Metric.COST:
             return self.c_p / self.c_n
-        return (self.alpha_p * (self.seen_neg + 1)) / (self.alpha_n * (self.seen_pos + 1))
+        return (self.alpha_p * (seen_neg + 1)) / (self.alpha_n * (seen_pos + 1))
 
 
 def resolve_rho(cm: CostModel, dataset_counts: tuple[int, int] | None = None) -> float:
@@ -115,7 +123,7 @@ def resolve_rho(cm: CostModel, dataset_counts: tuple[int, int] | None = None) ->
     in FIXED_ORACLE mode with no rho supplied.
     """
     if cm.rho_mode == RhoMode.LAPLACE:
-        return cm._laplace_rho()
+        return cm.laplace_rho(cm.seen_pos, cm.seen_neg)
     if cm.rho is not None:
         return cm.rho
     if cm.metric == Metric.COST:
@@ -140,5 +148,5 @@ def observe_label(cm: CostModel, y: int) -> CostModel:
         cm.seen_pos += 1
     else:
         cm.seen_neg += 1
-    cm.rho = cm._laplace_rho()
+    cm.rho = cm.laplace_rho(cm.seen_pos, cm.seen_neg)
     return cm

@@ -424,6 +424,8 @@ class TestCli:
             # the selection seeds of the largest seed below 2**128
             ["--eta-grid", "1", "--permutations", "1", "--seed", str(2**128)],
             ["--eta-grid", "1,10", "--seed", str(2**128 - 1)],
+            ["--d-override", "0"],
+            ["--out", "missing_dir/report.csv"],
         ],
     )
     def test_bad_config_reported_before_reading_data(self, flags, capsys):

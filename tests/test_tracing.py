@@ -3,8 +3,10 @@
 ``perfbench/tracing.py`` patches learner methods through the ``__dict__`` of
 the class that owns them, and module functions by name.  Moving one of them
 breaks only traced benchmark runs, so this test installs the unmodified
-tracer, runs a small experiment per protocol on the toy set, and checks that
-the learner counters were hit.
+tracer, runs small experiments under both protocols on the toy set, and
+checks that the learner counters were hit.  The batched lane passes of the
+online protocol call no patched learner method, so CV runs exercise the
+scalar updates of the lane learners.
 """
 
 import importlib.util
@@ -33,7 +35,9 @@ def test_tracer_installs_and_counts_every_learner_layer(tmp_path):
         ds = load_dataset(TOY)
         runs = [(run_experiment, algo, dict(eta_grid=(0.1, 1.0), permutations=2))
                 for algo in ("cog2", "acog2-diag", "ssacog2")]
-        runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3)) for algo in ("acog2", "sacog2")]
+        # online cog2/acog2-diag run as batched lanes; CV keeps their scalar updates
+        runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3))
+                 for algo in ("acog2", "sacog2", "cog2", "acog2-diag")]
         for run, algo, kw in runs:
             span = tracer.open("experiment", algo=algo,
                                mode="cv" if run is run_cv else "experiment")
