@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig(**opts)
         report = run_cv(cfg) if cfg.folds else run_experiment(cfg)
-    except (ValueError, OSError, SketchConditionError) as exc:
+    except (ValueError, OSError, MemoryError, SketchConditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     agg, std = report.aggregate, report.std

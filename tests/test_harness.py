@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -476,6 +477,33 @@ class TestCli:
                          "--d-override", "200000", "--eta-grid", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: full-matrix ACOG") and "-diag" in err
+
+    @pytest.mark.parametrize("algo", ["sacog2", "ssacog2"])
+    def test_sketched_learners_share_one_gamma_range(self, algo, capsys):
+        args = ["run", "--dataset", str(TOY), "--algo", algo,
+                "--eta-grid", "1", "--permutations", "1", "--gamma"]
+        assert cli.main(args + ["1e-8"]) == 0
+        assert "sum           49.587" in capsys.readouterr().out
+        assert cli.main(args + ["1e-12"]) == 2
+        assert capsys.readouterr().err.startswith("error: sketch basis lost rank")
+
+    @pytest.mark.parametrize("algo", ["sacog2", "cog2"])
+    def test_allocation_failure_reported(self, algo):
+        # sacog2 fails in the sketch's 5 x d rows, cog2 in the d-long padding
+        # mask; with the child's address space capped at 2 GiB the allocation
+        # fails at once whatever the kernel's overcommit setting
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "costsense.cli", "run",
+             "--dataset", str(TOY), "--algo", algo, "--eta-grid", "1",
+             "--permutations", "1", "--d-override", str(10**11)],
+            capture_output=True, text=True, env=CLI_ENV, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate")
+        assert "Traceback" not in proc.stderr
 
     def test_end_to_end_run(self, tmp_path):
         out = tmp_path / "cli.csv"

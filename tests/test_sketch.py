@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -67,6 +65,15 @@ class TestDenseSketchInit:
         b = OjaSketch(3, 10, init="random", seed=5)
         np.testing.assert_array_equal(a.V, b.V)
         np.testing.assert_allclose(a.V @ a.V.T, np.eye(3), atol=1e-12)
+
+    def test_random_init_matches_householder_qr(self):
+        # an independent factorization of the same Philox draw: V = Q^T for
+        # A^T = Q R with R's diagonal made positive
+        A = np.random.Generator(np.random.Philox(key=5)).standard_normal((3, 10))
+        Q, R = np.linalg.qr(A.T)
+        Q = Q * np.sign(np.diagonal(R))
+        V = OjaSketch(3, 10, init="random", seed=5).V
+        assert np.abs(V - Q.T).max() <= 1e-13
 
 
 class TestDenseSketchUpdate:
@@ -292,17 +299,25 @@ class TestDecompose:
 
 
 class TestDegenerateRows:
-    def test_collapsed_row_reseeded_from_canonical(self, caplog):
-        # a huge update along (e1 + e2) absorbs both rows in floating point,
-        # so the second row collapses during Gram-Schmidt and gets re-seeded
-        sk = OjaSketch(2, 3)
-        big = 1e12
-        with caplog.at_level(logging.WARNING, logger="costsense.sketch"):
-            sk.update(np.array([0, 1]), np.array([big, big]))
-        assert "re-seeded" in caplog.text
-        np.testing.assert_allclose(sk.V @ sk.V.T, np.eye(2), atol=1e-10)
+    @pytest.mark.parametrize(
+        "second_row",
+        [
+            # differs from the first row by 1e-14: V V^T is singular in
+            # floating point, so the Cholesky factorization fails
+            [1.0, 1e-14, 0.0],
+            # the factorization succeeds, but its pivot 1e-11 is <= 1e-10
+            [0.0, 1e-11, 0.0],
+        ],
+    )
+    def test_orthonormalize_rows_rejects_lost_rank(self, second_row):
+        V = np.array([[1.0, 0.0, 0.0], second_row])
+        with pytest.raises(SketchConditionError, match="rank"):
+            orthonormalize_rows(V)
 
-    def test_orthonormalize_rows_direct(self):
-        V = np.array([[1.0, 0.0, 0.0], [1.0, 1e-14, 0.0]])
-        out = orthonormalize_rows(V)
-        np.testing.assert_allclose(out @ out.T, np.eye(2), atol=1e-10)
+    @pytest.mark.parametrize("sketch_type", [OjaSketch, SparseOjaSketch],
+                             ids=lambda cls: cls.__name__)
+    def test_collapsed_basis_raises_from_both_sketches(self, sketch_type):
+        # a huge update along (e1 + e2) absorbs both rows in floating point
+        sk = sketch_type(2, 3)
+        with pytest.raises(SketchConditionError, match="rank"):
+            sk.update(np.array([0, 1]), np.array([1e12, 1e12]))
