@@ -7,15 +7,7 @@ one: T_n/T_p-scaled for the weighted-sum metric, c_p/c_n for weighted cost.
 
 import numpy as np
 
-from costsense import (
-    CostModel,
-    LossVariant,
-    Metric,
-    RhoMode,
-    loss,
-    observe_label,
-    resolve_rho,
-)
+from costsense import CostModel, LossVariant, loss, observe_label, resolve_rho
 
 rho = 3.0
 print(f"rho = {rho}: a positive mistake is worth {rho}x a negative one\n")
@@ -34,18 +26,18 @@ for s in (-0.5, 0.0, 0.5):
           f"II {loss(LossVariant.II, s, 1, 1.0):.1f}")
 
 # oracle rho needs the class counts up front ...
-cm = CostModel(metric=Metric.SUM)
+cm = CostModel(metric="sum")
 print(f"\noracle rho for T_p=300, T_n=700: {resolve_rho(cm, (300, 700)):.4f}")
 
-# ... the add-one-smoothed running estimate does not
-cm = CostModel(metric=Metric.SUM, rho_mode=RhoMode.LAPLACE)
-rng = np.random.default_rng(1)
+# ... the add-one-smoothed running estimate does not: it takes a block of
+# labels and returns the rho of each round, that round's label counted
+cm = CostModel(metric="sum", rho_mode="laplace")
+labels = np.where(np.random.default_rng(1).random(1200) < 0.3, 1, -1)
+rhos = observe_label(cm, labels)
 print("online estimate as labels stream in (true ratio 7:3 -> 2.33):")
-for t in range(1, 1201):
-    observe_label(cm, 1 if rng.random() < 0.3 else -1)
-    if t in (10, 100, 1200):
-        print(f"  after {t:5d} labels: rho = {cm.rho:.4f}")
+for t in (10, 100, 1200):
+    print(f"  after {t:5d} labels: rho = {rhos[t - 1]:.4f}")
 
 # cost-metric rho is a constant ratio, counts never enter
-cm = CostModel(metric=Metric.COST, c_p=0.9, c_n=0.1)
+cm = CostModel(metric="cost", c_p=0.9, c_n=0.1)
 print(f"cost-metric rho = c_p/c_n = {resolve_rho(cm):.1f}")

@@ -29,8 +29,6 @@ from .harness import (
 from .losses import (
     CostModel,
     LossVariant,
-    Metric,
-    RhoMode,
     class_weight,
     gradient_scale,
     loss,

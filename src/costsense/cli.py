@@ -12,8 +12,7 @@ import argparse
 import sys
 
 from .harness import (
-    ALGO_IDS,
-    PAPER_ETA_GRID,
+    CHOICES,
     SELECTION_PERMUTATIONS,
     ExperimentConfig,
     run_cv,
@@ -38,34 +37,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cost-sensitive online classification benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run one experiment and emit a CSV report")
+    # an unset flag is left out, so the ExperimentConfig default applies
+    run = sub.add_parser("run", help="run one experiment and emit a CSV report",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--dataset", required=True, help="LIBSVM-format data file")
-    run.add_argument("--algo", required=True, choices=ALGO_IDS)
-    run.add_argument("--metric", choices=("sum", "cost"), default="sum")
-    run.add_argument("--alpha-p", type=float, default=0.5)
-    run.add_argument("--alpha-n", type=float, default=0.5)
-    run.add_argument("--cp", dest="c_p", type=float, default=0.9)
-    run.add_argument("--cn", dest="c_n", type=float, default=0.1)
-    run.add_argument("--rho-mode", default="oracle",
-                     help="oracle, laplace, or fixed:<value>")
+    run.add_argument("--algo", required=True, choices=CHOICES["algo"])
+    run.add_argument("--metric", choices=CHOICES["metric"])
+    run.add_argument("--alpha-p", type=float)
+    run.add_argument("--alpha-n", type=float)
+    run.add_argument("--cp", dest="c_p", type=float)
+    run.add_argument("--cn", dest="c_n", type=float)
+    run.add_argument("--rho-mode", help="oracle, laplace, or fixed:<value>")
     run.add_argument("--eta-grid", type=_parse_grid,
-                     default=PAPER_ETA_GRID,
                      help="comma-separated step sizes (default 1e-5..1e5)")
-    run.add_argument("--gamma", type=float, default=1.0)
-    run.add_argument("--sketch-size", type=int, default=5)
-    run.add_argument("--sketch-init", choices=("canonical", "random"),
-                     default="canonical")
-    run.add_argument("--sketch-lazy", type=int, default=1,
-                     help="update the sketch only every K rounds")
+    run.add_argument("--gamma", type=float)
+    run.add_argument("--sketch-size", type=int)
+    run.add_argument("--sketch-init", choices=CHOICES["sketch_init"])
+    run.add_argument("--sketch-lazy", type=int, help="update the sketch only every K rounds")
     run.add_argument("--sketch-on-loss-only", action="store_true")
-    run.add_argument("--update-rule", choices=("new", "old"), default="new")
-    run.add_argument("--permutations", type=int, default=20)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--folds", type=int, default=0,
+    run.add_argument("--update-rule", choices=CHOICES["update_rule"])
+    run.add_argument("--permutations", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--folds", type=int,
                      help="0 = online protocol; >= 2 = k-fold generalization mode")
-    run.add_argument("--empty-class", choices=("error", "perfect"), default="error")
-    run.add_argument("--d-override", type=int, default=None)
-    run.add_argument("--out", default=None, help="CSV report path")
+    run.add_argument("--empty-class", choices=CHOICES["empty_class"])
+    run.add_argument("--d-override", type=int)
+    run.add_argument("--out", help="CSV report path")
     return parser
 
 

@@ -127,6 +127,8 @@ def _tokenize(line: str, lineno: int | None) -> tuple[int, list, list]:
         prev = idx
         indices.append(idx)
         values.append(val)
+    if prev >= 2**63:  # indices increase, so the last one is the largest
+        raise LibsvmFormatError(where + f"feature index {prev} past the int64 range")
     return label, indices, values
 
 
@@ -150,7 +152,8 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
     higher feature indices than this file; it may not shrink it.
     """
     labels, indptr, indices, values, norms = [], [0], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    # an overflowing norm is refused below, not warned about
+    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
@@ -160,6 +163,8 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
                 raise LibsvmFormatError(
                     f"line {lineno}: all-zero feature vector cannot be normalized"
                 )
+            if n == math.inf:
+                raise LibsvmFormatError(f"line {lineno}: feature vector norm overflows float64")
             labels.append(label)
             indices += idx
             values += val

@@ -20,7 +20,7 @@ is in raw units.
 
 from __future__ import annotations
 
-import copy
+import itertools
 import math
 import os
 import time
@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acog import FULL_SIGMA_MAX_BYTES, AdaptiveCSGD
-from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron, predict_label
+from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron
 from .data import Dataset, load_dataset, permutation, split_folds
-from .losses import (CostModel, LossVariant, Metric, RhoMode, lane_class_weight, observe_label,
-                     resolve_rho)
-from .metrics import ConfusionCounts, class_rates, cost_metric, sum_metric
+from .losses import METRICS, CostModel, LossVariant, lane_class_weight, observe_label, resolve_rho
+from .metrics import ConfusionCounts, class_rates, cost_metric, count_mistakes, sum_metric
 from .sacog import SketchedCSGD, SparseSketchedCSGD
 
 ALGO_IDS = (
@@ -89,8 +88,12 @@ CSV_STD_COLUMNS = (
 
 PAPER_ETA_GRID = tuple(10.0**k for k in range(-5, 6))
 
+# the values each string field of ExperimentConfig may take; the CLI offers these
+CHOICES = {"algo": ALGO_IDS, "metric": METRICS, "sketch_init": ("canonical", "random"),
+           "update_rule": ("new", "old"), "empty_class": ("error", "perfect")}
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str | None = None
     algo: str = "acog2"
@@ -115,8 +118,9 @@ class ExperimentConfig:
     d_override: int | None = None
 
     def __post_init__(self):
-        if self.algo not in ALGO_IDS:
-            raise ValueError(f"unknown algo {self.algo!r}; choose from {ALGO_IDS}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if not self.eta_grid:
             raise ValueError("eta grid must be nonempty")
         if not all(0.0 < v < math.inf for v in (*self.eta_grid, self.gamma)):
@@ -138,26 +142,7 @@ class ExperimentConfig:
             raise ValueError(f"d_override must be >= 1, got {self.d_override}")
         if self.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
             raise ValueError(f"no directory to write {self.out!r} into")
-        for name, allowed in (("metric", ("sum", "cost")), ("update_rule", ("new", "old")),
-                              ("sketch_init", ("canonical", "random")),
-                              ("empty_class", ("error", "perfect"))):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}")
-        mode, sep, value = self.rho_mode.partition(":")
-        rho = None
-        if mode == "fixed" and sep:
-            try:
-                rho = float(value)
-            except ValueError:
-                raise ValueError(f"fixed rho must be a number, got {value!r}") from None
-        elif sep or mode not in ("oracle", "laplace"):
-            raise ValueError("rho_mode must be 'oracle', 'laplace', or 'fixed:<value>'")
-        # every pass starts from a copy of this validated template
-        self._cost_model = CostModel(
-            metric=Metric(self.metric), alpha_p=self.alpha_p, alpha_n=self.alpha_n,
-            c_p=self.c_p, c_n=self.c_n, rho=rho,
-            rho_mode=RhoMode.LAPLACE if mode == "laplace" else RhoMode.FIXED_ORACLE,
-        )
+        _cost_model(self)  # checks the cost fields and rho_mode
 
     @property
     def loss_variant(self) -> LossVariant:
@@ -222,38 +207,45 @@ def make_learner(cfg: ExperimentConfig, d: int, eta):
     )
 
 
-def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int] | None) -> CostModel:
-    """A fresh copy of the config's cost model, with oracle rho resolved."""
-    cm = copy.copy(cfg._cost_model)
-    if cm.rho is None:
-        cm.rho = resolve_rho(cm, counts)
+def _cost_model(cfg: ExperimentConfig) -> CostModel:
+    """The cost model the config's fields describe; ``"fixed:<value>"`` gives
+    a fixed rho, and a sum-metric oracle rho is left unresolved."""
+    mode, rho = cfg.rho_mode, None
+    if mode.startswith("fixed:"):
+        value = mode.removeprefix("fixed:")
+        try:
+            mode, rho = "oracle", float(value)
+        except ValueError:
+            raise ValueError(f"fixed rho must be a number, got {value!r}") from None
+    return CostModel(cfg.metric, cfg.alpha_p, cfg.alpha_n, cfg.c_p, cfg.c_n, mode, rho)
+
+
+def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int]) -> CostModel | None:
+    """A pass's fresh cost model from the config, with oracle rho resolved from
+    the class counts ``counts`` = (T_p, T_n); None for the rho-free learners."""
+    if cfg.algo in RHO_FREE_ALGOS:
+        return None
+    cm = _cost_model(cfg)
+    cm.rho = resolve_rho(cm, counts)
     return cm
 
 
-def _online_pass(learner, cm, dataset, order, cc=None, trace=None) -> None:
-    """Score, update and (optionally) record every example of ``order`` in turn.
+def _online_pass(learner, cm, dataset, order, trace=None) -> np.ndarray:
+    """Score then update on every example of ``order`` in turn; returns the scores.
 
-    The revealed label joins the Laplace estimate before the update, so the
-    update's rho always reflects every label seen so far.  ``cm`` is None
-    for the rho-free learners.
+    Each round's rho counts that round's revealed label (:func:`observe_label`,
+    once for the whole pass).  ``cm`` is None for the rho-free learners.
     """
-    laplace = cm is not None and cm.rho_mode == RhoMode.LAPLACE
-    for positions, values, y in dataset.rows(order):
+    rho = observe_label(cm, dataset.labels[order]) if cm is not None else None
+    rhos = rho.tolist() if isinstance(rho, np.ndarray) else itertools.repeat(rho)
+    scores = []
+    for (positions, values, y), r in zip(dataset.rows(order), rhos):
         s = learner.score(positions, values)
-        if cc is not None:
-            cc.record(predict_label(s), y)
-        if laplace:
-            observe_label(cm, y)
-        l = learner.update(positions, values, y, cm.rho if cm is not None else None, score=s)
+        l = learner.update(positions, values, y, r, score=s)
+        scores.append(s)
         if trace is not None:
             trace.losses.append(l)
-            trace.m_pos_series.append(cc.m_pos)
-            trace.m_neg_series.append(cc.m_neg)
-
-
-def _pass_cost_model(cfg: ExperimentConfig, counts: tuple[int, int]) -> CostModel | None:
-    """A pass's cost model: None for the rho-free learners."""
-    return make_cost_model(cfg, counts) if cfg.algo not in RHO_FREE_ALGOS else None
+    return np.array(scores, dtype=np.float64)
 
 
 def _row(cfg: ExperimentConfig, seed: int, eta: float, cc: ConfusionCounts,
@@ -289,14 +281,18 @@ def run_single(
     if order is None:
         order = permutation(len(dataset), perm_seed)
     learner = make_learner(cfg, dataset.d, eta)
-    cm = _pass_cost_model(cfg, (dataset.t_pos, dataset.t_neg))
-    cc = ConfusionCounts()
+    cm = make_cost_model(cfg, (dataset.t_pos, dataset.t_neg))
     trace = RunTrace(order=order) if collect_trace else None
     start = time.perf_counter()
-    _online_pass(learner, cm, dataset, order, cc, trace)
+    scores = _online_pass(learner, cm, dataset, order, trace)
+    labels = dataset.labels[order]
+    cc = ConfusionCounts(dataset.t_pos, dataset.t_neg, *map(int, count_mistakes(labels, scores)))
     row = _row(cfg, perm_seed, eta, cc, (time.perf_counter() - start) * 1e3)
     if collect_trace:
-        trace.rho_final = cm.rho if cm is not None else 1.0
+        # each round as a lane of its own gives its mistakes, summed up to it
+        trace.m_pos_series, trace.m_neg_series = (
+            np.cumsum(m).tolist() for m in count_mistakes(labels[None], scores[None]))
+        trace.rho_final = float(cm.rho) if cm is not None else 1.0
         return row, trace
     return row
 
@@ -309,9 +305,10 @@ def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
 
     In round t lane g reads row ``orders[g][t]`` of :attr:`Dataset.padded`,
     so lane state covers the columns in use plus the padding column, not d.
-    The loop is :func:`_online_pass` with ``ConfusionCounts.record``'s tally
-    and ``observe_label``'s Laplace counts kept per lane.  Blocks keep lane
-    state (two columns per lane at most) within ``FULL_SIGMA_MAX_BYTES``.
+    The loop is :func:`_online_pass` with one more axis: :func:`observe_label`
+    and :func:`count_mistakes` take each gathered chunk of rounds, keeping
+    one count per lane.  Blocks keep lane state (two columns per lane at
+    most) within ``FULL_SIGMA_MAX_BYTES``.
     """
     padded = dataset.padded
     n, k = padded.positions.shape
@@ -322,12 +319,9 @@ def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
         lane_orders = orders[lo:lo + block]
         g = len(lane_orders)
         lanes = make_learner(cfg, padded.width, etas[lo:lo + block])
-        cm = _pass_cost_model(cfg, counts)
-        laplace = cm is not None and cm.rho_mode == RhoMode.LAPLACE
+        cm = make_cost_model(cfg, counts)
         lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
-        seen_pos = np.zeros(g, dtype=np.int64)
-        m_pos = np.zeros(g, dtype=np.int64)
-        m_neg = np.zeros(g, dtype=np.int64)
+        m_pos = m_neg = 0
         chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
         start = time.perf_counter()
         for t0 in range(0, n, chunk):
@@ -336,21 +330,15 @@ def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
             values = padded.values[idx]
             sq_norms = padded.sq_norms[idx]
             y = dataset.labels[idx].astype(np.float64)
-            if laplace:  # each lane's rho after its rows up to and including this round
-                pos = seen_pos + np.cumsum(y == 1, axis=0)
-                rho = cm.laplace_rho(pos, np.arange(t0 + 1, t0 + len(idx) + 1)[:, None] - pos)
-                seen_pos = pos[-1]
-            else:
-                rho = cm.rho if cm is not None else 1.0  # the rho-free learners ignore it
-            weight = lane_class_weight(y, rho)
+            # the rho-free learners ignore rho
+            weight = lane_class_weight(y, observe_label(cm, y) if cm is not None else 1.0)
             scores = np.empty(idx.shape)
             for t in range(len(idx)):
                 f, v = flat[t], values[t]
                 s = scores[t] = lanes.scores(f, v)
                 lanes.step(f, v, y[t], weight[t], s, sq_norms[t])
-            plus = scores >= 0.0  # predict_label's +1
-            m_pos += np.count_nonzero((y == 1) & ~plus, axis=0)
-            m_neg += np.count_nonzero((y != 1) & plus, axis=0)
+            pos, neg = count_mistakes(y, scores)
+            m_pos, m_neg = m_pos + pos, m_neg + neg
         elapsed_ms = (time.perf_counter() - start) * 1e3 / g
         for eta, seed, mp, mn in zip(etas[lo:lo + block], seeds[lo:lo + block],
                                      m_pos.tolist(), m_neg.tolist()):
@@ -455,7 +443,7 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
         t_pos = int(np.count_nonzero(dataset.labels[train_idx] == 1))
         try:
             learner = make_learner(cfg, dataset.d, eta)
-            cm = _pass_cost_model(cfg, (t_pos, len(train_idx) - t_pos))
+            cm = make_cost_model(cfg, (t_pos, len(train_idx) - t_pos))
         except ValueError as exc:  # e.g. oracle rho of a training fold with no positives
             raise ValueError(f"CV fold {i + 1} of {cfg.folds}: {exc}") from None
         order = train_idx[permutation(len(train_idx), cfg.seed + i)]

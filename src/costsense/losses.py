@@ -12,19 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 import numpy as np
-
-
-class Metric(Enum):
-    SUM = "sum"
-    COST = "cost"
-
-
-class RhoMode(Enum):
-    FIXED_ORACLE = "oracle"
-    LAPLACE = "laplace"
 
 
 class LossVariant(IntEnum):
@@ -73,28 +63,37 @@ def lane_gradient_scale(variant: LossVariant, y: np.ndarray, weight: np.ndarray,
     return np.where(weight * (1.0 - y * scores) > 0.0, -weight * y, 0.0)
 
 
+# the metrics a cost model optimizes, named as in ExperimentConfig
+METRICS = ("sum", "cost")
+
+
 @dataclass
 class CostModel:
     """Metric weights plus the bias parameter rho and its supply mode.
 
-    In LAPLACE mode (sum metric) rho tracks the add-one-smoothed running
-    class ratio ``alpha_p*(seen_neg+1) / (alpha_n*(seen_pos+1))``.  In
-    FIXED_ORACLE mode rho is supplied once, either directly or resolved from
-    the full dataset's class counts.  The cost metric never needs counts:
-    rho = c_p/c_n regardless of mode.
+    ``metric`` is ``"sum"`` or ``"cost"``; ``rho_mode`` is ``"oracle"`` or
+    ``"laplace"``, and a given ``rho`` is fixed.  The cost metric's rho is
+    c_p/c_n.  A sum-metric oracle rho comes from the dataset's class counts
+    (:func:`resolve_rho`); a Laplace one is :meth:`laplace_rho` of the labels
+    :func:`observe_label` has counted, per lane once it has seen lanes.
     """
 
-    metric: Metric = Metric.SUM
+    metric: str = "sum"
     alpha_p: float = 0.5
     alpha_n: float = 0.5
     c_p: float = 0.9
     c_n: float = 0.1
-    rho_mode: RhoMode = RhoMode.FIXED_ORACLE
+    rho_mode: str = "oracle"
     rho: float | None = None
     seen_pos: int = 0
     seen_neg: int = 0
 
     def __post_init__(self):
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        if self.rho_mode not in ("oracle", "laplace"):
+            raise ValueError(f"rho_mode must be 'oracle', 'laplace' or a fixed rho, "
+                             f"got {self.rho_mode!r}")
         if not (0.0 <= self.alpha_p <= 1.0 and 0.0 < self.alpha_n <= 1.0):
             raise ValueError("alpha_p in [0,1] and alpha_n in (0,1] required")
         if abs(self.alpha_p + self.alpha_n - 1.0) > 1e-12:
@@ -105,14 +104,14 @@ class CostModel:
             raise ValueError("c_p + c_n must equal 1")
         if self.rho is not None and not 0.0 < self.rho < math.inf:
             raise ValueError(f"rho must be finite and positive, got {self.rho}")
-        if self.rho_mode == RhoMode.LAPLACE and self.rho is None:
+        if self.rho is None and self.metric == "cost":
+            self.rho = self.c_p / self.c_n
+        elif self.rho is None and self.rho_mode == "laplace":
             self.rho = self.laplace_rho(self.seen_pos, self.seen_neg)
 
     def laplace_rho(self, seen_pos, seen_neg):
-        """The Laplace estimate after ``seen_pos`` positive and ``seen_neg``
-        negative labels: ints, or arrays of counts for one estimate each."""
-        if self.metric == Metric.COST:
-            return self.c_p / self.c_n
+        """The add-one-smoothed class ratio after ``seen_pos`` positive and
+        ``seen_neg`` negative labels (ints, or arrays of counts)."""
         return (self.alpha_p * (seen_neg + 1)) / (self.alpha_n * (seen_pos + 1))
 
 
@@ -120,14 +119,10 @@ def resolve_rho(cm: CostModel, dataset_counts: tuple[int, int] | None = None) ->
     """The rho this model should use right now.
 
     ``dataset_counts`` is (T_p, T_n) and is required only for the sum metric
-    in FIXED_ORACLE mode with no rho supplied.
+    in oracle mode with no rho given.
     """
-    if cm.rho_mode == RhoMode.LAPLACE:
-        return cm.laplace_rho(cm.seen_pos, cm.seen_neg)
     if cm.rho is not None:
         return cm.rho
-    if cm.metric == Metric.COST:
-        return cm.c_p / cm.c_n
     if dataset_counts is None:
         raise ValueError("sum-metric oracle rho needs dataset counts (T_p, T_n)")
     t_p, t_n = dataset_counts
@@ -137,16 +132,19 @@ def resolve_rho(cm: CostModel, dataset_counts: tuple[int, int] | None = None) ->
     return (cm.alpha_p * t_n) / (cm.alpha_n * t_p)
 
 
-def observe_label(cm: CostModel, y: int) -> CostModel:
-    """Fold one revealed label into the running Laplace estimate.
+def observe_label(cm: CostModel, labels: np.ndarray):
+    """Fold a nonempty block of revealed labels (+1/-1) into the running
+    Laplace estimate and return each round's rho, counting that round's own
+    label.
 
-    A no-op in FIXED_ORACLE mode: fixed rho ignores the stream by design.
+    Axis 0 of ``labels`` is rounds; any further axis is a lane with its own
+    counts.  Outside Laplace mode, and under the cost metric, the stream does
+    not move rho: the one fixed rho is returned and nothing is counted.
     """
-    if cm.rho_mode != RhoMode.LAPLACE:
-        return cm
-    if y == 1:
-        cm.seen_pos += 1
-    else:
-        cm.seen_neg += 1
-    cm.rho = cm.laplace_rho(cm.seen_pos, cm.seen_neg)
-    return cm
+    if cm.rho_mode != "laplace" or cm.metric == "cost":
+        return cm.rho
+    pos = cm.seen_pos + np.cumsum(labels == 1, axis=0)
+    neg = cm.seen_neg + np.cumsum(labels != 1, axis=0)
+    rho = cm.laplace_rho(pos, neg)
+    cm.seen_pos, cm.seen_neg, cm.rho = pos[-1], neg[-1], rho[-1]
+    return rho

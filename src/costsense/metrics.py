@@ -1,9 +1,10 @@
 """Cost-sensitive performance accounting and empirical regret measurement.
 
 Mistakes are tallied prequentially: the prediction is made before the label
-is revealed, with ties (score = 0) counted as positive predictions.  The
-weighted sum metric lives in [0, 1]; callers that want the percent scale
-used in benchmark tables multiply by 100 at the reporting boundary.
+is revealed, with ties (score = 0) counted as positive predictions and NaN
+scores as negative ones.  The weighted sum metric lives in [0, 1]; callers
+that want the percent scale used in benchmark tables multiply by 100 at the
+reporting boundary.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ class ConfusionCounts:
         if self.t_neg == 0:
             raise ZeroDivisionError("specificity undefined with no negative examples")
         return (self.t_neg - self.m_neg) / self.t_neg
+
+
+def count_mistakes(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative mistakes of each lane over a block of rounds: axis 0
+    of ``labels`` (+1/-1) and ``scores`` is rounds, any further axis a lane.  A
+    score predicts +1 when it is >= 0 (``predict_label``'s rule)."""
+    plus = scores >= 0.0
+    return (np.count_nonzero((labels == 1) & ~plus, axis=0),
+            np.count_nonzero((labels != 1) & plus, axis=0))
 
 
 def class_rates(cc: ConfusionCounts, empty_class: str = "error") -> tuple[float, float]:

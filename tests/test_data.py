@@ -59,6 +59,11 @@ class TestParseLine:
         with pytest.raises(LibsvmFormatError, match="< 1"):
             parse_libsvm_line("+1 0:1")
 
+    def test_index_within_int64(self):
+        assert parse_libsvm_line(f"+1 {2**63 - 1}:1")[0].tolist() == [2**63 - 2]
+        with pytest.raises(LibsvmFormatError, match=f"line 3: feature index {2**63} past the int64"):
+            parse_libsvm_line(f"+1 {2**63}:1", lineno=3)
+
     def test_lineno_in_message(self):
         with pytest.raises(LibsvmFormatError, match="line 7"):
             parse_libsvm_line("+1 0:1", lineno=7)
@@ -167,6 +172,23 @@ class TestLoadDataset:
         p.write_text(f"+1 1:1\n-1 1:{value} 2:1\n")
         with pytest.raises(LibsvmFormatError, match="line 2: non-finite"):
             load_dataset(p)
+
+    @pytest.mark.parametrize("line,message", [
+        ("+1 99999999999999999999:1", "feature index 99999999999999999999 past the int64 range"),
+        ("+1 1:1e308 2:1e308", "feature vector norm overflows float64"),
+    ])
+    def test_out_of_range_row_rejected_at_load(self, tmp_path, line, message):
+        p = tmp_path / "huge.libsvm"
+        p.write_text(f"+1 1:1\n{line}\n")
+        with pytest.raises(LibsvmFormatError, match=f"^line 2: {message}$"):
+            load_dataset(p)
+
+    def test_large_finite_norm_kept(self, tmp_path):
+        # its squared norm, 2e306, is still finite
+        p = tmp_path / "large.libsvm"
+        p.write_text("+1 1:1e153 2:1e153\n")
+        row = np.array([1e153, 1e153])
+        assert load_dataset(p)[0][1].tolist() == (row / np.linalg.norm(row)).tolist()
 
     def test_samples_normalized(self, tmp_path):
         p = tmp_path / "toy.libsvm"

@@ -22,6 +22,7 @@ DEMO_ENV = {**os.environ,
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=DEMO_ENV,
+    # a warning fails the demo, as it fails any test in this process
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=DEMO_ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import resource
 import subprocess
@@ -18,6 +19,7 @@ from costsense.harness import (
     aggregate_rows,
     emit_csv,
     grid_select,
+    make_cost_model,
     make_learner,
     run_cv,
     run_experiment,
@@ -385,6 +387,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="folds"):
             run_cv(cfg)
 
+    def test_config_is_frozen(self):
+        cfg = ExperimentConfig(algo="cog2")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.metric = "cost"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.permutations = 0
+
+    def test_replaced_field_reaches_the_cost_model(self, toy):
+        # the cost model is built from the fields on each call, never cached
+        cfg = ExperimentConfig(algo="cog2", eta_grid=(0.1, 1.0), permutations=2)
+        counts = (toy.t_pos, toy.t_neg)
+        assert make_cost_model(cfg, counts).rho == pytest.approx(toy.t_neg / toy.t_pos)
+        cost = dataclasses.replace(cfg, metric="cost")
+        assert make_cost_model(cost, counts).rho == pytest.approx(9.0)
+        direct = ExperimentConfig(algo="cog2", eta_grid=(0.1, 1.0), permutations=2, metric="cost")
+        a, b = run_experiment(cost, toy), run_experiment(direct, toy)
+        assert [strip_elapsed(r) for r in a.rows] == [strip_elapsed(r) for r in b.rows]
+        with pytest.raises(ValueError, match="permutations"):
+            dataclasses.replace(cfg, permutations=0)
+
     def test_variant_derived_from_algo_id(self):
         from costsense.losses import LossVariant
 
@@ -393,7 +415,9 @@ class TestConfigValidation:
 
 
 class TestCli:
-    def test_flags_reach_config_fields(self, monkeypatch):
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The config each ``cli.main`` call runs, which runs nothing."""
         seen = {}
 
         def fake_run(cfg):
@@ -402,10 +426,17 @@ class TestCli:
             return RunReport(cfg, 1.0, [], zeros, zeros)
 
         monkeypatch.setattr(cli, "run_experiment", fake_run)
+        return seen
+
+    def test_flags_reach_config_fields(self, seen):
         assert cli.main(["run", "--dataset", str(TOY), "--algo", "cog2",
                          "--cp", "0.75", "--cn", "0.25", "--rho-mode", "fixed:3"]) == 0
         cfg = seen["cfg"]
         assert (cfg.c_p, cfg.c_n, cfg.rho_mode) == (0.75, 0.25, "fixed:3")
+
+    def test_unset_flags_take_the_config_defaults(self, seen):
+        assert cli.main(["run", "--dataset", "x", "--algo", "cog1"]) == 0
+        assert seen["cfg"] == ExperimentConfig(dataset="x", algo="cog1")
 
     def test_sketch_condition_error_reported(self, monkeypatch, capsys):
         def fail(cfg):
@@ -496,7 +527,7 @@ class TestCli:
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         proc = subprocess.run(
-            [sys.executable, "-m", "costsense.cli", "run",
+            [sys.executable, "-W", "error", "-m", "costsense.cli", "run",
              "--dataset", str(TOY), "--algo", algo, "--eta-grid", "1",
              "--permutations", "1", "--d-override", str(10**11)],
             capture_output=True, text=True, env=CLI_ENV, preexec_fn=cap_address_space,
@@ -505,10 +536,25 @@ class TestCli:
         assert proc.stderr.startswith("error: Unable to allocate")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("line,message", [
+        ("+1 99999999999999999999:1", "feature index 99999999999999999999 past the int64 range"),
+        ("+1 1:1e308 2:1e308", "feature vector norm overflows float64"),
+    ])
+    def test_unloadable_row_reported_with_its_line(self, tmp_path, line, message):
+        data = tmp_path / "huge.libsvm"
+        data.write_text(f"+1 1:1\n{line}\n-1 2:1\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "costsense.cli", "run",
+             "--dataset", str(data), "--algo", "cog2", "--eta-grid", "1", "--permutations", "1"],
+            capture_output=True, text=True, env=CLI_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: line 2: {message}\n"
+
     def test_end_to_end_run(self, tmp_path):
         out = tmp_path / "cli.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "costsense.cli", "run",
+            [sys.executable, "-W", "error", "-m", "costsense.cli", "run",
              "--dataset", str(TOY), "--algo", "acog2-diag",
              "--eta-grid", "0.1,1", "--permutations", "2",
              "--seed", "3", "--out", str(out)],
@@ -521,7 +567,7 @@ class TestCli:
     def test_cv_mode_via_folds_flag(self, tmp_path):
         out = tmp_path / "cv.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "costsense.cli", "run",
+            [sys.executable, "-W", "error", "-m", "costsense.cli", "run",
              "--dataset", str(TOY), "--algo", "cog2",
              "--eta-grid", "1", "--folds", "3", "--out", str(out)],
             capture_output=True, text=True, env=CLI_ENV,

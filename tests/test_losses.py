@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from costsense.losses import (
     CostModel,
     LossVariant,
-    Metric,
-    RhoMode,
     class_weight,
     gradient_scale,
     lane_gradient_scale,
@@ -140,69 +138,67 @@ class TestCostModel:
             CostModel(c_p=1.0, c_n=0.0)
 
     def test_laplace_starts_at_weight_ratio(self):
-        cm = CostModel(rho_mode=RhoMode.LAPLACE)
+        cm = CostModel(rho_mode="laplace")
         assert cm.rho == pytest.approx(1.0)  # (0+1)/(0+1) * (0.5/0.5)
-        cm2 = CostModel(alpha_p=0.8, alpha_n=0.2, rho_mode=RhoMode.LAPLACE)
+        cm2 = CostModel(alpha_p=0.8, alpha_n=0.2, rho_mode="laplace")
         assert cm2.rho == pytest.approx(4.0)
 
 
 class TestResolveRho:
     def test_sum_oracle(self):
-        cm = CostModel(metric=Metric.SUM)
+        cm = CostModel(metric="sum")
         assert resolve_rho(cm, (100, 900)) == pytest.approx(9.0)
 
     def test_cost_ratio(self):
-        cm = CostModel(metric=Metric.COST, c_p=0.9, c_n=0.1)
+        cm = CostModel(metric="cost", c_p=0.9, c_n=0.1)
         assert resolve_rho(cm) == pytest.approx(9.0)
 
     def test_laplace_running_estimate(self):
-        cm = CostModel(metric=Metric.SUM, rho_mode=RhoMode.LAPLACE)
-        for y in (-1, -1, -1, 1):
-            observe_label(cm, y)
+        cm = CostModel(metric="sum", rho_mode="laplace")
+        observe_label(cm, np.array([-1, -1, -1, 1]))
         assert resolve_rho(cm) == pytest.approx(2.0)  # (3+1)/(1+1)
 
     def test_sum_oracle_requires_counts(self):
-        cm = CostModel(metric=Metric.SUM)
+        cm = CostModel(metric="sum")
         with pytest.raises(ValueError):
             resolve_rho(cm)
 
     def test_sum_oracle_rejects_no_positives(self):
-        cm = CostModel(metric=Metric.SUM)
+        cm = CostModel(metric="sum")
         with pytest.raises(ValueError):
             resolve_rho(cm, (0, 10))
 
     def test_pre_supplied_rho_wins(self):
-        cm = CostModel(metric=Metric.SUM, rho=4.5)
+        cm = CostModel(metric="sum", rho=4.5)
         assert resolve_rho(cm) == 4.5
 
 
 class TestObserveLabel:
     def test_first_positive(self):
-        cm = CostModel(rho_mode=RhoMode.LAPLACE)
-        observe_label(cm, 1)
+        cm = CostModel(rho_mode="laplace")
+        observe_label(cm, np.array([1]))
         assert cm.rho == pytest.approx(0.5)  # (0+1)/(1+1)
 
     def test_noop_in_oracle_mode(self):
         cm = CostModel(rho=2.0)
-        observe_label(cm, 1)
+        observe_label(cm, np.array([1]))
         assert cm.rho == 2.0 and cm.seen_pos == 0
 
     def test_cost_metric_laplace_rho_constant(self):
-        cm = CostModel(metric=Metric.COST, rho_mode=RhoMode.LAPLACE)
+        cm = CostModel(metric="cost", rho_mode="laplace")
         before = cm.rho
-        for y in (1, -1, -1, 1, -1):
-            observe_label(cm, y)
+        observe_label(cm, np.array([1, -1, -1, 1, -1]))
         assert cm.rho == before == pytest.approx(9.0)
 
     def test_tracks_running_ratio(self):
-        cm = CostModel(rho_mode=RhoMode.LAPLACE, alpha_p=0.5, alpha_n=0.5)
+        cm = CostModel(rho_mode="laplace", alpha_p=0.5, alpha_n=0.5)
         rng = np.random.default_rng(3)
+        labels = np.array([1 if rng.random() < 0.25 else -1 for _ in range(500)])
         pos = neg = 0
-        for _ in range(500):
-            y = 1 if rng.random() < 0.25 else -1
+        for y, rho in zip(labels, observe_label(cm, labels)):
             pos, neg = pos + (y == 1), neg + (y == -1)
-            observe_label(cm, y)
-            assert cm.rho == pytest.approx((neg + 1) / (pos + 1))
+            assert rho == pytest.approx((neg + 1) / (pos + 1))
+        assert cm.rho == rho
 
 
 @settings(max_examples=200)
