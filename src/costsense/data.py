@@ -3,14 +3,13 @@
 Feature indices are 1-based on disk (LIBSVM convention); every row the
 package hands out is ``(positions, values, label)`` with the 0-based
 ``positions`` through which learners address weight vectors.  Passes that
-read a different row per lane take all rows at once from ``Dataset.padded``.
+read a different row per lane take all rows at once from ``Dataset.padded()``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +22,10 @@ class LibsvmFormatError(ValueError):
 class PaddedRows(NamedTuple):
     """Every row at once, padded to the longest: row ``i`` is
     ``positions[i]``/``values[i]`` (n x K).  Positions are renumbered onto the
-    columns some row uses, in order; ``width - 1`` is a column no row uses,
-    and every padding slot points there with value 0.0."""
+    columns some row uses, plus any kept leading columns, in order;
+    ``width - 1`` is a column no row uses, and every padding slot points there
+    with value 0.0.  A row of 4q + 3 entries has two padding slots before its
+    last entry."""
 
     positions: np.ndarray
     values: np.ndarray
@@ -54,6 +55,7 @@ class Dataset:
         self._rows = list(
             zip(np.split(self.positions, cuts), np.split(self.values, cuts), self.labels.tolist())
         )
+        self._padded = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -66,22 +68,34 @@ class Dataset:
         the arrays are views of the columns, so callers must not write to them."""
         return map(self._rows.__getitem__, order.tolist())
 
-    @cached_property
-    def padded(self) -> PaddedRows:
-        """The rows as :class:`PaddedRows`, built on first use and kept."""
+    def padded(self, keep: int = 0) -> PaddedRows:
+        """The rows as :class:`PaddedRows`, built on first use and kept.
+        Columns ``0..keep-1`` stay in the renumbering whether or not a row
+        uses them, as columns ``0..keep-1`` (a sketch's canonical init lives
+        there)."""
+        if keep in self._padded:
+            return self._padded[keep]
         in_use = np.zeros(self.d, dtype=bool)
         in_use[self.positions] = True
+        in_use[:keep] = True
         used = np.flatnonzero(in_use)
         nnz = np.diff(self.indptr)
-        shape = (len(nnz), int(nnz.max()))
-        row = np.repeat(np.arange(shape[0]), nnz)
+        row = np.repeat(np.arange(len(nnz)), nnz)
         slot = np.arange(self.positions.size) - np.repeat(self.indptr[:-1], nnz)
+        # OpenBLAS's gemv adds the last 3 of 4q + 3 columns as a pair and then
+        # one column, and a block of 4 as one; two padding slots before such a
+        # row's last entry make the padded product add it as the unpadded one
+        # does, so a sketched lane's Z x is the one-row code's, bit for bit
+        tail3 = nnz % 4 == 3
+        slot[self.indptr[1:][tail3] - 1] += 2
+        shape = (len(nnz), int((nnz + 2 * tail3).max()))
         positions = np.full(shape, used.size, dtype=np.int64)
         positions[row, slot] = np.searchsorted(used, self.positions)
         values = np.zeros(shape)
         values[row, slot] = self.values
         sq_norms = np.array([float(v @ v) for _, v, _ in self._rows])
-        return PaddedRows(positions, values, used.size + 1, sq_norms)
+        rows = self._padded[keep] = PaddedRows(positions, values, used.size + 1, sq_norms)
+        return rows
 
 
 def _tokenize(line: str, lineno: int | None) -> tuple[int, list, list]:

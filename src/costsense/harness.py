@@ -3,16 +3,20 @@
 One experiment = pick a step size from the grid on dedicated selection
 permutations, then evaluate the learner prequentially over ``permutations``
 seeded shuffles of the dataset, reporting per-run and aggregate metrics.
-For the learners with O(d) state (:data:`LANE_ALGOS`) each phase is one
-batched pass: ``make_learner`` given a sequence of step sizes builds one
-learner with a lane per value, and each lane reads the rows in its own
-order.  Selection runs a lane per (grid value, selection permutation),
-evaluation a lane per evaluation permutation at the selected value.
-Everything downstream of (config, base seed) is deterministic; elapsed-time
-columns are the only environment-dependent output.  A row's ``elapsed_ms``
-is the wall time of the pass that produced it divided by that pass's lane
-count, so a one-lane pass (every other learner, and every CV fold) reports
-its own time, and the rows of a batched pass add up to the pass's time.
+For the learners of :data:`LANE_ALGOS` (PA-I, COG, diagonal ACOG and the
+sketched learners) each phase is one batched pass: ``make_learner`` given a
+sequence of step sizes builds one learner with a lane per value, and each
+lane reads the rows in its own order.  Selection runs a lane per (grid
+value, selection permutation), evaluation a lane per evaluation permutation
+at the selected value.  A sketched lane carries a sketch of its own, about
+(m + 1) x (u + 2m) doubles with u the columns the rows use.  A random
+sketch init is dense over d, so those passes run one at a time, as do the
+perceptron's, full ACOG's and every CV fold's.  Everything downstream of
+(config, base seed) is deterministic; elapsed-time columns are the only
+environment-dependent output.  A row's ``elapsed_ms`` is the wall time of
+the pass that produced it divided by that pass's lane count, so a one-lane
+pass reports its own time, and the rows of a batched pass add up to the
+pass's time.
 
 Reported ``sum``/``sensitivity``/``specificity`` are percentages; ``cost``
 is in raw units.
@@ -34,6 +38,7 @@ from .data import Dataset, load_dataset, permutation, split_folds
 from .losses import METRICS, CostModel, LossVariant, lane_class_weight, observe_label, resolve_rho
 from .metrics import ConfusionCounts, class_rates, cost_metric, count_mistakes, sum_metric
 from .sacog import SketchedCSGD, SparseSketchedCSGD
+from .sketch import check_size
 
 ALGO_IDS = (
     "perceptron",
@@ -52,8 +57,10 @@ ALGO_IDS = (
 
 # learners whose state is O(d) per step size: selection runs every (grid
 # value, permutation) pair, and evaluation every permutation, as lanes of one
-# batched pass
-LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1-diag", "acog2-diag")
+# batched pass; a sketched lane carries its own sketch (see _runs_as_lanes)
+LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1-diag", "acog2-diag",
+              "sacog1", "sacog2", "ssacog1", "ssacog2")
+SKETCHED_ALGOS = ("sacog1", "sacog2", "ssacog1", "ssacog2")
 # a batched pass gathers the rows of this many (round, lane, slot) entries
 # at a time, about 256 KiB per gathered array
 LANE_GATHER_ENTRIES = 2**15
@@ -297,22 +304,46 @@ def run_single(
     return row
 
 
+def _runs_as_lanes(cfg: ExperimentConfig) -> bool:
+    """Whether ``cfg``'s passes run as lanes: :data:`LANE_ALGOS`, except a
+    random sketch init, which is dense over d and so cannot be compacted
+    onto the columns in use."""
+    random_sketch = cfg.algo in SKETCHED_ALGOS and cfg.sketch_init == "random"
+    return cfg.algo in LANE_ALGOS and not random_sketch
+
+
+def _lane_bytes(cfg: ExperimentConfig, width: int) -> int:
+    """One lane's state over ``width`` columns, in bytes: the weights of PA-I
+    and COG, mu and sigma of diagonal ACOG, or a sketched learner's weights,
+    m sketch rows and m x m factors."""
+    if cfg.algo in SKETCHED_ALGOS:
+        m = cfg.sketch_size
+        return 8 * (m + 1) * (width + 2 * m)
+    return 8 * width * (2 if cfg.algo.startswith("acog") else 1)
+
+
 def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
                orders: list) -> list:
     """:func:`run_single`'s row for each lane g = (``etas[g]``, ``seeds[g]``,
     ``orders[g]``), from one batched pass per block of lanes
-    (:data:`LANE_ALGOS` only).
+    (:func:`_runs_as_lanes` only).
 
-    In round t lane g reads row ``orders[g][t]`` of :attr:`Dataset.padded`,
-    so lane state covers the columns in use plus the padding column, not d.
-    The loop is :func:`_online_pass` with one more axis: :func:`observe_label`
+    In round t lane g reads row ``orders[g][t]`` of :meth:`Dataset.padded`,
+    so lane state covers the columns in use plus the padding column, not d;
+    for a sketched learner the columns of its canonical init, 0..m-1, are
+    kept too, and m is checked against d as a scalar pass checks it.  The
+    loop is :func:`_online_pass` with one more axis: :func:`observe_label`
     and :func:`count_mistakes` take each gathered chunk of rounds, keeping
-    one count per lane.  Blocks keep lane state (two columns per lane at
-    most) within ``FULL_SIGMA_MAX_BYTES``.
+    one count per lane.  Blocks keep lane state (:func:`_lane_bytes` per
+    lane) within ``FULL_SIGMA_MAX_BYTES``.
     """
-    padded = dataset.padded
+    keep = 0
+    if cfg.algo in SKETCHED_ALGOS:
+        keep = cfg.sketch_size
+        check_size(keep, dataset.d)
+    padded = dataset.padded(keep)
     n, k = padded.positions.shape
-    block = max(1, FULL_SIGMA_MAX_BYTES // (16 * padded.width))
+    block = max(1, FULL_SIGMA_MAX_BYTES // _lane_bytes(cfg, padded.width))
     counts = (dataset.t_pos, dataset.t_neg)
     rows = []
     for lo in range(0, len(etas), block):
@@ -356,7 +387,7 @@ def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:
     """
     seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
     orders = [permutation(len(dataset), s) for s in seeds]
-    if cfg.algo in LANE_ALGOS:
+    if _runs_as_lanes(cfg):
         p = len(seeds)
         rows = _lane_pass(cfg, dataset, [eta for eta in grid for _ in seeds],
                           seeds * len(grid), orders * len(grid))
@@ -414,7 +445,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
     table = {}
     eta = grid_select(cfg, dataset, table)
     seeds = [cfg.seed + i for i in range(cfg.permutations)]
-    if cfg.algo in LANE_ALGOS:
+    if _runs_as_lanes(cfg):
         orders = [permutation(len(dataset), s) for s in seeds]
         rows = _lane_pass(cfg, dataset, [eta] * len(seeds), seeds, orders)
     else:
@@ -424,7 +455,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
 
 def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
     """k-fold generalization mode: one online pass over the training folds,
-    then frozen scoring of the held-out fold.
+    then frozen scoring of the held-out fold, whose mistakes are counted once
+    (:func:`count_mistakes`).
 
     The training stream for fold i is a single permutation seeded with
     ``seed + i``; oracle rho comes from the training portion's class counts.
@@ -449,9 +481,10 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
         order = train_idx[permutation(len(train_idx), cfg.seed + i)]
         start = time.perf_counter()
         _online_pass(learner, cm, dataset, order)
-        cc = ConfusionCounts()
-        for positions, values, y in dataset.rows(heldout):
-            cc.record(learner.predict(positions, values)[1], y)
+        scores = np.array([learner.score(p, v) for p, v, _ in dataset.rows(heldout)])
+        labels = dataset.labels[heldout]
+        h_pos = int(np.count_nonzero(labels == 1))
+        cc = ConfusionCounts(h_pos, len(heldout) - h_pos, *map(int, count_mistakes(labels, scores)))
         rows.append(_row(cfg, cfg.seed + i, eta, cc, (time.perf_counter() - start) * 1e3))
     return _report(cfg, eta, rows, table)
 

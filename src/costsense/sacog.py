@@ -7,15 +7,33 @@ mu = w + Z^T b so that every update touches only the current sample's
 support plus m-sized state, never a dense d-vector.  Both advance their
 sketch every round by default, including rounds where the loss guard leaves
 the weights untouched.
+
+Given a sequence of G step sizes either learner runs them as lanes, each
+with a sketch of its own (``sketch.py``'s ``lanes``): column g of the d x G
+``mu`` or ``w`` is lane g's weights, row g of the G x m ``b`` its sketch
+coefficients, and ``scores``/``step`` apply ``score``/``update`` to every
+lane at once, each on its own row, in the layout ``baselines`` describes.
+A lane's state is about (m + 1) x (d + 2m) doubles.  Lanes fall out of
+step under ``sketch_on_loss_only``, so each lane counts its own sketch
+rounds, and a lane whose sketch is not due keeps its state as it is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .baselines import predict_label
-from .losses import LossVariant, gradient_scale, loss
+from .baselines import predict_label, step_sizes
+from .losses import LossVariant, gradient_scale, lane_gradient_scale, loss
 from .sketch import OjaSketch, SparseOjaSketch, to_sketch_vector
+
+
+def _lanes(mask: np.ndarray):
+    """The lanes ``mask`` sets: a slice when it sets all (so that state is
+    read through views), an index array when it sets some, None when none."""
+    if mask.all():
+        return slice(None)
+    lanes = np.flatnonzero(mask)
+    return lanes if lanes.size else None
 
 
 class _SketchedLearner:
@@ -34,17 +52,16 @@ class _SketchedLearner:
         sketch_every: int = 1,
         sketch_on_loss_only: bool = False,
     ):
-        if np.ndim(eta):
-            raise ValueError("sketched learners take one eta, not a sequence")
-        if not (eta > 0.0 and gamma > 0.0):
-            raise ValueError("eta and gamma must be positive")
+        self.eta = step_sizes(eta, "eta")
+        if not gamma > 0.0:
+            raise ValueError("gamma must be positive")
         if sketch_every < 1:
             raise ValueError("sketch_every must be >= 1")
         self.d = d
-        self.eta = eta
         self.gamma = gamma
         self.variant = LossVariant(variant)
-        self.sketch = self.sketch_type(m, d, init=sketch_init, seed=seed)
+        self.lanes = self.eta.size if np.ndim(self.eta) else 0
+        self.sketch = self.sketch_type(m, d, init=sketch_init, seed=seed, lanes=self.lanes)
         self.sketch_every = sketch_every
         self.sketch_on_loss_only = sketch_on_loss_only
         self.rounds = 0
@@ -60,6 +77,15 @@ class _SketchedLearner:
         xhat = to_sketch_vector(values, self.gamma)
         return xhat, self.sketch.update(positions, xhat)
 
+    def _due_lanes(self, active: np.ndarray):
+        """``_advance_sketch``'s rule per lane: count the round and return the
+        lanes whose sketch is due (see :func:`_lanes`)."""
+        due = self.rounds % self.sketch_every == 0
+        self.rounds += 1
+        if not due:
+            return None
+        return _lanes(active) if self.sketch_on_loss_only else slice(None)
+
 
 class SketchedCSGD(_SketchedLearner):
     """Second-order learner over a dense streaming sketch."""
@@ -67,10 +93,14 @@ class SketchedCSGD(_SketchedLearner):
     sketch_type = OjaSketch
 
     def _init_weights(self):
-        self.mu = np.zeros(self.d)
+        self.mu = np.zeros((self.d, *np.shape(self.eta)))
 
     def score(self, positions: np.ndarray, values: np.ndarray) -> float:
         return float(self.mu[positions] @ values)
+
+    def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Every lane's score on its own row (lanes only)."""
+        return np.vecdot(self.mu.take(flat), values)
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)
@@ -88,6 +118,26 @@ class SketchedCSGD(_SketchedLearner):
             self.mu += self.eta * (S.T @ (H * Sg))
         return l
 
+    def step(self, flat, values, y, weight, scores, sq_norms=None):
+        """``update`` on every lane's own row; a lane whose loss is 0 keeps its
+        weights."""
+        a = lane_gradient_scale(self.variant, y, weight, scores)
+        active = a != 0.0
+        positions = flat // self.lanes
+        due = self._due_lanes(active)
+        if due is not None:
+            self.sketch.step(due, positions[due], to_sketch_vector(values[due], self.gamma))
+        act = _lanes(active)
+        if act is None:
+            return
+        sk, a, eta, values = self.sketch, a[act], self.eta[act], values[act]
+        S = np.sqrt(sk.t[act] * sk.lam[act])[..., None] * sk.V[act]
+        rows = S.mT[np.arange(len(a))[:, None], positions[act]]
+        Sg = a[:, None] * (rows.mT @ values[..., None])[..., 0]
+        flat = flat[act]
+        self.mu.put(flat, self.mu.take(flat) - (eta * a)[:, None] * values)
+        self.mu[:, act] += (eta[:, None] * (S.mT @ (sk.H[act] * Sg)[..., None])[..., 0]).T
+
 
 class SparseSketchedCSGD(_SketchedLearner):
     """Sparse sketched learner with the w/b weight split.
@@ -100,8 +150,8 @@ class SparseSketchedCSGD(_SketchedLearner):
     sketch_type = SparseOjaSketch
 
     def _init_weights(self):
-        self.w = np.zeros(self.d)
-        self.b = np.zeros(self.sketch.m)
+        self.w = np.zeros((self.d, *np.shape(self.eta)))
+        self.b = np.zeros((*np.shape(self.eta), self.sketch.m))
 
     def lazy_score(self, positions: np.ndarray, values: np.ndarray) -> float:
         """w . x + b . (Z x) without forming w + Z^T b."""
@@ -110,6 +160,15 @@ class SparseSketchedCSGD(_SketchedLearner):
 
     # uniform learner interface
     score = lazy_score
+
+    def _Zx(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Each lane's Z x on its own row (lanes only)."""
+        rows = self.sketch.Z.reshape(-1, self.sketch.m).take(flat, axis=0)
+        return (rows.mT @ values[..., None])[..., 0]
+
+    def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Every lane's ``lazy_score`` on its own row (lanes only)."""
+        return np.vecdot(self.w.take(flat), values) + np.vecdot(self.b, self._Zx(flat, values))
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.lazy_score(positions, values)
@@ -141,3 +200,33 @@ class SparseSketchedCSGD(_SketchedLearner):
             Zg = a * (sk.Z[:, positions] @ values)
             self.b += self.eta * (sk.F.T @ ((sk.t * sk.lam * sk.H) * (sk.F @ Zg)))
         return l
+
+    def step(self, flat, values, y, weight, scores, sq_norms=None):
+        """``update`` on every lane's own row; a lane whose loss is 0 keeps its
+        weights, and a lane whose sketch is not due its sketch."""
+        a = lane_gradient_scale(self.variant, y, weight, scores)
+        active = a != 0.0
+        due = self._due_lanes(active)
+        w = self.w.take(flat)
+        if due is not None:
+            xhat = to_sketch_vector(values[due], self.gamma)
+            delta, fold = self.sketch.step(due, flat[due], xhat)
+            # update's delta compensation; where delta . b is 0, which update
+            # skips, this subtracts zeros
+            w[due] -= np.vecdot(delta, self.b[due])[:, None] * xhat
+            if fold is not None:
+                lanes, old = fold
+                self.w.put(flat, w)
+                self.w[:, lanes] += (old.mT @ self.b[lanes][..., None])[..., 0].T
+                self.b[lanes] = 0.0
+                w = self.w.take(flat)
+        act = _lanes(active)
+        if act is None:
+            self.w.put(flat, w)
+            return
+        self.w.put(flat, w - (self.eta * a)[:, None] * values)
+        sk, a, eta = self.sketch, a[act], self.eta[act]
+        Zg = a[:, None] * self._Zx(flat[act], values[act])
+        F = sk.F[act]
+        v = (sk.t[act] * sk.lam[act] * sk.H[act]) * (F @ Zg[..., None])[..., 0]
+        self.b[act] += eta[:, None] * (F.mT @ v[..., None])[..., 0]

@@ -16,6 +16,18 @@ Cholesky factor of Q's Gram matrix.  Both stop with
 neither repairs it, so both accept the same gamma: on the bundled toy file
 and the a9a- and ijcnn1-shaped benchmark files, gamma >= 1e-8 runs and
 gamma <= 1e-10 stops.
+
+Given ``lanes=G`` a sketch holds G independent sketches, one per lane, and
+``step`` advances the lanes it is given, each on its own row, with the same
+arithmetic as ``update`` batched over lanes: every m x m factorization is
+one stacked call (:func:`decompose` and :func:`orthonormalize_rows` take
+stacks), so a round costs a few numpy calls whatever G is.  Each lane has
+its own round count ``t`` (a G x 1 column) and ``lam`` (G x m); the dense
+sketch keeps ``V`` as G x m x d, the sparse one ``F``/``K`` as G x m x m and
+``Z`` as d x G x m, so that ``Z.reshape(-1, m)[position * G + g]`` is column
+``position`` of lane g's Z, in the flat addressing of ``baselines``.  Rows
+are gathered as lanes x slots x m and multiplied transposed, the layout in
+which the gather ``Z[:, positions]`` reaches BLAS in ``update``.
 """
 
 from __future__ import annotations
@@ -40,42 +52,56 @@ def to_sketch_vector(values: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _cholesky(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the Gram matrix G of a row basis.  A failed
-    factorization or a pivot <= 1e-10 or NaN means the basis lost rank and
-    raises :class:`SketchConditionError`."""
+    """Lower Cholesky factor of the Gram matrix G of a row basis, or of each
+    matrix of a stack.  A failed factorization or a pivot <= 1e-10 or NaN in
+    any of them means a basis lost rank and raises
+    :class:`SketchConditionError`."""
     try:
         R = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         R = None
     # second-pass pivots are ~1, so there the check only catches NaN
-    if R is None or not np.diagonal(R).min() > 1e-10:
+    if R is None or not np.diagonal(R, axis1=-2, axis2=-1).min() > 1e-10:
         raise SketchConditionError("sketch basis lost rank during re-orthonormalization")
     return R
 
 
 def orthonormalize_rows(V: np.ndarray) -> np.ndarray:
-    """Orthonormalize the rows of V by CholeskyQR2: two passes of
-    V = R^{-1} V with R = cholesky(V V^T).  Returns a new array; V = L Q with
-    L lower triangular, so Q's rows are Gram-Schmidt's.  Lost rank raises
-    :class:`SketchConditionError`."""
+    """Orthonormalize the rows of V (m x d, or a stack of them) by
+    CholeskyQR2: two passes of V = R^{-1} V with R = cholesky(V V^T).
+    Returns a new array; V = L Q with L lower triangular, so Q's rows are
+    Gram-Schmidt's.  Lost rank raises :class:`SketchConditionError`."""
     for _ in range(2):
         # inv(R) @ V, not solve(R, V): on 5 x 1e5 rows, one core of a 2-core
         # Xeon VM, solve took 18 ms a call, the m x m inverse and a matmul 3 ms
-        V = np.linalg.inv(_cholesky(V @ V.T)) @ V
+        V = np.linalg.inv(_cholesky(V @ V.mT)) @ V
     return V
 
 
-class _Sketch:
-    """Size check and eigenvalue estimates ``lam`` shared by both sketches;
-    H = 1/(1 + t*lam) is computed on each read, never stored."""
+def check_size(m: int, d: int) -> None:
+    """A sketch of m rows needs 1 <= m <= d."""
+    if not 1 <= m <= d:
+        raise ValueError(f"sketch size {m} out of range for dimension {d}")
 
-    def __init__(self, m: int, d: int):
-        if not 1 <= m <= d:
-            raise ValueError(f"sketch size {m} out of range for dimension {d}")
+
+def _per_lane(a: np.ndarray, lanes: int) -> np.ndarray:
+    """A copy of ``a`` per lane, stacked on a new first axis; ``a`` itself for
+    one sketch."""
+    return np.repeat(a[None], lanes, axis=0) if lanes else a
+
+
+class _Sketch:
+    """Size check, round count ``t`` and eigenvalue estimates ``lam`` shared
+    by both sketches, one row of each per lane given ``lanes``; H =
+    1/(1 + t*lam) is computed on each read, never stored."""
+
+    def __init__(self, m: int, d: int, lanes: int = 0):
+        check_size(m, d)
         self.m = m
         self.d = d
-        self.t = 0
-        self.lam = np.zeros(m)
+        self.lanes = lanes
+        self.t = np.zeros((lanes, 1), dtype=np.int64) if lanes else 0
+        self.lam = _per_lane(np.zeros(m), lanes)
 
     @property
     def H(self) -> np.ndarray:
@@ -86,9 +112,10 @@ class OjaSketch(_Sketch):
     """Dense streaming sketch: eigenvalue estimates ``lam`` and orthonormal
     row basis ``V``, from which S = sqrt(t*lam) V and H = 1/(1 + t*lam)."""
 
-    def __init__(self, m: int, d: int, init: str = "canonical", seed: int | None = None):
-        super().__init__(m, d)
-        self.V = _init_rows(m, d, init, seed)
+    def __init__(self, m: int, d: int, init: str = "canonical", seed: int | None = None,
+                 lanes: int = 0):
+        super().__init__(m, d, lanes)
+        self.V = _per_lane(_init_rows(m, d, init, seed), lanes)
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> None:
         """One streaming step with the (already scaled) to-sketch vector."""
@@ -99,9 +126,22 @@ class OjaSketch(_Sketch):
         self.V[:, positions] += step * np.outer(p, values)
         self.V = orthonormalize_rows(self.V)
 
+    def step(self, due, positions: np.ndarray, values: np.ndarray) -> None:
+        """``update`` for the lanes ``due`` (a slice or index array): lane
+        ``due[j]`` reads row j of ``positions``/``values``."""
+        self.t[due] += 1
+        step = 1.0 / self.t[due]
+        cols = self.V.mT  # lane g's column c is cols[g, c]
+        lane = np.arange(self.lanes)[due][:, None]
+        rows = cols[lane, positions]
+        p = (rows.mT @ values[..., None])[..., 0]
+        self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
+        cols[lane, positions] = rows + step[..., None] * (values[..., None] * p[:, None])
+        self.V[due] = orthonormalize_rows(self.V[due])
+
     @property
     def S(self) -> np.ndarray:
-        return np.sqrt(self.t * self.lam)[:, None] * self.V
+        return np.sqrt(self.t * self.lam)[..., None] * self.V
 
     def reconstruct_sigma(self) -> np.ndarray:
         """Materialize I_d - S^T H S (diagnostic use; O(m d^2))."""
@@ -113,11 +153,13 @@ class SparseOjaSketch(_Sketch):
     rank-one term per round and F re-orthonormalized in the K = Z Z^T inner
     product; once tr(K) > FOLD_TRACE, Z <- F Z and F, K restart near I."""
 
-    def __init__(self, m: int, d: int, init: str = "canonical", seed: int | None = None):
-        super().__init__(m, d)
-        self.F = np.eye(m)
-        self.Z = _init_rows(m, d, init, seed)
-        self.K = np.eye(m)
+    def __init__(self, m: int, d: int, init: str = "canonical", seed: int | None = None,
+                 lanes: int = 0):
+        super().__init__(m, d, lanes)
+        self.F = _per_lane(np.eye(m), lanes)
+        self.K = _per_lane(np.eye(m), lanes)
+        Z = _init_rows(m, d, init, seed)
+        self.Z = np.repeat(Z.T[:, None], lanes, axis=1) if lanes else Z
         self.last_fold = None
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -142,6 +184,40 @@ class SparseOjaSketch(_Sketch):
             self.F = decompose(np.eye(self.m), self.K)
         return delta
 
+    def step(self, due, flat: np.ndarray, values: np.ndarray):
+        """``update`` for the lanes ``due`` (a slice or index array): lane
+        ``due[j]`` reads row j of ``flat``/``values``.  Returns the lanes'
+        delta (one row each) and, if any lane folded, ``(lanes, old_Z)``:
+        the folded lanes' indices and their Z before the fold, m x d each
+        (``update``'s ``last_fold``)."""
+        self.t[due] += 1
+        step = 1.0 / self.t[due]
+        cols = self.Z.reshape(-1, self.m)  # a view: row position * G + g
+        rows = cols.take(flat, axis=0)
+        Zx = (rows.mT @ values[..., None])[..., 0]
+        F = self.F[due]
+        p = (F @ Zx[..., None])[..., 0]
+        self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
+        delta = step * Zx
+        xx = np.vecdot(values, values)[:, None, None]
+        K = self.K[due] + (Zx[:, :, None] * delta[:, None] + delta[:, :, None] * Zx[:, None]
+                           + xx * (delta[:, :, None] * delta[:, None]))
+        cols[flat] = rows + values[..., None] * delta[:, None]
+        self.K[due] = K
+        self.F[due] = F = decompose(F, K)
+        crossed = K.diagonal(0, 1, 2).sum(axis=1) > FOLD_TRACE
+        if not crossed.any():
+            return delta, None
+        # Z <- F Z in the folding lanes only, each lane's Z as the m x d rows
+        # that update multiplies
+        lanes = np.arange(self.lanes)[due][crossed]
+        old = self.Z[:, lanes].transpose(1, 2, 0).copy()
+        Z = F[crossed] @ old
+        self.Z[:, lanes] = Z.transpose(2, 0, 1)
+        self.K[lanes] = K = Z @ Z.mT
+        self.F[lanes] = decompose(np.eye(self.m), K)
+        return delta, (lanes, old)
+
     def reconstruct_sigma(self) -> np.ndarray:
         """Materialize I_d - Z^T F^T (t * lam * H) F Z (diagnostic use)."""
         FZ = self.F @ self.Z
@@ -152,11 +228,12 @@ def decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Q with Q K Q^T = I and F = L Q, L lower triangular: Gram-Schmidt on the
     rows of F in the inner product a^T K b, done as CholeskyQR2 (two passes of
     R = cholesky(Q K Q^T), Q = R^{-1} Q from Q = F; R's diagonal holds the
-    residual norms).  A failed Cholesky or a pivot <= 1e-10 or NaN means lost
-    rank and raises :class:`SketchConditionError`."""
+    residual norms).  F and K may be stacks of m x m matrices, one Q each.
+    A failed Cholesky or a pivot <= 1e-10 or NaN means lost rank and raises
+    :class:`SketchConditionError`."""
     Q = F
     for _ in range(2):
-        Q = np.linalg.solve(_cholesky(Q @ K @ Q.T), Q)
+        Q = np.linalg.solve(_cholesky(Q @ K @ Q.mT), Q)
     return Q
 
 

@@ -243,6 +243,47 @@ class TestLoadDataset:
             ds[len(ds)]
 
 
+class TestPadded:
+    def test_layout(self, tmp_path):
+        p = tmp_path / "toy.libsvm"
+        p.write_text("+1 4:1\n-1 5:1 7:1 9:1\n")
+        ds = load_dataset(p)
+        rows = ds.padded()
+        # columns 3, 4, 6, 8 renumbered 0..3; padding points at column 4
+        assert rows.width == 5
+        # a row of 3 entries keeps its last two slots on, after two padding slots
+        assert rows.positions.tolist() == [[0, 4, 4, 4, 4], [1, 2, 4, 4, 3]]
+        np.testing.assert_array_equal(rows.values[1], [ds[1][1][0], ds[1][1][1], 0, 0, ds[1][1][2]])
+        np.testing.assert_array_equal(rows.sq_norms, [1.0, float(ds[1][1] @ ds[1][1])])
+        assert ds.padded() is rows
+
+    def test_kept_columns_lead_the_renumbering(self, tmp_path):
+        p = tmp_path / "toy.libsvm"
+        p.write_text("+1 4:1\n-1 2:1 7:1\n")
+        kept = load_dataset(p).padded(3)
+        # columns 0, 1, 2 kept, then 3 and 6; padding points at column 5
+        assert kept.width == 6
+        assert kept.positions.tolist() == [[3, 5], [1, 4]]
+
+    @pytest.mark.parametrize("nnz", range(1, 14))
+    def test_padded_product_is_the_unpadded_one(self, tmp_path, nnz):
+        # a row of nnz entries beside one of 16: m = 5 rows gathered into its
+        # slots as slots x m and multiplied transposed, as a sketched lane
+        # does, give the one-row product bit for bit
+        p = tmp_path / "rows.libsvm"
+        p.write_text("+1 " + " ".join(f"{j}:1" for j in range(1, nnz + 1)) + "\n"
+                     "-1 " + " ".join(f"{j}:1" for j in range(1, 17)) + "\n")
+        rows = load_dataset(p).padded()
+        slots = np.flatnonzero(rows.positions[0] != rows.width - 1)
+        assert slots.size == nnz
+        rng = np.random.default_rng(nnz)
+        for _ in range(50):
+            Z, x = rng.standard_normal((nnz, 5)), rng.standard_normal(nnz)
+            gathered, xp = np.zeros((2, 16, 5)), np.zeros((2, 16))
+            gathered[:, slots], xp[:, slots] = Z, x
+            lanes = (gathered.mT @ xp[..., None])[..., 0]
+            np.testing.assert_array_equal(lanes[1], Z.T @ x)
+
 class TestBenchmarkFiles:
     def test_german_shape(self):
         ds = load_dataset(dataset_or_skip("german.numer"))

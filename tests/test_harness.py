@@ -518,17 +518,18 @@ class TestCli:
         assert cli.main(args + ["1e-12"]) == 2
         assert capsys.readouterr().err.startswith("error: sketch basis lost rank")
 
-    @pytest.mark.parametrize("algo", ["sacog2", "cog2"])
+    @pytest.mark.parametrize("algo", ["sacog2", "cog2", "sacog2 --sketch-init random"])
     def test_allocation_failure_reported(self, algo):
-        # sacog2 fails in the sketch's 5 x d rows, cog2 in the d-long padding
-        # mask; with the child's address space capped at 2 GiB the allocation
-        # fails at once whatever the kernel's overcommit setting
+        # sacog2 and cog2 run as lanes and fail in the d-long mask of the
+        # columns in use, random-init sacog2 runs alone and fails in the
+        # sketch's 5 x d rows; with the child's address space capped at 2 GiB
+        # the allocation fails at once whatever the kernel's overcommit setting
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "costsense.cli", "run",
-             "--dataset", str(TOY), "--algo", algo, "--eta-grid", "1",
+             "--dataset", str(TOY), "--algo", *algo.split(), "--eta-grid", "1",
              "--permutations", "1", "--d-override", str(10**11)],
             capture_output=True, text=True, env=CLI_ENV, preexec_fn=cap_address_space,
         )

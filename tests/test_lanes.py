@@ -9,8 +9,16 @@ pick the eta that a loop over scalar passes picks.  The data are the toy set
 seed-0 ijcnn1-shaped file, written by ``perfbench/workloads.py`` (only read)
 into a temporary directory.  Scalar passes are cached per module and shared
 between the selection and evaluation checks.
+
+The sketched learners, whose lanes each carry a sketch of their own, are
+checked the same way on the toy set with a two-value grid (their scalar
+passes cost about 40 ms each there), under each rho mode and metric and
+each sketch cadence (every round, every third round, loss-active rounds
+only).  Their lane state is checked against scalar learners over a stream
+on which the sparse sketch folds many times.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import sys
@@ -21,9 +29,10 @@ import numpy as np
 import pytest
 
 from costsense import harness
-from costsense.data import load_dataset
+from costsense.data import Dataset, load_dataset
 from costsense.harness import (
     LANE_ALGOS,
+    SKETCHED_ALGOS,
     SELECTION_PERMUTATIONS,
     SELECTION_SEED_OFFSET,
     ExperimentConfig,
@@ -34,6 +43,7 @@ from costsense.harness import (
     selection_rows,
 )
 from costsense.losses import lane_class_weight
+from costsense.sacog import SparseSketchedCSGD
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "datasets" / "toy_imbalanced.libsvm"
@@ -78,7 +88,8 @@ def scalar_rows(cache, cfg, dataset, eta, seeds):
     each pass runs once per dataset."""
     out = []
     for seed in seeds:
-        key = (cfg.algo, cfg.update_rule, cfg.rho_mode, cfg.metric, eta, seed)
+        key = (cfg.algo, cfg.update_rule, cfg.sketch_lazy, cfg.sketch_on_loss_only,
+               cfg.rho_mode, cfg.metric, eta, seed)
         if key not in cache:
             cache[key] = strip(run_single(cfg, dataset, eta, seed))
         out.append(cache[key])
@@ -96,7 +107,7 @@ def scalar_choice(means: dict, metric: str) -> float:
 
 
 def test_every_case_is_a_lane_algo():
-    assert {algo for algo, _ in ALGO_RULES} == set(LANE_ALGOS)
+    assert {algo for algo, _ in ALGO_RULES} | set(SKETCHED_ALGOS) == set(LANE_ALGOS)
 
 
 SELECTION_SEEDS = [SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
@@ -132,11 +143,13 @@ def test_evaluation_lanes_match_scalar_passes(dataset, scalar_cache, algo, rule,
         scalar_cache, cfg, dataset, report.eta, SELECTION_SEEDS)
 
 
-@pytest.mark.parametrize("algo,rule", ALGO_RULES)
+@pytest.mark.parametrize("algo,rule", ALGO_RULES + [("sacog2", "new"), ("ssacog2", "new")])
 def test_compaction_is_invisible(algo, rule):
-    # far more columns than the toy set uses: lane state covers the used ones only
+    # far more columns than the toy set uses: lane state covers the used ones
+    # (and a sketch's first m) only
     narrow, wide = load_dataset(TOY), load_dataset(TOY, d_override=100_000)
-    assert wide.padded.width == narrow.padded.width < 20
+    assert wide.padded().width == narrow.padded().width < 20
+    assert wide.padded(5).width == narrow.padded(5).width < 20
     cfg = ExperimentConfig(algo=algo, update_rule=rule, rho_mode="laplace", permutations=3)
     a, b = run_experiment(cfg, narrow), run_experiment(cfg, wide)
     assert (a.eta, a.grid) == (b.eta, b.grid)
@@ -148,7 +161,7 @@ def test_lane_blocks_follow_the_memory_policy(monkeypatch):
     ds = load_dataset(TOY)
     cfg = ExperimentConfig(algo="acog2-diag", rho_mode="laplace", permutations=3)
     whole = run_experiment(cfg, ds)
-    monkeypatch.setattr(harness, "FULL_SIGMA_MAX_BYTES", 16 * ds.padded.width)
+    monkeypatch.setattr(harness, "FULL_SIGMA_MAX_BYTES", 16 * ds.padded().width)
     blocks = run_experiment(cfg, ds)
     assert (blocks.eta, blocks.grid) == (whole.eta, whole.grid)
     assert [strip(r) for r in blocks.rows] == [strip(r) for r in whole.rows]
@@ -210,3 +223,164 @@ def test_lane_state_tracks_scalar_learners(algo, rule):
         for got, scalar in pairs:
             atol = 1e-12 * max(1.0, np.abs(scalar).max())
             np.testing.assert_allclose(got, scalar, rtol=1e-12, atol=atol)
+
+
+SKETCH_GRID = (0.1, 10.0)
+CADENCES = {"every": {}, "lazy3": dict(sketch_lazy=3), "lossonly": dict(sketch_on_loss_only=True)}
+# every rho mode and metric for the variant-II learners, one for variant I,
+# and each cadence for all four
+SKETCH_CASES = [(algo, "every", "oracle", "sum") for algo in SKETCHED_ALGOS]
+SKETCH_CASES += [(algo, "every", rho_mode, metric) for algo in ("sacog2", "ssacog2")
+                 for rho_mode in ("oracle", "laplace", "fixed:2.5") for metric in ("sum", "cost")
+                 if (rho_mode, metric) != ("oracle", "sum")]
+SKETCH_CASES += [(algo, cadence, "laplace", "sum") for algo in SKETCHED_ALGOS
+                 for cadence in ("lazy3", "lossonly")]
+
+
+@pytest.fixture(scope="module")
+def toy():
+    return load_dataset(TOY)
+
+
+@pytest.fixture(scope="module")
+def sketch_cache():
+    """Scalar rows of the sketched learners on the toy set, keyed by config and pass."""
+    return {}
+
+
+def sketch_config(algo, cadence, rho_mode, metric, **kw):
+    return ExperimentConfig(algo=algo, rho_mode=rho_mode, metric=metric, eta_grid=SKETCH_GRID,
+                            **CADENCES[cadence], **kw)
+
+
+@pytest.mark.parametrize("algo,cadence,rho_mode,metric", SKETCH_CASES)
+def test_sketched_lanes_match_scalar_passes(toy, sketch_cache, monkeypatch, algo, cadence,
+                                            rho_mode, metric):
+    # the rows grid_select chooses from, kept from its own selection pass
+    passes = []
+    rows_of = harness.selection_rows
+
+    def kept(*args):
+        passes.append(rows_of(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(harness, "selection_rows", kept)
+    cfg = sketch_config(algo, cadence, rho_mode, metric)
+    table = {}
+    chosen = grid_select(cfg, toy, table)
+    scalar = {eta: scalar_rows(sketch_cache, cfg, toy, eta, SELECTION_SEEDS)
+              for eta in SKETCH_GRID}
+    (lanes,) = passes
+    for eta in SKETCH_GRID:
+        assert [strip(r) for r in lanes[eta]] == scalar[eta], eta
+    means = {eta: float(np.mean([r[metric] for r in rows])) for eta, rows in scalar.items()}
+    assert chosen == scalar_choice(means, metric)
+    assert table == means
+
+
+@pytest.mark.parametrize("algo,cadence,rho_mode,metric", SKETCH_CASES)
+def test_sketched_evaluation_lanes_match_scalar_passes(toy, sketch_cache, algo, cadence,
+                                                       rho_mode, metric):
+    # one evaluation pass at each grid value; its seeds are the selection
+    # seeds of base seed 0, whose scalar passes the test above has cached
+    cfg = sketch_config(algo, cadence, rho_mode, metric, permutations=SELECTION_PERMUTATIONS,
+                        seed=SELECTION_SEED_OFFSET)
+    for eta in SKETCH_GRID:
+        report = run_experiment(dataclasses.replace(cfg, eta_grid=(eta,)), toy)
+        assert [strip(r) for r in report.rows] == scalar_rows(
+            sketch_cache, cfg, toy, eta, SELECTION_SEEDS)
+
+
+def test_random_sketch_init_stays_scalar(toy, monkeypatch):
+    # a random init is dense over d: no lane pass may run it
+    monkeypatch.setattr(harness, "_lane_pass", None)
+    cfg = ExperimentConfig(algo="ssacog2", sketch_init="random", eta_grid=SKETCH_GRID,
+                           permutations=2)
+    assert len(run_experiment(cfg, toy).rows) == 2
+
+
+@pytest.mark.parametrize("algo", ["sacog2", "ssacog2"])
+def test_oversized_sketch_refused_by_lane_passes(toy, algo):
+    # the compacted width is at least m + 1, so m is checked against d itself
+    cfg = ExperimentConfig(algo=algo, sketch_size=toy.d + 1, eta_grid=SKETCH_GRID)
+    with pytest.raises(ValueError) as scalar:
+        run_single(cfg, toy, 1.0, 0)
+    with pytest.raises(ValueError) as selection:
+        grid_select(cfg, toy)
+    with pytest.raises(ValueError) as evaluation:
+        run_experiment(ExperimentConfig(algo=algo, sketch_size=toy.d + 1, eta_grid=(1.0,)), toy)
+    assert str(selection.value) == str(evaluation.value) == str(scalar.value)
+    assert "sketch size 11 out of range for dimension 10" in str(scalar.value)
+
+
+def test_sketched_lane_blocks_follow_the_memory_policy(toy, monkeypatch):
+    # a byte budget of one sketched lane runs one lane per pass; rows do not change
+    cfg = ExperimentConfig(algo="ssacog2", eta_grid=SKETCH_GRID, rho_mode="laplace",
+                           sketch_on_loss_only=True, permutations=3)
+    whole = run_experiment(cfg, toy)
+    one_lane = harness._lane_bytes(cfg, toy.padded(cfg.sketch_size).width)
+    monkeypatch.setattr(harness, "FULL_SIGMA_MAX_BYTES", one_lane)
+    blocks = run_experiment(cfg, toy)
+    assert (blocks.eta, blocks.grid) == (whole.eta, whole.grid)
+    assert [strip(r) for r in blocks.rows] == [strip(r) for r in whole.rows]
+
+
+def sketched_state(lanes, j, learners, d):
+    """(lane, scalar) pairs of lane j's state and learner j's."""
+    sk, learner = lanes.sketch, learners[j]
+    scalar = learner.sketch
+    pairs = [(sk.lam[j], scalar.lam)]
+    if isinstance(learner, SparseSketchedCSGD):
+        return pairs + [(lanes.w[:d, j], learner.w), (lanes.b[j], learner.b),
+                        (sk.Z[:d, j].T, scalar.Z), (sk.F[j], scalar.F), (sk.K[j], scalar.K)]
+    return pairs + [(lanes.mu[:d, j], learner.mu), (sk.V[j, :, :d], scalar.V)]
+
+
+@pytest.mark.parametrize("cadence", ["every", "lossonly"])
+@pytest.mark.parametrize("algo", ["sacog2", "ssacog2"])
+def test_sketched_lane_state_tracks_scalar_learners(algo, cadence):
+    # gamma 1e-2 on rows of norm 1 to 3: the sparse sketch folds every few
+    # rounds, in each lane at its own time.  Lane j reads rows j * rounds ..,
+    # laid out as Dataset.padded lays them out for a lane pass
+    rng = np.random.default_rng(11)
+    d, k, rounds = 30, 8, 250
+    grid = [0.01, 0.1, 1.0, 10.0]
+    g = len(grid)
+    nnz = rng.integers(1, k + 1, size=g * rounds)
+    positions = np.concatenate([np.sort(rng.choice(d, n, replace=False)) for n in nnz])
+    values = rng.standard_normal(positions.size)
+    indptr = np.concatenate([[0], np.cumsum(nnz)])
+    norms = np.sqrt(np.add.reduceat(values * values, indptr[:-1]))
+    values *= np.repeat(rng.uniform(1.0, 3.0, size=nnz.size) / norms, nnz)
+    labels = np.where(rng.random(nnz.size) < 0.3, 1, -1)
+    t_pos = int(np.count_nonzero(labels == 1))
+    ds = Dataset(labels, indptr, positions, values, d, t_pos, nnz.size - t_pos)
+    cfg = ExperimentConfig(algo=algo, gamma=1e-2, **CADENCES[cadence])
+    padded = ds.padded(cfg.sketch_size)
+    assert padded.width == d + 1
+    lanes = make_learner(cfg, padded.width, grid)
+    learners = [make_learner(cfg, d, eta) for eta in grid]
+    lane = np.arange(g)[:, None]
+    folds = 0
+    for t in range(rounds):
+        rows = np.arange(g) * rounds + t
+        flat = padded.positions[rows] * g + lane
+        y = labels[rows].astype(np.float64)
+        rho = 1.0 + 4.0 * rng.random(g)
+        s = lanes.scores(flat, padded.values[rows])
+        for j, learner in enumerate(learners):
+            p, x, label = ds[int(rows[j])]
+            assert s[j] == learner.score(p, x)
+            learner.update(p, x, label, rho[j])
+            folds += getattr(learner.sketch, "last_fold", None) is not None
+        lanes.step(flat, padded.values[rows], y, lane_class_weight(y, rho), s)
+        for j, learner in enumerate(learners):
+            assert lanes.sketch.t[j, 0] == learner.sketch.t
+            for got, want in sketched_state(lanes, j, learners, d):
+                atol = 1e-12 * max(1.0, np.abs(want).max())
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+    if algo == "ssacog2":
+        assert folds >= 10 * g
+        assert (lanes.w[d] == 0.0).all() and (lanes.sketch.Z[d] == 0.0).all()  # padding column
+    else:
+        assert (lanes.mu[d] == 0.0).all() and (lanes.sketch.V[:, :, d] == 0.0).all()

@@ -298,6 +298,27 @@ class TestDecompose:
             decompose(np.eye(2), np.full((2, 2), np.nan))
 
 
+class TestStacks:
+    def test_stacked_results_equal_each_slice(self):
+        # one stacked call per factorization serves every lane, bit for bit
+        rng = np.random.default_rng(5)
+        F = rng.standard_normal((6, 4, 4))
+        Z = rng.standard_normal((6, 4, 9))
+        K = Z @ Z.mT
+        Q = decompose(F, K)
+        V = orthonormalize_rows(Z)
+        for g in range(6):
+            np.testing.assert_array_equal(Q[g], decompose(F[g], K[g]))
+            np.testing.assert_array_equal(V[g], orthonormalize_rows(Z[g]))
+
+    def test_lost_rank_in_one_lane_raises(self):
+        good = np.eye(2)
+        with pytest.raises(SketchConditionError, match="rank"):
+            decompose(np.stack([good, good]), np.stack([good, np.full((2, 2), np.nan)]))
+        collapsed = np.array([[1.0, 0.0, 0.0], [0.0, 1e-11, 0.0]])
+        with pytest.raises(SketchConditionError, match="rank"):
+            orthonormalize_rows(np.stack([np.eye(3)[:2], collapsed]))
+
 class TestDegenerateRows:
     @pytest.mark.parametrize(
         "second_row",

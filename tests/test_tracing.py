@@ -6,7 +6,7 @@ breaks only traced benchmark runs, so this test installs the unmodified
 tracer, runs small experiments under both protocols on the toy set, and
 checks that the learner counters were hit.  The batched lane passes of the
 online protocol call no patched learner method, so CV runs exercise the
-scalar updates of the lane learners.
+scalar updates of the lane learners, the sketched ones included.
 """
 
 import importlib.util
@@ -35,9 +35,10 @@ def test_tracer_installs_and_counts_every_learner_layer(tmp_path):
         ds = load_dataset(TOY)
         runs = [(run_experiment, algo, dict(eta_grid=(0.1, 1.0), permutations=2))
                 for algo in ("cog2", "acog2-diag", "ssacog2")]
-        # online cog2/acog2-diag run as batched lanes; CV keeps their scalar updates
+        # online cog2/acog2-diag/ssacog2 run as batched lanes; CV keeps their
+        # scalar updates
         runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3))
-                 for algo in ("acog2", "sacog2", "cog2", "acog2-diag")]
+                 for algo in ("acog2", "sacog2", "ssacog2", "cog2", "acog2-diag")]
         for run, algo, kw in runs:
             span = tracer.open("experiment", algo=algo,
                                mode="cv" if run is run_cv else "experiment")
