@@ -1,7 +1,8 @@
 """LIBSVM-format data loading, per-sample normalization, and seeded shuffling.
 
-Feature indices are 1-based on disk (LIBSVM convention); every row the
-package hands out is ``(positions, values, label)`` with the 0-based
+Feature indices are 1-based on disk (LIBSVM convention); a loaded
+:class:`Dataset` is its columns, and every row it hands out is
+``(positions, values, label)``, sliced from them, with the 0-based
 ``positions`` through which learners address weight vectors.  Passes that
 read a different row per lane take all rows at once from ``Dataset.padded()``.
 """
@@ -9,7 +10,7 @@ read a different row per lane take all rows at once from ``Dataset.padded()``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -20,9 +21,9 @@ class LibsvmFormatError(ValueError):
 
 
 class PaddedRows(NamedTuple):
-    """Every row at once, padded to the longest: row ``i`` is
-    ``positions[i]``/``values[i]`` (n x K).  Positions are renumbered onto the
-    columns some row uses, plus any kept leading columns, in order;
+    """Every row of a :class:`Dataset` at once, padded to the longest: row
+    ``i`` is ``positions[i]``/``values[i]`` (n x K).  Positions are renumbered
+    onto the columns some row uses, plus any kept leading columns, in order;
     ``width - 1`` is a column no row uses, and every padding slot points there
     with value 0.0.  A row of 4q + 3 entries has two padding slots before its
     last entry."""
@@ -35,7 +36,7 @@ class PaddedRows(NamedTuple):
 
 @dataclass(eq=False)
 class Dataset:
-    """Samples stored as columns (CSR), plus the counts the learners need.
+    """Samples stored as columns (CSR), and the class counts of ``labels``.
 
     Row ``i`` is ``labels[i]`` (+1/-1) with the 0-based feature ``positions``
     and unit-norm ``values`` in ``indptr[i]:indptr[i + 1]``.
@@ -46,27 +47,29 @@ class Dataset:
     positions: np.ndarray
     values: np.ndarray
     d: int
-    t_pos: int
-    t_neg: int
+    t_pos: int = field(init=False)
+    t_neg: int = field(init=False)
 
     def __post_init__(self):
-        # one (positions, values, label) tuple per row: cheaper per round than slicing
-        cuts = self.indptr[1:-1]
-        self._rows = list(
-            zip(np.split(self.positions, cuts), np.split(self.values, cuts), self.labels.tolist())
-        )
+        self.t_pos = int(np.count_nonzero(self.labels == 1))
+        self.t_neg = self.labels.size - self.t_pos
         self._padded = {}
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self.labels.size
 
     def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray, int]:
-        return self._rows[i]
+        """Row ``i`` as :meth:`rows` gives it; indices follow a list's rules."""
+        lo, hi = self.indptr[:-1][i], self.indptr[1:][i]
+        return self.positions[lo:hi], self.values[lo:hi], int(self.labels[i])
 
     def rows(self, order: np.ndarray):
         """``(positions, values, label)`` of each row index in ``order``, in turn;
         the arrays are views of the columns, so callers must not write to them."""
-        return map(self._rows.__getitem__, order.tolist())
+        positions, values = self.positions, self.values
+        for lo, hi, y in zip(self.indptr[:-1][order].tolist(), self.indptr[1:][order].tolist(),
+                             self.labels[order].tolist()):
+            yield positions[lo:hi], values[lo:hi], y
 
     def padded(self, keep: int = 0) -> PaddedRows:
         """The rows as :class:`PaddedRows`, built on first use and kept.
@@ -93,7 +96,8 @@ class Dataset:
         positions[row, slot] = np.searchsorted(used, self.positions)
         values = np.zeros(shape)
         values[row, slot] = self.values
-        sq_norms = np.array([float(v @ v) for _, v, _ in self._rows])
+        # row by row as PA-I's one-row code: a vectorized sum differs on rows of 16+
+        sq_norms = np.array([float(v @ v) for _, v, _ in self.rows(np.arange(len(nnz)))])
         rows = self._padded[keep] = PaddedRows(positions, values, used.size + 1, sq_norms)
         return rows
 
@@ -166,7 +170,7 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
     higher feature indices than this file; it may not shrink it.
     """
     labels, indptr, indices, values, norms = [], [0], [], [], []
-    # an overflowing norm is refused below, not warned about
+    # norm() takes sqrt(x @ x); where x @ x overflows, the row is rescaled below
     with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip() or raw.lstrip().startswith("#"):
@@ -178,7 +182,10 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
                     f"line {lineno}: all-zero feature vector cannot be normalized"
                 )
             if n == math.inf:
-                raise LibsvmFormatError(f"line {lineno}: feature vector norm overflows float64")
+                # divided by its largest magnitude, the row's norm lies in [1, sqrt(nnz)]
+                top = max(map(abs, val))
+                val = [v / top for v in val]
+                n = float(np.linalg.norm(val))
             labels.append(label)
             indices += idx
             values += val
@@ -193,9 +200,8 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
             raise ValueError(f"d_override {d_override} below observed max index {d}")
         d = d_override
     values = np.array(values) / np.repeat(norms, np.diff(indptr))
-    t_pos = labels.count(1)
     return Dataset(np.array(labels, dtype=np.int64), np.array(indptr, dtype=np.int64),
-                   positions, values, d, t_pos, len(labels) - t_pos)
+                   positions, values, d)
 
 
 def permutation(n: int, seed: int) -> np.ndarray:

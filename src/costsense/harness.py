@@ -83,15 +83,7 @@ CSV_COLUMNS = (
     "mistakes_neg",
     "elapsed_ms",
 )
-CSV_STD_COLUMNS = (
-    "sum_std",
-    "cost_std",
-    "sensitivity_std",
-    "specificity_std",
-    "mistakes_pos_std",
-    "mistakes_neg_std",
-    "elapsed_ms_std",
-)
+CSV_STD_COLUMNS = tuple(c + "_std" for c in CSV_COLUMNS[3:])
 
 PAPER_ETA_GRID = tuple(10.0**k for k in range(-5, 6))
 
@@ -378,6 +370,16 @@ def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
     return rows
 
 
+def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
+               orders: list) -> list:
+    """:func:`run_single`'s row for each (``etas[g]``, ``seeds[g]``,
+    ``orders[g]``): batched by :func:`_lane_pass` where
+    :func:`_runs_as_lanes`, else one pass each."""
+    if _runs_as_lanes(cfg):
+        return _lane_pass(cfg, dataset, etas, seeds, orders)
+    return [run_single(cfg, dataset, eta, s, order=o) for eta, s, o in zip(etas, seeds, orders)]
+
+
 def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:
     """Each grid value's rows on the selection permutations, in seed order.
 
@@ -387,15 +389,10 @@ def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:
     """
     seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
     orders = [permutation(len(dataset), s) for s in seeds]
-    if _runs_as_lanes(cfg):
-        p = len(seeds)
-        rows = _lane_pass(cfg, dataset, [eta for eta in grid for _ in seeds],
-                          seeds * len(grid), orders * len(grid))
-        return {eta: rows[i * p:(i + 1) * p] for i, eta in enumerate(grid)}
-    return {
-        eta: [run_single(cfg, dataset, eta, s, order=o) for s, o in zip(seeds, orders)]
-        for eta in grid
-    }
+    p = len(seeds)
+    rows = _pass_rows(cfg, dataset, [eta for eta in grid for _ in seeds],
+                      seeds * len(grid), orders * len(grid))
+    return {eta: rows[i * p:(i + 1) * p] for i, eta in enumerate(grid)}
 
 
 def grid_select(cfg: ExperimentConfig, dataset: Dataset, table: dict | None = None) -> float:
@@ -422,8 +419,7 @@ def aggregate_rows(rows: list) -> tuple[dict, dict]:
     """Mean and sample std per metric column, independent of row order."""
     rows = sorted(rows, key=lambda r: r["seed"])
     agg, std = {}, {}
-    for key in ("sum", "cost", "sensitivity", "specificity",
-                "mistakes_pos", "mistakes_neg", "elapsed_ms"):
+    for key in CSV_COLUMNS[3:]:
         vals = np.array([r[key] for r in rows], dtype=np.float64)
         agg[key] = float(np.mean(vals))
         std[key] = float(np.std(vals, ddof=1)) if len(rows) > 1 else 0.0
@@ -445,11 +441,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
     table = {}
     eta = grid_select(cfg, dataset, table)
     seeds = [cfg.seed + i for i in range(cfg.permutations)]
-    if _runs_as_lanes(cfg):
-        orders = [permutation(len(dataset), s) for s in seeds]
-        rows = _lane_pass(cfg, dataset, [eta] * len(seeds), seeds, orders)
-    else:
-        rows = [run_single(cfg, dataset, eta, s) for s in seeds]
+    orders = [permutation(len(dataset), s) for s in seeds]
+    rows = _pass_rows(cfg, dataset, [eta] * len(seeds), seeds, orders)
     return _report(cfg, eta, rows, table)
 
 
@@ -507,7 +500,7 @@ def emit_csv(report: RunReport, path) -> None:
         lines.append(",".join(cells))
     agg_cells = ["aggregate", "", _cell(report.eta)]
     agg_cells += [_cell(report.aggregate[c]) for c in CSV_COLUMNS[3:]]
-    agg_cells += [_cell(report.std[c.removesuffix("_std")]) for c in CSV_STD_COLUMNS]
+    agg_cells += [_cell(report.std[c]) for c in CSV_COLUMNS[3:]]
     lines.append(",".join(agg_cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from costsense.data import (
+    Dataset,
     LibsvmFormatError,
     load_dataset,
     parse_libsvm_line,
@@ -175,7 +176,6 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("line,message", [
         ("+1 99999999999999999999:1", "feature index 99999999999999999999 past the int64 range"),
-        ("+1 1:1e308 2:1e308", "feature vector norm overflows float64"),
     ])
     def test_out_of_range_row_rejected_at_load(self, tmp_path, line, message):
         p = tmp_path / "huge.libsvm"
@@ -183,12 +183,14 @@ class TestLoadDataset:
         with pytest.raises(LibsvmFormatError, match=f"^line 2: {message}$"):
             load_dataset(p)
 
-    def test_large_finite_norm_kept(self, tmp_path):
-        # its squared norm, 2e306, is still finite
+    @pytest.mark.parametrize("value,unit", [
+        (1e153, 0.7071067811865476),  # x @ x = 2e306 is finite: x / norm(x)
+        (1e308, 0.7071067811865475),  # x @ x overflows: x / 1e308 / sqrt(2)
+    ], ids=["1e153", "1e308"])
+    def test_large_finite_norm_kept(self, tmp_path, value, unit):
         p = tmp_path / "large.libsvm"
-        p.write_text("+1 1:1e153 2:1e153\n")
-        row = np.array([1e153, 1e153])
-        assert load_dataset(p)[0][1].tolist() == (row / np.linalg.norm(row)).tolist()
+        p.write_text(f"+1 1:{value} 2:{value}\n")
+        assert load_dataset(p)[0][1].tolist() == [unit] * 2
 
     def test_samples_normalized(self, tmp_path):
         p = tmp_path / "toy.libsvm"
@@ -229,7 +231,18 @@ class TestLoadDataset:
         ds = load_dataset(p)
         rows = list(ds.rows(np.array([2, 0, 2])))
         assert [y for _, _, y in rows] == [1, 1, 1]
+        assert all(type(y) is int for _, _, y in rows)
         assert [p.tolist() for p, _, _ in rows] == [[3], [0], [3]]
+        # rows are views of the columns, not copies
+        assert all(np.shares_memory(v, ds.values) for _, v, _ in rows)
+        assert list(ds.rows(np.array([], dtype=np.int64))) == []
+
+    def test_class_counts_come_from_the_labels(self):
+        labels = np.array([1, -1, -1, 1, -1])
+        ds = Dataset(labels, np.arange(6), np.zeros(5, dtype=np.int64), np.ones(5), 1)
+        assert (ds.t_pos, ds.t_neg) == (2, 3)
+        with pytest.raises(TypeError):
+            Dataset(labels, np.arange(6), np.zeros(5, dtype=np.int64), np.ones(5), 1, 4, 1)
 
     def test_indexing_behaves_like_a_list(self, tmp_path):
         p = tmp_path / "toy.libsvm"

@@ -539,7 +539,6 @@ class TestCli:
 
     @pytest.mark.parametrize("line,message", [
         ("+1 99999999999999999999:1", "feature index 99999999999999999999 past the int64 range"),
-        ("+1 1:1e308 2:1e308", "feature vector norm overflows float64"),
     ])
     def test_unloadable_row_reported_with_its_line(self, tmp_path, line, message):
         data = tmp_path / "huge.libsvm"

@@ -353,8 +353,7 @@ def test_sketched_lane_state_tracks_scalar_learners(algo, cadence):
     norms = np.sqrt(np.add.reduceat(values * values, indptr[:-1]))
     values *= np.repeat(rng.uniform(1.0, 3.0, size=nnz.size) / norms, nnz)
     labels = np.where(rng.random(nnz.size) < 0.3, 1, -1)
-    t_pos = int(np.count_nonzero(labels == 1))
-    ds = Dataset(labels, indptr, positions, values, d, t_pos, nnz.size - t_pos)
+    ds = Dataset(labels, indptr, positions, values, d)
     cfg = ExperimentConfig(algo=algo, gamma=1e-2, **CADENCES[cadence])
     padded = ds.padded(cfg.sketch_size)
     assert padded.width == d + 1
