@@ -170,20 +170,21 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
     higher feature indices than this file; it may not shrink it.
     """
     labels, indptr, indices, values, norms = [], [0], [], [], []
-    # norm() takes sqrt(x @ x); where x @ x overflows, the row is rescaled below
+    # norm() takes sqrt(x @ x); where x @ x overflows, or is zero or subnormal
+    # (norm below 2**-511), the row is rescaled below
     with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
             label, idx, val = _tokenize(raw, lineno)
             n = float(np.linalg.norm(val))
-            if n == 0.0:
-                raise LibsvmFormatError(
-                    f"line {lineno}: all-zero feature vector cannot be normalized"
-                )
-            if n == math.inf:
+            if not 2.0**-511 <= n < math.inf:
+                top = max(map(abs, val), default=0.0)
+                if top == 0.0:
+                    raise LibsvmFormatError(
+                        f"line {lineno}: all-zero feature vector cannot be normalized"
+                    )
                 # divided by its largest magnitude, the row's norm lies in [1, sqrt(nnz)]
-                top = max(map(abs, val))
                 val = [v / top for v in val]
                 n = float(np.linalg.norm(val))
             labels.append(label)

@@ -8,10 +8,11 @@ sketched learners) each phase is one batched pass: ``make_learner`` given a
 sequence of step sizes builds one learner with a lane per value, and each
 lane reads the rows in its own order.  Selection runs a lane per (grid
 value, selection permutation), evaluation a lane per evaluation permutation
-at the selected value.  A sketched lane carries a sketch of its own, about
-(m + 1) x (u + 2m) doubles with u the columns the rows use.  A random
-sketch init is dense over d, so those passes run one at a time, as do the
-perceptron's, full ACOG's and every CV fold's.  Everything downstream of
+at the selected value, and k-fold mode a lane per fold, whose frozen lane
+then scores the fold's held-out rows.  A sketched lane carries a sketch of
+its own, about (m + 1) x (u + 2m) doubles with u the columns the rows use.
+A random sketch init is dense over d, so those passes run one at a time, as
+do the perceptron's and full ACOG's.  Everything downstream of
 (config, base seed) is deterministic; elapsed-time columns are the only
 environment-dependent output.  A row's ``elapsed_ms`` is the wall time of
 the pass that produced it divided by that pass's lane count, so a one-lane
@@ -314,45 +315,44 @@ def _lane_bytes(cfg: ExperimentConfig, width: int) -> int:
     return 8 * width * (2 if cfg.algo.startswith("acog") else 1)
 
 
-def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
-               orders: list) -> list:
-    """:func:`run_single`'s row for each lane g = (``etas[g]``, ``seeds[g]``,
-    ``orders[g]``), from one batched pass per block of lanes
-    (:func:`_runs_as_lanes` only).
+def _class_counts(dataset: Dataset, rows: np.ndarray) -> tuple[int, int]:
+    """(T_p, T_n) of the rows with indices ``rows``."""
+    t_pos = int(np.count_nonzero(dataset.labels[rows] == 1))
+    return t_pos, len(rows) - t_pos
 
-    In round t lane g reads row ``orders[g][t]`` of :meth:`Dataset.padded`,
-    so lane state covers the columns in use plus the padding column, not d;
-    for a sketched learner the columns of its canonical init, 0..m-1, are
-    kept too, and m is checked against d as a scalar pass checks it.  The
-    loop is :func:`_online_pass` with one more axis: :func:`observe_label`
-    and :func:`count_mistakes` take each gathered chunk of rounds, keeping
-    one count per lane.  Blocks keep lane state (:func:`_lane_bytes` per
-    lane) within ``FULL_SIGMA_MAX_BYTES``.
-    """
-    keep = 0
-    if cfg.algo in SKETCHED_ALGOS:
-        keep = cfg.sketch_size
-        check_size(keep, dataset.d)
-    padded = dataset.padded(keep)
-    n, k = padded.positions.shape
-    block = max(1, FULL_SIGMA_MAX_BYTES // _lane_bytes(cfg, padded.width))
-    counts = (dataset.t_pos, dataset.t_neg)
-    rows = []
-    for lo in range(0, len(etas), block):
-        lane_orders = orders[lo:lo + block]
-        g = len(lane_orders)
-        lanes = make_learner(cfg, padded.width, etas[lo:lo + block])
-        cm = make_cost_model(cfg, counts)
-        lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
-        m_pos = m_neg = 0
-        chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
-        start = time.perf_counter()
-        for t0 in range(0, n, chunk):
-            idx = np.stack([order[t0:t0 + chunk] for order in lane_orders], axis=1)
-            flat = padded.positions[idx] * g + lane
-            values = padded.values[idx]
+
+def _frozen_pass(cfg: ExperimentConfig, dataset: Dataset, eta: float, seed: int,
+                 order: np.ndarray, counts: tuple[int, int], heldout: np.ndarray) -> dict:
+    """One online pass over ``order``, whose class counts are ``counts``,
+    then the row of the frozen learner's scores on the rows ``heldout``."""
+    learner = make_learner(cfg, dataset.d, eta)
+    cm = make_cost_model(cfg, counts)
+    start = time.perf_counter()
+    _online_pass(learner, cm, dataset, order)
+    scores = np.array([learner.score(p, v) for p, v, _ in dataset.rows(heldout)])
+    mistakes = map(int, count_mistakes(dataset.labels[heldout], scores))
+    cc = ConfusionCounts(*_class_counts(dataset, heldout), *mistakes)
+    return _row(cfg, seed, eta, cc, (time.perf_counter() - start) * 1e3)
+
+
+def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool = True):
+    """Each lane's positive and negative mistakes on its rows ``orders[g]``,
+    all equally long.  With ``step`` this is :func:`_online_pass` with one
+    more axis: every lane scores its row and steps on it, round by round,
+    and :func:`observe_label` (``cm``, None for the rho-free learners) and
+    :func:`count_mistakes` take each gathered chunk of rounds, keeping one
+    count per lane.  Without, the frozen lanes score a chunk at once."""
+    g, k = len(orders), padded.positions.shape[1]
+    lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
+    chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
+    m_pos = m_neg = 0
+    for t0 in range(0, len(orders[0]), chunk):
+        idx = np.stack([order[t0:t0 + chunk] for order in orders], axis=1)
+        flat = padded.positions[idx] * g + lane
+        values = padded.values[idx]
+        y = dataset.labels[idx].astype(np.float64)
+        if step:
             sq_norms = padded.sq_norms[idx]
-            y = dataset.labels[idx].astype(np.float64)
             # the rho-free learners ignore rho
             weight = lane_class_weight(y, observe_label(cm, y) if cm is not None else 1.0)
             scores = np.empty(idx.shape)
@@ -360,24 +360,76 @@ def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
                 f, v = flat[t], values[t]
                 s = scores[t] = lanes.scores(f, v)
                 lanes.step(f, v, y[t], weight[t], s, sq_norms[t])
-            pos, neg = count_mistakes(y, scores)
-            m_pos, m_neg = m_pos + pos, m_neg + neg
-        elapsed_ms = (time.perf_counter() - start) * 1e3 / g
-        for eta, seed, mp, mn in zip(etas[lo:lo + block], seeds[lo:lo + block],
-                                     m_pos.tolist(), m_neg.tolist()):
-            cc = ConfusionCounts(dataset.t_pos, dataset.t_neg, mp, mn)
-            rows.append(_row(cfg, seed, eta, cc, elapsed_ms))
+        else:
+            scores = lanes.scores(flat, values)
+        pos, neg = count_mistakes(y, scores)
+        m_pos, m_neg = m_pos + pos, m_neg + neg
+    return m_pos, m_neg
+
+
+def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
+               orders: list, counts: list | None = None, heldout: list | None = None) -> list:
+    """:func:`_pass_rows`'s row for each lane g, from one batched pass per
+    block of lanes (:func:`_runs_as_lanes` only).
+
+    In round t lane g reads row ``orders[g][t]`` of :meth:`Dataset.padded`,
+    so lane state covers the columns in use plus the padding column, not d;
+    for a sketched learner the columns of its canonical init, 0..m-1, are
+    kept too, and m is checked against d as a scalar pass checks it.  Each
+    lane's oracle rho comes from its own class counts.  Lanes whose
+    orders (and held-out rows) are equally long form a group, so every lane
+    reads a real row in every round; a group runs in blocks that keep lane
+    state (:func:`_lane_bytes` per lane) within ``FULL_SIGMA_MAX_BYTES``.
+    With ``heldout``, each block then scores its lanes' held-out rows
+    frozen, in the same layout (:func:`_lane_rounds`).
+    """
+    keep = 0
+    if cfg.algo in SKETCHED_ALGOS:
+        keep = cfg.sketch_size
+        check_size(keep, dataset.d)
+    padded = dataset.padded(keep)
+    block = max(1, FULL_SIGMA_MAX_BYTES // _lane_bytes(cfg, padded.width))
+    if counts is None:
+        counts = [(dataset.t_pos, dataset.t_neg)] * len(orders)
+
+    def length(g):
+        return len(orders[g]), 0 if heldout is None else len(heldout[g])
+
+    rows = [None] * len(orders)
+    for _, group in itertools.groupby(sorted(range(len(orders)), key=length), key=length):
+        group = list(group)
+        for lo in range(0, len(group), block):
+            ids = group[lo:lo + block]
+            lanes = make_learner(cfg, padded.width, [etas[i] for i in ids])
+            cms = [make_cost_model(cfg, counts[i]) for i in ids]
+            cm = cms[0]
+            if cm is not None:
+                cm.rho = np.array([c.rho for c in cms])
+            start = time.perf_counter()
+            mistakes = _lane_rounds(lanes, cm, dataset, padded, [orders[i] for i in ids])
+            if heldout is not None:
+                mistakes = _lane_rounds(lanes, None, dataset, padded, [heldout[i] for i in ids],
+                                        step=False)
+            elapsed_ms = (time.perf_counter() - start) * 1e3 / len(ids)
+            for i, mp, mn in zip(ids, *(m.tolist() for m in mistakes)):
+                tally = counts[i] if heldout is None else _class_counts(dataset, heldout[i])
+                cc = ConfusionCounts(*tally, mp, mn)
+                rows[i] = _row(cfg, seeds[i], etas[i], cc, elapsed_ms)
     return rows
 
 
 def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
-               orders: list) -> list:
-    """:func:`run_single`'s row for each (``etas[g]``, ``seeds[g]``,
-    ``orders[g]``): batched by :func:`_lane_pass` where
-    :func:`_runs_as_lanes`, else one pass each."""
+               orders: list, counts: list | None = None, heldout: list | None = None) -> list:
+    """The row of each pass g at step size ``etas[g]`` over ``orders[g]``,
+    whose class counts (T_p, T_n) are ``counts[g]``, the dataset's unless
+    given: a prequential pass's as :func:`run_single` gives it, or with
+    ``heldout`` :func:`_frozen_pass`'s on the rows ``heldout[g]``.  Batched
+    by :func:`_lane_pass` where :func:`_runs_as_lanes`, else one pass each."""
     if _runs_as_lanes(cfg):
-        return _lane_pass(cfg, dataset, etas, seeds, orders)
-    return [run_single(cfg, dataset, eta, s, order=o) for eta, s, o in zip(etas, seeds, orders)]
+        return _lane_pass(cfg, dataset, etas, seeds, orders, counts, heldout)
+    if heldout is None:
+        return [run_single(cfg, dataset, eta, s, order=o) for eta, s, o in zip(etas, seeds, orders)]
+    return [_frozen_pass(cfg, dataset, *lane) for lane in zip(etas, seeds, orders, counts, heldout)]
 
 
 def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:
@@ -453,32 +505,29 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
 
     The training stream for fold i is a single permutation seeded with
     ``seed + i``; oracle rho comes from the training portion's class counts.
+    The folds run as the lanes of :func:`_pass_rows`: fold sizes differ by
+    at most one, so their lanes form at most two groups of equal lengths.
     """
     if cfg.folds < 2:
         raise ValueError("run_cv needs folds >= 2")
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
-    # the fold count is checked against the row count before any selection pass
+    # the fold count is checked against the row count, and every fold's
+    # oracle rho, before any pass
     folds = split_folds(len(dataset), cfg.folds, cfg.seed)
-    table = {}
-    eta = grid_select(cfg, dataset, table)
-    rows = []
+    orders, counts = [], []
     for i, heldout in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        t_pos = int(np.count_nonzero(dataset.labels[train_idx] == 1))
+        counts.append(_class_counts(dataset, train_idx))
         try:
-            learner = make_learner(cfg, dataset.d, eta)
-            cm = make_cost_model(cfg, (t_pos, len(train_idx) - t_pos))
+            make_cost_model(cfg, counts[-1])
         except ValueError as exc:  # e.g. oracle rho of a training fold with no positives
             raise ValueError(f"CV fold {i + 1} of {cfg.folds}: {exc}") from None
-        order = train_idx[permutation(len(train_idx), cfg.seed + i)]
-        start = time.perf_counter()
-        _online_pass(learner, cm, dataset, order)
-        scores = np.array([learner.score(p, v) for p, v, _ in dataset.rows(heldout)])
-        labels = dataset.labels[heldout]
-        h_pos = int(np.count_nonzero(labels == 1))
-        cc = ConfusionCounts(h_pos, len(heldout) - h_pos, *map(int, count_mistakes(labels, scores)))
-        rows.append(_row(cfg, cfg.seed + i, eta, cc, (time.perf_counter() - start) * 1e3))
+        orders.append(train_idx[permutation(len(train_idx), cfg.seed + i)])
+    table = {}
+    eta = grid_select(cfg, dataset, table)
+    seeds = [cfg.seed + i for i in range(cfg.folds)]
+    rows = _pass_rows(cfg, dataset, [eta] * cfg.folds, seeds, orders, counts, folds)
     return _report(cfg, eta, rows, table)
 
 

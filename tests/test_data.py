@@ -192,6 +192,22 @@ class TestLoadDataset:
         p.write_text(f"+1 1:{value} 2:{value}\n")
         assert load_dataset(p)[0][1].tolist() == [unit] * 2
 
+    @pytest.mark.parametrize("values,unit", [
+        ([1e-200], 1.0),  # x @ x underflows to 0
+        ([1e-160, 1e-160], 0.7071067811865475),  # x @ x = 2e-320 is subnormal
+    ], ids=["1e-200", "1e-160"])
+    def test_small_nonzero_norm_kept(self, tmp_path, values, unit):
+        p = tmp_path / "small.libsvm"
+        p.write_text("+1 " + " ".join(f"{i}:{v}" for i, v in enumerate(values, start=1)) + "\n")
+        assert load_dataset(p)[0][1].tolist() == [unit] * len(values)
+
+    def test_zero_vector_rejected_with_its_line(self, tmp_path):
+        p = tmp_path / "zero.libsvm"
+        p.write_text("+1 1:1e-200\n-1 1:0 2:-0.0\n")
+        with pytest.raises(LibsvmFormatError,
+                           match="^line 2: all-zero feature vector cannot be normalized$"):
+            load_dataset(p)
+
     def test_samples_normalized(self, tmp_path):
         p = tmp_path / "toy.libsvm"
         p.write_text("+1 1:3 2:4\n")

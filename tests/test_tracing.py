@@ -4,9 +4,11 @@
 the class that owns them, and module functions by name.  Moving one of them
 breaks only traced benchmark runs, so this test installs the unmodified
 tracer, runs small experiments under both protocols on the toy set, and
-checks that the learner counters were hit.  The batched lane passes of the
-online protocol call no patched learner method, so CV runs exercise the
-scalar updates of the lane learners, the sketched ones included.
+checks that the learner counters were hit.  The batched lane passes of
+both protocols call no patched learner method, so the scalar updates are
+reached through the passes that stay scalar: CV runs of the perceptron, of
+full ACOG and of the sketched learners with a random sketch init, and one
+traced pass of diagonal ACOG.
 """
 
 import importlib.util
@@ -35,10 +37,14 @@ def test_tracer_installs_and_counts_every_learner_layer(tmp_path):
         ds = load_dataset(TOY)
         runs = [(run_experiment, algo, dict(eta_grid=(0.1, 1.0), permutations=2))
                 for algo in ("cog2", "acog2-diag", "ssacog2")]
-        # online cog2/acog2-diag/ssacog2 run as batched lanes; CV keeps their
-        # scalar updates
-        runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3))
-                 for algo in ("acog2", "sacog2", "ssacog2", "cog2", "acog2-diag")]
+        # the lane learners run as batched lanes under both protocols; the
+        # perceptron, full ACOG and a random sketch init keep scalar updates
+        runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3)) for algo in ("acog2", "perceptron")]
+        runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3, sketch_init="random"))
+                 for algo in ("sacog2", "ssacog2")]
+        # and so does a traced pass, run through the patched harness function
+        runs += [(lambda cfg, ds: costsense.harness.run_single(cfg, ds, 1.0, 0, collect_trace=True),
+                  "acog2-diag", {})]
         for run, algo, kw in runs:
             span = tracer.open("experiment", algo=algo,
                                mode="cv" if run is run_cv else "experiment")
