@@ -8,9 +8,11 @@ then descends the loss subgradient preconditioned by the covariance.  Both
 steps read only the sample's support and update ``sigma`` in place; a
 diagonal mode keeps only the diagonal of ``sigma`` for O(nnz) rounds.  Given
 a sequence of G step sizes the diagonal learner runs them as lanes: column g
-of the d x G ``mu`` and ``sigma`` is the learner with value g, and
-``scores``/``step`` apply ``score``/``update`` to every lane, each on its own
-row, in the layout ``baselines`` describes.
+of the d x G ``mu`` and ``sigma`` is the learner with value g.  ``advance``
+runs a chunk of rounds, in each of which every lane scores its own row and
+takes ``update``'s step on it, and ``scores`` scores frozen lanes, in the
+layout ``baselines`` describes: the caller owns the chunks, labels and rho,
+the learner the rounds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import predict_label, step_sizes
-from .losses import LossVariant, gradient_scale, lane_gradient_scale, loss
+from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
 
 # Largest full sigma allocated (d = 16384): a fixed policy, not a measured limit.
 FULL_SIGMA_MAX_BYTES = 2**31
@@ -94,7 +96,8 @@ class AdaptiveCSGD:
         return float(self.mu[positions] @ values)
 
     def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Every lane's score on its own row (lanes only)."""
+        """Each frozen lane's scores on its own rows (lanes only; any leading
+        axes are rounds)."""
         return np.vecdot(self.mu.take(flat), values)
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
@@ -124,17 +127,25 @@ class AdaptiveCSGD:
         self.mu -= self.eta * step
         return l
 
-    def step(self, flat, values, y, weight, scores, sq_norms=None):
-        """``update`` on every lane's own row; a lane whose loss is 0 keeps its
-        state."""
-        a = lane_gradient_scale(self.variant, y, weight, scores)
-        if not np.count_nonzero(a):
-            return
-        before = self.sigma.take(flat)
-        # covariance_update_diag per lane; passive lanes shrink by zero
-        sx = before * values
-        denom = self.gamma + np.vecdot(values, sx)
-        after = before - (sx * sx) / denom[:, None] * (a != 0.0)[:, None]
-        self.sigma.put(flat, after)
-        sigma_used = after if self.update_rule == "new" else before
-        self.mu.put(flat, self.mu.take(flat) - (self.eta * a)[:, None] * sigma_used * values)
+    def advance(self, flat, values, y, weight, sq_norms=None):
+        """``update`` on every lane's own row, round by round over a chunk
+        (lanes only); returns the chunk's scores.  A lane whose loss is 0
+        keeps its state."""
+        mu, sigma = self.mu.reshape(-1), self.sigma.reshape(-1)  # views
+        eta_slope = self.eta * lane_slope(self.variant, y, weight)
+        scores = np.empty(flat.shape[:2])
+        for t, (f, x) in enumerate(zip(flat, values)):
+            rows = mu[f]
+            s = scores[t] = np.vecdot(rows, x)
+            active = lane_active(self.variant, y[t], weight[t], s)
+            if not np.count_nonzero(active):
+                continue
+            on = active[:, None]
+            before = sigma[f]
+            # covariance_update_diag per lane; passive lanes shrink by zero
+            sx = before * x
+            denom = self.gamma + np.vecdot(x, sx)
+            after = sigma[f] = before - (sx * sx) / denom[:, None] * on
+            sigma_used = after if self.update_rule == "new" else before
+            mu[f] = np.subtract(rows, eta_slope[t][:, None] * sigma_used * x, out=rows, where=on)
+        return scores

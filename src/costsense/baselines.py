@@ -9,19 +9,25 @@ Ties score = 0 predict +1 everywhere in this package.
 PA-I and COG given a sequence of G step sizes run them as lanes: column g
 of the d x G weights is the learner with value g.  Each lane reads its own
 row in a round, so one batch covers every (step size, permutation) pair of
-a selection, or every permutation of an evaluation.  ``scores``/``step``
-apply ``score``/``update`` to every lane at once: row g of their
-``flat``/``values`` (G x K, K the longest row) is lane g's sample, addressed
-as ``position * G + g`` in the C-order weights and padded with value 0.0 at
-a position no sample uses; ``y``, ``weight`` (``losses.class_weight``)
-and ``sq_norms`` (``values @ values``) hold one entry per lane.
+a selection, or every permutation of an evaluation.  ``advance(flat,
+values, y, weight, sq_norms)`` runs a chunk of rounds (axis 0) and returns
+their scores: in each round every lane scores its row and then takes
+``update``'s step on it.  Row g of a round's ``flat``/``values`` (G x K, K
+the longest row) is lane g's sample, addressed as ``position * G + g`` in
+the C-order weights and padded with value 0.0 at a position no sample uses;
+``y``, ``weight`` (``losses.class_weight``) and ``sq_norms`` (``values @
+values``) hold one entry per round and lane.  The caller owns the chunks,
+the labels and rho; the learner owns the rounds.  Whatever does not depend
+on a round's scores (the slope and ``eta`` times it, and COG's step along
+x) is computed once per chunk, and the weights a lane's score gathers are
+the ones its step updates.  ``scores`` gives the scores of frozen lanes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .losses import LossVariant, gradient_scale, lane_gradient_scale, loss
+from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
 
 
 def predict_label(score: float) -> int:
@@ -55,8 +61,9 @@ class LinearLearner:
         return float(self.w[positions] @ values)
 
     def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Every lane's score on its own row (d x G weights only): one dot
-        product per lane, as ``score`` takes it."""
+        """Each frozen lane's scores on its own rows (d x G weights only; any
+        leading axes are rounds): one dot product per row, as ``score``
+        takes it."""
         return np.vecdot(self.w.take(flat), values)
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
@@ -95,13 +102,21 @@ class PassiveAggressiveI(LinearLearner):
         self.w[positions] += tau * y * values
         return hinge
 
-    def step(self, flat, values, y, weight, scores, sq_norms):
-        """``update`` on every lane's own row, given each row's ``values @
-        values``; a lane whose hinge is 0 takes a zero step."""
-        hinge = np.fmax(0.0, 1.0 - y * scores)  # max(0.0, nan) is 0.0, as in update
-        if np.count_nonzero(hinge):
-            tau = np.minimum(self.C, hinge / sq_norms)
-            self.w.put(flat, self.w.take(flat) + (tau * y)[:, None] * values)
+    def advance(self, flat, values, y, weight, sq_norms):
+        """``update`` on every lane's own row, round by round over a chunk,
+        given each row's ``values @ values``; returns the chunk's scores.
+        PA-I is rho-free: its hinge is the variant-II loss at weight 1, and
+        a lane whose hinge is 0 keeps its weights."""
+        w = self.w.reshape(-1)  # a view: entry position * G + g
+        scores = np.empty(flat.shape[:2])
+        for t, (f, x, yt) in enumerate(zip(flat, values, y)):
+            rows = w[f]
+            s = scores[t] = np.vecdot(rows, x)
+            active = lane_active(LossVariant.II, yt, 1.0, s)
+            if np.count_nonzero(active):
+                tau = np.minimum(self.C, (1.0 - yt * s) / sq_norms[t])
+                w[f] = np.add(rows, (tau * yt)[:, None] * x, out=rows, where=active[:, None])
+        return scores
 
 
 class CostSensitiveGD(LinearLearner):
@@ -123,9 +138,17 @@ class CostSensitiveGD(LinearLearner):
             self.w[positions] -= self.eta * a * values
         return l
 
-    def step(self, flat, values, y, weight, scores, sq_norms=None):
-        """``update`` on every lane's own row; a lane whose loss is 0 takes a
-        zero step."""
-        a = lane_gradient_scale(self.variant, y, weight, scores)
-        if np.count_nonzero(a):
-            self.w.put(flat, self.w.take(flat) - (self.eta * a)[:, None] * values)
+    def advance(self, flat, values, y, weight, sq_norms=None):
+        """``update`` on every lane's own row, round by round over a chunk;
+        returns the chunk's scores.  A lane whose loss is 0 keeps its
+        weights."""
+        w = self.w.reshape(-1)  # a view: entry position * G + g
+        step = (self.eta * lane_slope(self.variant, y, weight))[..., None] * values
+        scores = np.empty(flat.shape[:2])
+        for t, (f, x) in enumerate(zip(flat, values)):
+            rows = w[f]
+            s = scores[t] = np.vecdot(rows, x)
+            active = lane_active(self.variant, y[t], weight[t], s)
+            if np.count_nonzero(active):
+                w[f] = np.subtract(rows, step[t], out=rows, where=active[:, None])
+        return scores

@@ -338,10 +338,13 @@ def _frozen_pass(cfg: ExperimentConfig, dataset: Dataset, eta: float, seed: int,
 def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool = True):
     """Each lane's positive and negative mistakes on its rows ``orders[g]``,
     all equally long.  With ``step`` this is :func:`_online_pass` with one
-    more axis: every lane scores its row and steps on it, round by round,
-    and :func:`observe_label` (``cm``, None for the rho-free learners) and
-    :func:`count_mistakes` take each gathered chunk of rounds, keeping one
-    count per lane.  Without, the frozen lanes score a chunk at once."""
+    more axis, split between two owners: this loop owns the chunks, labels,
+    rho and mistakes, gathering each chunk of rounds, folding its labels
+    into rho (:func:`observe_label`, ``cm`` None for the rho-free learners)
+    and counting its mistakes (:func:`count_mistakes`, one count per lane);
+    the learner's ``advance`` owns the rounds, in each of which every lane
+    scores its row and steps on it.  Without, the frozen lanes score a chunk
+    at once."""
     g, k = len(orders), padded.positions.shape[1]
     lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
     chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
@@ -352,14 +355,9 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
         values = padded.values[idx]
         y = dataset.labels[idx].astype(np.float64)
         if step:
-            sq_norms = padded.sq_norms[idx]
             # the rho-free learners ignore rho
             weight = lane_class_weight(y, observe_label(cm, y) if cm is not None else 1.0)
-            scores = np.empty(idx.shape)
-            for t in range(len(idx)):
-                f, v = flat[t], values[t]
-                s = scores[t] = lanes.scores(f, v)
-                lanes.step(f, v, y[t], weight[t], s, sq_norms[t])
+            scores = lanes.advance(flat, values, y, weight, padded.sq_norms[idx])
         else:
             scores = lanes.scores(flat, values)
         pos, neg = count_mistakes(y, scores)

@@ -53,14 +53,21 @@ def lane_class_weight(y: np.ndarray, rho) -> np.ndarray:
     return np.where(y == 1, rho, 1.0)
 
 
-def lane_gradient_scale(variant: LossVariant, y: np.ndarray, weight: np.ndarray,
-                        scores: np.ndarray) -> np.ndarray:
-    """:func:`gradient_scale` of :func:`loss` per lane, from each lane's label,
-    class weight and score, with the same floating-point tests: 0.0 where
-    that loss is 0."""
+def lane_slope(variant: LossVariant, y: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """:func:`gradient_scale` of an active loss per lane, from each lane's
+    label and class weight (any shape, e.g. a chunk of rounds): ``-y`` for
+    variant I, ``-weight * y`` for variant II."""
     if variant == LossVariant.I:
-        return np.where(weight - y * scores > 0.0, -y, 0.0)
-    return np.where(weight * (1.0 - y * scores) > 0.0, -weight * y, 0.0)
+        return -y
+    return -weight * y
+
+
+def lane_active(variant: LossVariant, y: np.ndarray, weight, scores: np.ndarray) -> np.ndarray:
+    """Where each lane's :func:`loss` is > 0, by the same floating-point test;
+    a NaN score is passive."""
+    if variant == LossVariant.I:
+        return weight - y * scores > 0.0
+    return weight * (1.0 - y * scores) > 0.0
 
 
 # the metrics a cost model optimizes, named as in ExperimentConfig

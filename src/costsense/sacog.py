@@ -11,11 +11,16 @@ the weights untouched.
 Given a sequence of G step sizes either learner runs them as lanes, each
 with a sketch of its own (``sketch.py``'s ``lanes``): column g of the d x G
 ``mu`` or ``w`` is lane g's weights, row g of the G x m ``b`` its sketch
-coefficients, and ``scores``/``step`` apply ``score``/``update`` to every
-lane at once, each on its own row, in the layout ``baselines`` describes.
-A lane's state is about (m + 1) x (d + 2m) doubles.  Lanes fall out of
-step under ``sketch_on_loss_only``, so each lane counts its own sketch
-rounds, and a lane whose sketch is not due keeps its state as it is.
+coefficients.  ``advance`` runs a chunk of rounds, in each of which every
+lane scores its own row and takes ``update``'s step on it, and ``scores``
+scores frozen lanes, in the layout ``baselines`` describes: the caller owns
+the chunks, labels and rho, the learner the rounds.  Per chunk it computes
+the slope, ``eta`` times the slope along x and the sketch's xhat (and xhat
+@ xhat); per round, the weights and Z rows gathered for the score are the
+ones the step updates.  A lane's state is about (m + 1) x (d + 2m)
+doubles.  Lanes fall out of step under ``sketch_on_loss_only``, so each
+lane counts its own sketch rounds, and a lane whose sketch is not due
+keeps its state as it is.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import predict_label, step_sizes
-from .losses import LossVariant, gradient_scale, lane_gradient_scale, loss
-from .sketch import OjaSketch, SparseOjaSketch, to_sketch_vector
+from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
+from .sketch import OjaSketch, SparseOjaSketch, lane_products, sketch_inputs, to_sketch_vector
 
 
 def _lanes(mask: np.ndarray):
@@ -99,7 +104,8 @@ class SketchedCSGD(_SketchedLearner):
         return float(self.mu[positions] @ values)
 
     def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Every lane's score on its own row (lanes only)."""
+        """Each frozen lane's scores on its own rows (lanes only; any leading
+        axes are rounds)."""
         return np.vecdot(self.mu.take(flat), values)
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
@@ -118,25 +124,34 @@ class SketchedCSGD(_SketchedLearner):
             self.mu += self.eta * (S.T @ (H * Sg))
         return l
 
-    def step(self, flat, values, y, weight, scores, sq_norms=None):
-        """``update`` on every lane's own row; a lane whose loss is 0 keeps its
+    def advance(self, flat, values, y, weight, sq_norms=None):
+        """``update`` on every lane's own row, round by round over a chunk;
+        returns the chunk's scores.  A lane whose loss is 0 keeps its
         weights."""
-        a = lane_gradient_scale(self.variant, y, weight, scores)
-        active = a != 0.0
+        mu, sk = self.mu.reshape(-1), self.sketch  # mu as a view: entry position * G + g
+        slope = lane_slope(self.variant, y, weight)
+        step = (self.eta * slope)[..., None] * values
         positions = flat // self.lanes
-        due = self._due_lanes(active)
-        if due is not None:
-            self.sketch.step(due, positions[due], to_sketch_vector(values[due], self.gamma))
-        act = _lanes(active)
-        if act is None:
-            return
-        sk, a, eta, values = self.sketch, a[act], self.eta[act], values[act]
-        S = np.sqrt(sk.t[act] * sk.lam[act])[..., None] * sk.V[act]
-        rows = S.mT[np.arange(len(a))[:, None], positions[act]]
-        Sg = a[:, None] * (rows.mT @ values[..., None])[..., 0]
-        flat = flat[act]
-        self.mu.put(flat, self.mu.take(flat) - (eta * a)[:, None] * values)
-        self.mu[:, act] += (eta[:, None] * (S.mT @ (sk.H[act] * Sg)[..., None])[..., 0]).T
+        xhat = to_sketch_vector(values, self.gamma)
+        scores = np.empty(flat.shape[:2])
+        for t, (f, x) in enumerate(zip(flat, values)):
+            rows = mu[f]
+            s = scores[t] = np.vecdot(rows, x)
+            active = lane_active(self.variant, y[t], weight[t], s)
+            due = self._due_lanes(active)
+            if due is not None:
+                sk.step(due, positions[t][due], xhat[t][due])
+            act = _lanes(active)
+            if act is None:
+                continue
+            a, x = slope[t][act], x[act]
+            tl = sk.t[act] * sk.lam[act]  # the sketch's H is 1 / (1 + tl)
+            S = np.sqrt(tl)[..., None] * sk.V[act]
+            Sg = a[:, None] * lane_products(S.mT[np.arange(len(a))[:, None], positions[t][act]], x)
+            mu[f[act]] = rows[act] - step[t][act]
+            HSg = 1.0 / (1.0 + tl) * Sg
+            self.mu[:, act] += (self.eta[act][:, None] * (S.mT @ HSg[..., None])[..., 0]).T
+        return scores
 
 
 class SparseSketchedCSGD(_SketchedLearner):
@@ -161,14 +176,12 @@ class SparseSketchedCSGD(_SketchedLearner):
     # uniform learner interface
     score = lazy_score
 
-    def _Zx(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Each lane's Z x on its own row (lanes only)."""
-        rows = self.sketch.Z.reshape(-1, self.sketch.m).take(flat, axis=0)
-        return (rows.mT @ values[..., None])[..., 0]
-
     def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Every lane's ``lazy_score`` on its own row (lanes only)."""
-        return np.vecdot(self.w.take(flat), values) + np.vecdot(self.b, self._Zx(flat, values))
+        """Each frozen lane's ``lazy_score`` on its own rows (lanes only; any
+        leading axes are rounds)."""
+        Z = self.sketch.Z.reshape(-1, self.sketch.m)
+        return np.vecdot(self.w.take(flat), values) + np.vecdot(
+            self.b, lane_products(Z.take(flat, axis=0), values))
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.lazy_score(positions, values)
@@ -201,32 +214,42 @@ class SparseSketchedCSGD(_SketchedLearner):
             self.b += self.eta * (sk.F.T @ ((sk.t * sk.lam * sk.H) * (sk.F @ Zg)))
         return l
 
-    def step(self, flat, values, y, weight, scores, sq_norms=None):
-        """``update`` on every lane's own row; a lane whose loss is 0 keeps its
+    def advance(self, flat, values, y, weight, sq_norms=None):
+        """``update`` on every lane's own row, round by round over a chunk;
+        returns the chunk's scores.  A lane whose loss is 0 keeps its
         weights, and a lane whose sketch is not due its sketch."""
-        a = lane_gradient_scale(self.variant, y, weight, scores)
-        active = a != 0.0
-        due = self._due_lanes(active)
-        w = self.w.take(flat)
-        if due is not None:
-            xhat = to_sketch_vector(values[due], self.gamma)
-            delta, fold = self.sketch.step(due, flat[due], xhat)
-            # update's delta compensation; where delta . b is 0, which update
-            # skips, this subtracts zeros
-            w[due] -= np.vecdot(delta, self.b[due])[:, None] * xhat
-            if fold is not None:
-                lanes, old = fold
-                self.w.put(flat, w)
-                self.w[:, lanes] += (old.mT @ self.b[lanes][..., None])[..., 0].T
-                self.b[lanes] = 0.0
-                w = self.w.take(flat)
-        act = _lanes(active)
-        if act is None:
-            self.w.put(flat, w)
-            return
-        self.w.put(flat, w - (self.eta * a)[:, None] * values)
-        sk, a, eta = self.sketch, a[act], self.eta[act]
-        Zg = a[:, None] * self._Zx(flat[act], values[act])
-        F = sk.F[act]
-        v = (sk.t[act] * sk.lam[act] * sk.H[act]) * (F @ Zg[..., None])[..., 0]
-        self.b[act] += eta[:, None] * (F.mT @ v[..., None])[..., 0]
+        w, sk = self.w.reshape(-1), self.sketch  # w as a view: entry position * G + g
+        Z = sk.Z.reshape(-1, sk.m)  # a view: row position * G + g
+        slope = lane_slope(self.variant, y, weight)
+        step = (self.eta * slope)[..., None] * values
+        xhat, xx = sketch_inputs(values, self.gamma)
+        scores = np.empty(flat.shape[:2])
+        for t, (f, x) in enumerate(zip(flat, values)):
+            rows, zrows = w[f], Z.take(f, axis=0)
+            s = scores[t] = np.vecdot(rows, x) + np.vecdot(self.b, lane_products(zrows, x))
+            active = lane_active(self.variant, y[t], weight[t], s)
+            due = self._due_lanes(active)
+            if due is not None:
+                xh = xhat[t][due]
+                delta, zrows[due], fold = sk.step(due, f[due], xh, zrows[due], xx[t][due])
+                # update's delta compensation; where delta . b is 0, which
+                # update skips, this subtracts zeros
+                rows[due] -= np.vecdot(delta, self.b[due])[:, None] * xh
+                if fold is not None:
+                    lanes, old = fold
+                    w[f] = rows
+                    self.w[:, lanes] += (old.mT @ self.b[lanes][..., None])[..., 0].T
+                    self.b[lanes] = 0.0
+                    rows, zrows = w[f], Z.take(f, axis=0)
+            act = _lanes(active)
+            if act is None:
+                if due is not None:
+                    w[f] = rows
+                continue
+            w[f] = np.subtract(rows, step[t], out=rows, where=active[:, None])
+            a, tl, F = slope[t][act], sk.t[act] * sk.lam[act], sk.F[act]
+            Zg = a[:, None] * lane_products(zrows[act], x[act])
+            # t lam H, with the sketch's H = 1 / (1 + t lam)
+            v = (tl * (1.0 / (1.0 + tl))) * (F @ Zg[..., None])[..., 0]
+            self.b[act] += self.eta[act][:, None] * (F.mT @ v[..., None])[..., 0]
+        return scores

@@ -26,8 +26,16 @@ its own round count ``t`` (a G x 1 column) and ``lam`` (G x m); the dense
 sketch keeps ``V`` as G x m x d, the sparse one ``F``/``K`` as G x m x m and
 ``Z`` as d x G x m, so that ``Z.reshape(-1, m)[position * G + g]`` is column
 ``position`` of lane g's Z, in the flat addressing of ``baselines``.  Rows
-are gathered as lanes x slots x m and multiplied transposed, the layout in
-which the gather ``Z[:, positions]`` reaches BLAS in ``update``.
+are gathered as lanes x slots x m and multiplied transposed
+(:func:`lane_products`), the layout in which the gather ``Z[:, positions]``
+reaches BLAS in ``update``.  The sparse sketch's ``step`` takes the rows
+its learner gathered to score the round, and the values' ``xhat @ xhat``
+its learner computed once per chunk (:func:`sketch_inputs`), and returns
+the rows it wrote back.
+
+Overflow and invalid values in a step's arithmetic, which an extreme gamma
+brings about, end in a pivot that :func:`_cholesky` reports as
+:class:`SketchConditionError`; numpy does not warn of them first.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ import numpy as np
 # Past this trace the sketch folds F into Z, which brings K back to I.
 FOLD_TRACE = 1e6
 
+# numpy's error state for a sketch step's arithmetic (see the module docstring)
+QUIET = {"over": "ignore", "invalid": "ignore"}
+
 
 class SketchConditionError(RuntimeError):
     """The sketch basis lost rank during re-orthonormalization."""
@@ -49,6 +60,20 @@ def to_sketch_vector(values: np.ndarray, gamma: float) -> np.ndarray:
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     return values / np.sqrt(gamma)
+
+
+def sketch_inputs(values: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's to-sketch vector xhat (:func:`to_sketch_vector`; rows lie
+    on the last axis) and ``xhat @ xhat``."""
+    xhat = to_sketch_vector(values, gamma)
+    with np.errstate(**QUIET):
+        return xhat, np.vecdot(xhat, xhat)
+
+
+def lane_products(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each lane's Z x from its gathered rows (lanes x slots x m) and its
+    values (lanes x slots), as ``update`` multiplies ``Z[:, positions]``."""
+    return (rows.mT @ values[..., None])[..., 0]
 
 
 def _cholesky(G: np.ndarray) -> np.ndarray:
@@ -119,25 +144,27 @@ class OjaSketch(_Sketch):
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> None:
         """One streaming step with the (already scaled) to-sketch vector."""
-        self.t += 1
-        step = 1.0 / self.t
-        p = self.V[:, positions] @ values
-        self.lam = (1.0 - step) * self.lam + step * p * p
-        self.V[:, positions] += step * np.outer(p, values)
-        self.V = orthonormalize_rows(self.V)
+        with np.errstate(**QUIET):
+            self.t += 1
+            step = 1.0 / self.t
+            p = self.V[:, positions] @ values
+            self.lam = (1.0 - step) * self.lam + step * p * p
+            self.V[:, positions] += step * np.outer(p, values)
+            self.V = orthonormalize_rows(self.V)
 
     def step(self, due, positions: np.ndarray, values: np.ndarray) -> None:
         """``update`` for the lanes ``due`` (a slice or index array): lane
         ``due[j]`` reads row j of ``positions``/``values``."""
-        self.t[due] += 1
-        step = 1.0 / self.t[due]
-        cols = self.V.mT  # lane g's column c is cols[g, c]
-        lane = np.arange(self.lanes)[due][:, None]
-        rows = cols[lane, positions]
-        p = (rows.mT @ values[..., None])[..., 0]
-        self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
-        cols[lane, positions] = rows + step[..., None] * (values[..., None] * p[:, None])
-        self.V[due] = orthonormalize_rows(self.V[due])
+        with np.errstate(**QUIET):
+            self.t[due] += 1
+            step = 1.0 / self.t[due]
+            cols = self.V.mT  # lane g's column c is cols[g, c]
+            lane = np.arange(self.lanes)[due][:, None]
+            rows = cols[lane, positions]
+            p = lane_products(rows, values)
+            self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
+            cols[lane, positions] = rows + step[..., None] * (values[..., None] * p[:, None])
+            self.V[due] = orthonormalize_rows(self.V[due])
 
     @property
     def S(self) -> np.ndarray:
@@ -164,59 +191,62 @@ class SparseOjaSketch(_Sketch):
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One streaming step; returns the direction-update coefficients delta."""
-        self.t += 1
-        step = 1.0 / self.t
-        Zx = self.Z[:, positions] @ values
-        p = self.F @ Zx
-        self.lam = (1.0 - step) * self.lam + step * p * p
-        # the stepsize matrix is (1/t) * identity, so conjugating it by F
-        # cancels and delta reduces to (Z xhat) / t
-        delta = step * Zx
-        xx = float(values @ values)
-        self.K += np.outer(Zx, delta) + np.outer(delta, Zx) + xx * np.outer(delta, delta)
-        self.Z[:, positions] += np.outer(delta, values)
-        self.F = decompose(self.F, self.K)
-        self.last_fold = None
-        if np.trace(self.K) > FOLD_TRACE:
-            # Z <- F Z at O(m^2 d); last_fold keeps the old Z for a learner's b
-            self.last_fold, self.Z = self.Z, self.F @ self.Z
-            self.K = self.Z @ self.Z.T
-            self.F = decompose(np.eye(self.m), self.K)
+        with np.errstate(**QUIET):
+            self.t += 1
+            step = 1.0 / self.t
+            Zx = self.Z[:, positions] @ values
+            p = self.F @ Zx
+            self.lam = (1.0 - step) * self.lam + step * p * p
+            # the stepsize matrix is (1/t) * identity, so conjugating it by F
+            # cancels and delta reduces to (Z xhat) / t
+            delta = step * Zx
+            xx = float(values @ values)
+            self.K += np.outer(Zx, delta) + np.outer(delta, Zx) + xx * np.outer(delta, delta)
+            self.Z[:, positions] += np.outer(delta, values)
+            self.F = decompose(self.F, self.K)
+            self.last_fold = None
+            if np.trace(self.K) > FOLD_TRACE:
+                # Z <- F Z at O(m^2 d); last_fold keeps the old Z for a learner's b
+                self.last_fold, self.Z = self.Z, self.F @ self.Z
+                self.K = self.Z @ self.Z.T
+                self.F = decompose(np.eye(self.m), self.K)
         return delta
 
-    def step(self, due, flat: np.ndarray, values: np.ndarray):
+    def step(self, due, flat: np.ndarray, values: np.ndarray, rows: np.ndarray, xx: np.ndarray):
         """``update`` for the lanes ``due`` (a slice or index array): lane
-        ``due[j]`` reads row j of ``flat``/``values``.  Returns the lanes'
-        delta (one row each) and, if any lane folded, ``(lanes, old_Z)``:
-        the folded lanes' indices and their Z before the fold, m x d each
-        (``update``'s ``last_fold``)."""
-        self.t[due] += 1
-        step = 1.0 / self.t[due]
-        cols = self.Z.reshape(-1, self.m)  # a view: row position * G + g
-        rows = cols.take(flat, axis=0)
-        Zx = (rows.mT @ values[..., None])[..., 0]
-        F = self.F[due]
-        p = (F @ Zx[..., None])[..., 0]
-        self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
-        delta = step * Zx
-        xx = np.vecdot(values, values)[:, None, None]
-        K = self.K[due] + (Zx[:, :, None] * delta[:, None] + delta[:, :, None] * Zx[:, None]
-                           + xx * (delta[:, :, None] * delta[:, None]))
-        cols[flat] = rows + values[..., None] * delta[:, None]
-        self.K[due] = K
-        self.F[due] = F = decompose(F, K)
-        crossed = K.diagonal(0, 1, 2).sum(axis=1) > FOLD_TRACE
-        if not crossed.any():
-            return delta, None
-        # Z <- F Z in the folding lanes only, each lane's Z as the m x d rows
-        # that update multiplies
-        lanes = np.arange(self.lanes)[due][crossed]
-        old = self.Z[:, lanes].transpose(1, 2, 0).copy()
-        Z = F[crossed] @ old
-        self.Z[:, lanes] = Z.transpose(2, 0, 1)
-        self.K[lanes] = K = Z @ Z.mT
-        self.F[lanes] = decompose(np.eye(self.m), K)
-        return delta, (lanes, old)
+        ``due[j]`` reads row j of ``flat``/``values``, whose columns of Z are
+        ``rows[j]`` (``Z.reshape(-1, m).take(flat, axis=0)``, slots x m) and
+        whose ``values @ values`` is ``xx[j]``.  Returns the lanes' delta
+        (one row each), their rows after the step, and, if any lane folded,
+        ``(lanes, old_Z)``: the folded lanes' indices and their Z before the
+        fold, m x d each (``update``'s ``last_fold``), else None."""
+        with np.errstate(**QUIET):
+            self.t[due] += 1
+            step = 1.0 / self.t[due]
+            Zx = lane_products(rows, values)
+            F = self.F[due]
+            p = (F @ Zx[..., None])[..., 0]
+            self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
+            delta = step * Zx
+            xx = xx[:, None, None]
+            K = self.K[due] + (Zx[:, :, None] * delta[:, None] + delta[:, :, None] * Zx[:, None]
+                               + xx * (delta[:, :, None] * delta[:, None]))
+            rows = rows + values[..., None] * delta[:, None]
+            self.Z.reshape(-1, self.m)[flat] = rows  # a view: row position * G + g
+            self.K[due] = K
+            self.F[due] = F = decompose(F, K)
+            crossed = K.diagonal(0, 1, 2).sum(axis=1) > FOLD_TRACE
+            if not crossed.any():
+                return delta, rows, None
+            # Z <- F Z in the folding lanes only, each lane's Z as the m x d
+            # rows that update multiplies
+            lanes = np.arange(self.lanes)[due][crossed]
+            old = self.Z[:, lanes].transpose(1, 2, 0).copy()
+            Z = F[crossed] @ old
+            self.Z[:, lanes] = Z.transpose(2, 0, 1)
+            self.K[lanes] = K = Z @ Z.mT
+            self.F[lanes] = decompose(np.eye(self.m), K)
+        return delta, rows, (lanes, old)
 
     def reconstruct_sigma(self) -> np.ndarray:
         """Materialize I_d - Z^T F^T (t * lam * H) F Z (diagnostic use)."""

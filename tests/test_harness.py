@@ -518,6 +518,21 @@ class TestCli:
         assert cli.main(args + ["1e-12"]) == 2
         assert capsys.readouterr().err.startswith("error: sketch basis lost rank")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("init", ["canonical", "random"])
+    @pytest.mark.parametrize("folds", [[], ["--folds", "3"]])
+    @pytest.mark.parametrize("algo,gamma", [("sacog2", "1e-300"), ("ssacog2", "1e-300"),
+                                            ("ssacog2", "1e-320")])
+    def test_extreme_gamma_is_one_error_line(self, algo, gamma, folds, init, capsys):
+        # the sketch's arithmetic overflows at once (at 1e-320 even xhat @
+        # xhat); its lost-rank check is the one report, with no numpy
+        # warning before it
+        args = ["run", "--dataset", str(TOY), "--algo", algo, "--gamma", gamma,
+                "--eta-grid", "1", "--sketch-init", init] + folds
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sketch basis lost rank during re-orthonormalization\n"
+
     @pytest.mark.parametrize("algo", ["sacog2", "cog2", "sacog2 --sketch-init random"])
     def test_allocation_failure_reported(self, algo):
         # sacog2 and cog2 run as lanes and fail in the d-long mask of the

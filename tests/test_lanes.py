@@ -204,13 +204,13 @@ def test_lane_state_tracks_scalar_learners(algo, rule):
         flat = np.where(real, positions, d) * g + lane
         y = np.where(rng.random(g) < 0.2, 1.0, -1.0)
         rho = 1.0 + 8.0 * rng.random(g)
-        s = lanes.scores(flat, values)
         rows = [(positions[j, :nnz[j]], values[j, :nnz[j]]) for j in range(g)]
+        sq_norms = np.array([float(x @ x) for _, x in rows])
+        (s,) = lanes.advance(flat[None], values[None], y[None], lane_class_weight(y, rho)[None],
+                             sq_norms[None])
         for j, (learner, (p, x)) in enumerate(zip(learners, rows)):
             assert s[j] == pytest.approx(learner.score(p, x), rel=1e-12, abs=1e-12)
             learner.update(p, x, int(y[j]), rho[j])
-        sq_norms = np.array([float(x @ x) for _, x in rows])
-        lanes.step(flat, values, y, lane_class_weight(y, rho), s, sq_norms)
     if algo.startswith("acog"):
         assert (lanes.mu[d] == 0.0).all() and (lanes.sigma[d] == 1.0).all()  # padding column
     else:
@@ -366,13 +366,13 @@ def test_sketched_lane_state_tracks_scalar_learners(algo, cadence):
         flat = padded.positions[rows] * g + lane
         y = labels[rows].astype(np.float64)
         rho = 1.0 + 4.0 * rng.random(g)
-        s = lanes.scores(flat, padded.values[rows])
+        (s,) = lanes.advance(flat[None], padded.values[rows][None], y[None],
+                             lane_class_weight(y, rho)[None])
         for j, learner in enumerate(learners):
             p, x, label = ds[int(rows[j])]
             assert s[j] == learner.score(p, x)
             learner.update(p, x, label, rho[j])
             folds += getattr(learner.sketch, "last_fold", None) is not None
-        lanes.step(flat, padded.values[rows], y, lane_class_weight(y, rho), s)
         for j, learner in enumerate(learners):
             assert lanes.sketch.t[j, 0] == learner.sketch.t
             for got, want in sketched_state(lanes, j, learners, d):

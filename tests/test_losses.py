@@ -8,7 +8,8 @@ from costsense.losses import (
     LossVariant,
     class_weight,
     gradient_scale,
-    lane_gradient_scale,
+    lane_active,
+    lane_slope,
     loss,
     observe_label,
     resolve_rho,
@@ -84,8 +85,30 @@ class TestSubgradient:
 
     def test_inactive_is_zero_vector(self):
         assert gradient_scale(LossVariant.I, 1, 3.0, 0.0) == 0.0
-        lanes = lane_gradient_scale(LossVariant.I, 1, 3.0, np.array([3.0, 5.0]))
-        assert lanes.tolist() == [0.0, 0.0]
+        lanes = lane_active(LossVariant.I, 1, 3.0, np.array([3.0, 5.0]))
+        assert lanes.tolist() == [False, False]
+
+    def test_lane_rule_matches_scalar_rule(self):
+        # lane_active and lane_slope give loss > 0 and gradient_scale point
+        # by point, at and near the kink, and a NaN score is passive
+        rng = np.random.default_rng(3)
+        n = 3000
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        rho = rng.uniform(0.1, 10, n)
+        weight = np.where(y == 1, rho, 1.0)
+        for variant in LossVariant:
+            kink = weight if variant == LossVariant.I else np.ones(n)
+            s = y * kink + rng.choice([0.0, 1e-12, 1.0], n) * rng.uniform(-3, 3, n)
+            s[::97] = np.nan
+            active = lane_active(variant, y, weight, s)
+            slope = lane_slope(variant, y, weight)
+            assert 0 < np.count_nonzero(active) < n
+            for j in range(n):
+                yj = int(y[j])
+                a = gradient_scale(variant, yj, rho[j], loss(variant, s[j], yj, rho[j]))
+                assert active[j] == (a != 0.0)
+                if active[j]:
+                    assert slope[j] == a
 
     def test_variant_two_negative_class_unscaled(self):
         # slope follows the class weight: 1 for negatives
