@@ -2,24 +2,25 @@
 
 The learner keeps a Gaussian belief over weights: a mean vector ``mu`` used
 for prediction and a covariance ``sigma`` that starts at the identity and
-shrinks along observed directions.  On each loss-active round the covariance
-absorbs a rank-one term through its closed-form inverse update, and the mean
-then descends the loss subgradient preconditioned by the covariance.  Both
-steps read only the sample's support and update ``sigma`` in place; a
-diagonal mode keeps only the diagonal of ``sigma`` for O(nnz) rounds.  Given
-a sequence of G step sizes the diagonal learner runs them as lanes: column g
-of the d x G ``mu`` and ``sigma`` is the learner with value g.  ``advance``
-runs a chunk of rounds, in each of which every lane scores its own row and
-takes ``update``'s step on it, and ``scores`` scores frozen lanes, in the
-layout ``baselines`` describes: the caller owns the chunks, labels and rho,
-the learner the rounds.
+shrinks along observed directions; ``mu`` is the ``w`` that the learner
+core (``baselines.LinearLearner``) scores with.  On each loss-active round
+the covariance absorbs a rank-one term through its closed-form inverse
+update, and the mean then descends the loss subgradient preconditioned by
+the covariance.  Both steps read only the sample's support and update
+``sigma`` in place; a diagonal mode keeps only the diagonal of ``sigma`` for
+O(nnz) rounds.  Given a sequence of G step sizes the diagonal learner runs
+them as lanes: column g of the d x G ``mu`` and ``sigma`` is the learner
+with value g.  ``advance`` runs a chunk of rounds, in each of which every
+lane scores its own row and takes ``update``'s step on it, and ``scores``
+scores frozen lanes, in the layout ``baselines`` describes: the caller owns
+the chunks, labels and rho, the learner the rounds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .baselines import predict_label, step_sizes
+from .baselines import LinearLearner
 from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
 
 # Largest full sigma allocated (d = 16384): a fixed policy, not a measured limit.
@@ -53,7 +54,7 @@ def covariance_update_diag(
     return sigma
 
 
-class AdaptiveCSGD:
+class AdaptiveCSGD(LinearLearner):
     """Full-matrix or diagonal second-order cost-sensitive learner.
 
     ``update_rule`` selects whether the mean step is preconditioned by the
@@ -71,38 +72,25 @@ class AdaptiveCSGD:
         diagonal: bool = False,
         update_rule: str = "new",
     ):
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
+        super().__init__(d, eta)
         if not diagonal and d * d * 8 > FULL_SIGMA_MAX_BYTES:
             raise ValueError(f"full-matrix ACOG at d={d} needs {d * d * 8 / 2**30:.1f} GiB, over "
                              f"{FULL_SIGMA_MAX_BYTES / 2**30:g} GiB; use the -diag variant")
-        self.eta = step_sizes(eta, "eta")
-        lanes = np.shape(self.eta)
-        if lanes and not diagonal:
+        if np.ndim(self.eta) and not diagonal:
             raise ValueError("full-matrix ACOG takes one eta; a sequence needs diagonal=True")
         if not gamma > 0.0:
             raise ValueError("gamma must be positive")
         if update_rule not in ("new", "old"):
             raise ValueError("update_rule must be 'new' or 'old'")
-        self.d = d
         self.gamma = gamma
         self.variant = LossVariant(variant)
         self.diagonal = diagonal
         self.update_rule = update_rule
-        self.mu = np.zeros((d, *lanes))
-        self.sigma = np.ones((d, *lanes)) if diagonal else np.eye(d)
+        self.sigma = np.ones(self.w.shape) if diagonal else np.eye(d)
 
-    def score(self, positions: np.ndarray, values: np.ndarray) -> float:
-        return float(self.mu[positions] @ values)
-
-    def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Each frozen lane's scores on its own rows (lanes only; any leading
-        axes are rounds)."""
-        return np.vecdot(self.mu.take(flat), values)
-
-    def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
-        s = self.score(positions, values)
-        return s, predict_label(s)
+    # own entries, not inherited ones: the benchmark's tracer wraps them per class
+    score, predict = LinearLearner.score, LinearLearner.predict
+    mu = property(lambda self: self.w, doc="The mean weights: the core's ``w``.")
 
     def update(self, positions, values, y, rho, score=None):
         s = self.score(positions, values) if score is None else score
@@ -115,7 +103,7 @@ class AdaptiveCSGD:
             after = covariance_update_diag(self.sigma, positions, values, self.gamma)[positions]
             sigma_used = after if self.update_rule == "new" else before
             # touched coordinates only: both sigma and the gradient live on the support
-            self.mu[positions] -= self.eta * a * sigma_used * values
+            self.w[positions] -= self.eta * a * sigma_used * values
             return l
         # the subgradient lives on the support, so sigma @ g reads only its columns
         g = a * values
@@ -124,14 +112,14 @@ class AdaptiveCSGD:
         covariance_update(self.sigma, positions, values, self.gamma)
         if self.update_rule == "new":
             step = self.sigma[:, positions] @ g
-        self.mu -= self.eta * step
+        self.w -= self.eta * step
         return l
 
     def advance(self, flat, values, y, weight, sq_norms=None):
         """``update`` on every lane's own row, round by round over a chunk
         (lanes only); returns the chunk's scores.  A lane whose loss is 0
         keeps its state."""
-        mu, sigma = self.mu.reshape(-1), self.sigma.reshape(-1)  # views
+        mu, sigma = self.w.reshape(-1), self.sigma.reshape(-1)  # views
         eta_slope = self.eta * lane_slope(self.variant, y, weight)
         scores = np.empty(flat.shape[:2])
         for t, (f, x) in enumerate(zip(flat, values)):

@@ -1,10 +1,11 @@
-"""First-order online reference learners: Perceptron, PA-I, and COG.
+"""The learner core, and the first-order learners Perceptron, PA-I and COG.
 
-All learners share the sparse step interface used by the harness:
-``score(positions, values)`` gives mu . x for the current weights and
-``update(positions, values, y, rho, score=None)`` performs one online step,
-returning the surrogate loss that drove it (0.0 when the step was passive).
-Ties score = 0 predict +1 everywhere in this package.
+Every learner is the linear model sign(w . x) of :class:`LinearLearner`,
+which also ACOG and the sketched learners derive from; they differ only in
+``update(positions, values, y, rho, score=None)``, one online step that
+returns the surrogate loss that drove it (0.0 when the step was passive).
+``score(positions, values)`` gives w . x for the current weights.  Ties
+score = 0 predict +1 everywhere in this package.
 
 PA-I and COG given a sequence of G step sizes run them as lanes: column g
 of the d x G weights is the learner with value g.  Each lane reads its own
@@ -49,13 +50,18 @@ def step_sizes(value, name: str):
 
 
 class LinearLearner:
-    """Dense weight vector plus the shared scoring/prediction rules."""
+    """Weights ``w``, d x G for a sequence of G step sizes (else d), and the
+    scoring and prediction rules.  ``step``, checked by :func:`step_sizes`, is
+    kept as the attribute ``name``; the perceptron has none."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, step=None, name: str = "eta"):
         if d < 1:
             raise ValueError("dimension must be >= 1")
         self.d = d
-        self.w = np.zeros(d)
+        if step is not None:
+            step = step_sizes(step, name)
+            setattr(self, name, step)
+        self.w = np.zeros((d, *np.shape(step)))  # np.shape(None) is ()
 
     def score(self, positions: np.ndarray, values: np.ndarray) -> float:
         return float(self.w[positions] @ values)
@@ -87,10 +93,7 @@ class PassiveAggressiveI(LinearLearner):
     (one lane per value when ``C`` is a sequence)."""
 
     def __init__(self, d: int, C: float = 1.0):
-        super().__init__(d)
-        self.C = step_sizes(C, "C")
-        if np.ndim(self.C):
-            self.w = np.zeros((d, self.C.size))
+        super().__init__(d, C, "C")
 
     def update(self, positions, values, y, rho=None, score=None):
         s = self.score(positions, values) if score is None else score
@@ -124,10 +127,7 @@ class CostSensitiveGD(LinearLearner):
     lane per value when ``eta`` is a sequence)."""
 
     def __init__(self, d: int, eta: float, variant: LossVariant = LossVariant.I):
-        super().__init__(d)
-        self.eta = step_sizes(eta, "eta")
-        if np.ndim(self.eta):
-            self.w = np.zeros((d, self.eta.size))
+        super().__init__(d, eta)
         self.variant = LossVariant(variant)
 
     def update(self, positions, values, y, rho, score=None):

@@ -488,6 +488,8 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
     """Grid-select, then evaluate over ``permutations`` seeded runs."""
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
+    # a class missing from the data fails every row (class_rates): refuse it before any pass
+    class_rates(ConfusionCounts(dataset.t_pos, dataset.t_neg), cfg.empty_class)
     table = {}
     eta = grid_select(cfg, dataset, table)
     seeds = [cfg.seed + i for i in range(cfg.permutations)]
@@ -510,8 +512,8 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
         raise ValueError("run_cv needs folds >= 2")
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
-    # the fold count is checked against the row count, and every fold's
-    # oracle rho, before any pass
+    # the fold count is checked against the row count, every fold's oracle
+    # rho and then every held-out fold's classes, before any pass
     folds = split_folds(len(dataset), cfg.folds, cfg.seed)
     orders, counts = [], []
     for i, heldout in enumerate(folds):
@@ -522,6 +524,12 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
         except ValueError as exc:  # e.g. oracle rho of a training fold with no positives
             raise ValueError(f"CV fold {i + 1} of {cfg.folds}: {exc}") from None
         orders.append(train_idx[permutation(len(train_idx), cfg.seed + i)])
+    for i, heldout in enumerate(folds):
+        try:
+            class_rates(ConfusionCounts(*_class_counts(dataset, heldout)), cfg.empty_class)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; the held-out rows of CV fold {i + 1} of {cfg.folds} "
+                             "lack a class") from None
     table = {}
     eta = grid_select(cfg, dataset, table)
     seeds = [cfg.seed + i for i in range(cfg.folds)]

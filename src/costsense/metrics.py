@@ -64,8 +64,8 @@ def class_rates(cc: ConfusionCounts, empty_class: str = "error") -> tuple[float,
     error, or counts as fully correct under ``empty_class="perfect"``."""
     if (cc.t_pos == 0 or cc.t_neg == 0) and empty_class != "perfect":
         raise ValueError(
-            "sum metric undefined: a class has no examples "
-            "(pass empty_class='perfect' to count it as fully correct)"
+            "sum metric undefined: a class has no examples (pass empty_class='perfect', "
+            "or --empty-class perfect on the command line, to count it as fully correct)"
         )
     return (cc.sensitivity if cc.t_pos else 1.0), (cc.specificity if cc.t_neg else 1.0)
 

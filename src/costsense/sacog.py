@@ -6,7 +6,8 @@ active round.  ``SparseSketchedCSGD`` additionally splits the weights as
 mu = w + Z^T b so that every update touches only the current sample's
 support plus m-sized state, never a dense d-vector.  Both advance their
 sketch every round by default, including rounds where the loss guard leaves
-the weights untouched.
+the weights untouched.  Both derive from the learner core,
+``baselines.LinearLearner``, whose ``w`` is the dense mu and the sparse w.
 
 Given a sequence of G step sizes either learner runs them as lanes, each
 with a sketch of its own (``sketch.py``'s ``lanes``): column g of the d x G
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import predict_label, step_sizes
+from .baselines import LinearLearner
 from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
 from .sketch import OjaSketch, SparseOjaSketch, lane_products, sketch_inputs, to_sketch_vector
 
@@ -41,9 +42,9 @@ def _lanes(mask: np.ndarray):
     return lanes if lanes.size else None
 
 
-class _SketchedLearner:
+class _SketchedLearner(LinearLearner):
     """Constructor and sketch cadence shared by the sketched learners; each
-    subclass names its ``sketch_type`` and allocates its weights."""
+    subclass names its ``sketch_type``."""
 
     def __init__(
         self,
@@ -57,12 +58,11 @@ class _SketchedLearner:
         sketch_every: int = 1,
         sketch_on_loss_only: bool = False,
     ):
-        self.eta = step_sizes(eta, "eta")
+        super().__init__(d, eta)
         if not gamma > 0.0:
             raise ValueError("gamma must be positive")
         if sketch_every < 1:
             raise ValueError("sketch_every must be >= 1")
-        self.d = d
         self.gamma = gamma
         self.variant = LossVariant(variant)
         self.lanes = self.eta.size if np.ndim(self.eta) else 0
@@ -70,7 +70,6 @@ class _SketchedLearner:
         self.sketch_every = sketch_every
         self.sketch_on_loss_only = sketch_on_loss_only
         self.rounds = 0
-        self._init_weights()
 
     def _advance_sketch(self, positions, values, active: bool):
         """Count the round; when the sketch is due, feed it xhat = x / sqrt(gamma).
@@ -96,21 +95,9 @@ class SketchedCSGD(_SketchedLearner):
     """Second-order learner over a dense streaming sketch."""
 
     sketch_type = OjaSketch
-
-    def _init_weights(self):
-        self.mu = np.zeros((self.d, *np.shape(self.eta)))
-
-    def score(self, positions: np.ndarray, values: np.ndarray) -> float:
-        return float(self.mu[positions] @ values)
-
-    def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Each frozen lane's scores on its own rows (lanes only; any leading
-        axes are rounds)."""
-        return np.vecdot(self.mu.take(flat), values)
-
-    def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
-        s = self.score(positions, values)
-        return s, predict_label(s)
+    # own entries, not inherited ones: the benchmark's tracer wraps them per class
+    score, predict = LinearLearner.score, LinearLearner.predict
+    mu = property(lambda self: self.w, doc="The mean weights: the core's ``w``.")
 
     def update(self, positions, values, y, rho, score=None):
         s = self.score(positions, values) if score is None else score
@@ -120,15 +107,15 @@ class SketchedCSGD(_SketchedLearner):
             a = gradient_scale(self.variant, y, rho, l)
             S, H = self.sketch.S, self.sketch.H
             Sg = a * (S[:, positions] @ values)
-            self.mu[positions] -= self.eta * a * values
-            self.mu += self.eta * (S.T @ (H * Sg))
+            self.w[positions] -= self.eta * a * values
+            self.w += self.eta * (S.T @ (H * Sg))
         return l
 
     def advance(self, flat, values, y, weight, sq_norms=None):
         """``update`` on every lane's own row, round by round over a chunk;
         returns the chunk's scores.  A lane whose loss is 0 keeps its
         weights."""
-        mu, sk = self.mu.reshape(-1), self.sketch  # mu as a view: entry position * G + g
+        mu, sk = self.w.reshape(-1), self.sketch  # mu as a view: entry position * G + g
         slope = lane_slope(self.variant, y, weight)
         step = (self.eta * slope)[..., None] * values
         positions = flat // self.lanes
@@ -150,7 +137,7 @@ class SketchedCSGD(_SketchedLearner):
             Sg = a[:, None] * lane_products(S.mT[np.arange(len(a))[:, None], positions[t][act]], x)
             mu[f[act]] = rows[act] - step[t][act]
             HSg = 1.0 / (1.0 + tl) * Sg
-            self.mu[:, act] += (self.eta[act][:, None] * (S.mT @ HSg[..., None])[..., 0]).T
+            self.w[:, act] += (self.eta[act][:, None] * (S.mT @ HSg[..., None])[..., 0]).T
         return scores
 
 
@@ -164,8 +151,8 @@ class SparseSketchedCSGD(_SketchedLearner):
 
     sketch_type = SparseOjaSketch
 
-    def _init_weights(self):
-        self.w = np.zeros((self.d, *np.shape(self.eta)))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.b = np.zeros((*np.shape(self.eta), self.sketch.m))
 
     def lazy_score(self, positions: np.ndarray, values: np.ndarray) -> float:
@@ -173,19 +160,14 @@ class SparseSketchedCSGD(_SketchedLearner):
         Zx = self.sketch.Z[:, positions] @ values
         return float(self.w[positions] @ values) + float(self.b @ Zx)
 
-    # uniform learner interface
-    score = lazy_score
+    # predict is bound here, not inherited: the benchmark's tracer wraps it per class
+    score, predict = lazy_score, LinearLearner.predict
 
     def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Each frozen lane's ``lazy_score`` on its own rows (lanes only; any
-        leading axes are rounds)."""
+        """Each frozen lane's ``lazy_score``: the core's scores plus the b term."""
         Z = self.sketch.Z.reshape(-1, self.sketch.m)
-        return np.vecdot(self.w.take(flat), values) + np.vecdot(
+        return super().scores(flat, values) + np.vecdot(
             self.b, lane_products(Z.take(flat, axis=0), values))
-
-    def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
-        s = self.lazy_score(positions, values)
-        return s, predict_label(s)
 
     def materialize_mu(self) -> np.ndarray:
         """The implied dense weights w + Z^T b (diagnostic/test use)."""
