@@ -1,19 +1,16 @@
 """Adaptively regularized cost-sensitive online gradient descent.
 
-The learner keeps a Gaussian belief over weights: a mean vector ``mu`` used
-for prediction and a covariance ``sigma`` that starts at the identity and
-shrinks along observed directions; ``mu`` is the ``w`` that the learner
-core (``baselines.LinearLearner``) scores with.  On each loss-active round
-the covariance absorbs a rank-one term through its closed-form inverse
-update, and the mean then descends the loss subgradient preconditioned by
-the covariance.  Both steps read only the sample's support and update
-``sigma`` in place; a diagonal mode keeps only the diagonal of ``sigma`` for
-O(nnz) rounds.  Given a sequence of G step sizes the diagonal learner runs
-them as lanes: column g of the d x G ``mu`` and ``sigma`` is the learner
-with value g.  ``advance`` runs a chunk of rounds, in each of which every
-lane scores its own row and takes ``update``'s step on it, and ``scores``
-scores frozen lanes, in the layout ``baselines`` describes: the caller owns
-the chunks, labels and rho, the learner the rounds.
+The learner keeps a Gaussian belief over weights: a mean ``mu``, the ``w``
+that the learner core (``baselines.LinearLearner``) scores with, and a
+covariance ``sigma`` that starts at the identity and shrinks along observed
+directions.  On each loss-active round the covariance absorbs a rank-one
+term through its closed-form inverse update, and the mean then descends the
+loss subgradient preconditioned by the covariance.  Both steps read only the
+sample's support and update ``sigma`` in place; a diagonal mode keeps only
+the diagonal of ``sigma`` for O(nnz) rounds.  Given a sequence of G step
+sizes the diagonal learner runs them as lanes, column g of the d x G ``mu``
+and ``sigma`` being the learner with value g; its ``advance`` and ``scores``
+follow the lane layout that ``baselines`` describes.
 """
 
 from __future__ import annotations

@@ -52,15 +52,17 @@ def step_sizes(value, name: str):
 class LinearLearner:
     """Weights ``w``, d x G for a sequence of G step sizes (else d), and the
     scoring and prediction rules.  ``step``, checked by :func:`step_sizes`, is
-    kept as the attribute ``name``; the perceptron has none."""
+    kept as the attribute ``step_name``; the perceptron has none."""
 
-    def __init__(self, d: int, step=None, name: str = "eta"):
+    step_name = "eta"
+
+    def __init__(self, d: int, step=None):
         if d < 1:
             raise ValueError("dimension must be >= 1")
         self.d = d
         if step is not None:
-            step = step_sizes(step, name)
-            setattr(self, name, step)
+            step = step_sizes(step, self.step_name)
+            setattr(self, self.step_name, step)
         self.w = np.zeros((d, *np.shape(step)))  # np.shape(None) is ()
 
     def score(self, positions: np.ndarray, values: np.ndarray) -> float:
@@ -80,6 +82,9 @@ class LinearLearner:
 class Perceptron(LinearLearner):
     """Mistake-driven additive updates: w += y*x whenever y*score <= 0."""
 
+    def __init__(self, d: int):
+        super().__init__(d)
+
     def update(self, positions, values, y, rho=None, score=None):
         s = self.score(positions, values) if score is None else score
         if y * s <= 0.0:
@@ -92,8 +97,10 @@ class PassiveAggressiveI(LinearLearner):
     """PA-I: closed-form margin restoration with aggressiveness capped at C
     (one lane per value when ``C`` is a sequence)."""
 
+    step_name = "C"
+
     def __init__(self, d: int, C: float = 1.0):
-        super().__init__(d, C, "C")
+        super().__init__(d, C)
 
     def update(self, positions, values, y, rho=None, score=None):
         s = self.score(positions, values) if score is None else score

@@ -488,7 +488,9 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
     """Grid-select, then evaluate over ``permutations`` seeded runs."""
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
-    # a class missing from the data fails every row (class_rates): refuse it before any pass
+    # as run_cv does, before any pass: oracle rho, then a class missing from
+    # the data, which fails every row (class_rates)
+    make_cost_model(cfg, (dataset.t_pos, dataset.t_neg))
     class_rates(ConfusionCounts(dataset.t_pos, dataset.t_neg), cfg.empty_class)
     table = {}
     eta = grid_select(cfg, dataset, table)

@@ -12,16 +12,13 @@ the weights untouched.  Both derive from the learner core,
 Given a sequence of G step sizes either learner runs them as lanes, each
 with a sketch of its own (``sketch.py``'s ``lanes``): column g of the d x G
 ``mu`` or ``w`` is lane g's weights, row g of the G x m ``b`` its sketch
-coefficients.  ``advance`` runs a chunk of rounds, in each of which every
-lane scores its own row and takes ``update``'s step on it, and ``scores``
-scores frozen lanes, in the layout ``baselines`` describes: the caller owns
-the chunks, labels and rho, the learner the rounds.  Per chunk it computes
-the slope, ``eta`` times the slope along x and the sketch's xhat (and xhat
-@ xhat); per round, the weights and Z rows gathered for the score are the
-ones the step updates.  A lane's state is about (m + 1) x (d + 2m)
-doubles.  Lanes fall out of step under ``sketch_on_loss_only``, so each
-lane counts its own sketch rounds, and a lane whose sketch is not due
-keeps its state as it is.
+coefficients, and ``advance`` and ``scores`` follow the lane layout that
+``baselines`` describes.  Per chunk ``advance`` also computes the sketch's
+xhat (and xhat @ xhat); per round, the Z rows gathered for the score are
+the ones the sketch step updates.  A lane's state is about (m + 1) x (d +
+2m) doubles.  Lanes fall out of step under ``sketch_on_loss_only``, so each
+lane counts its own sketch rounds, and a lane whose sketch is not due keeps
+its state as it is.
 """
 
 from __future__ import annotations
@@ -67,9 +64,13 @@ class _SketchedLearner(LinearLearner):
         self.variant = LossVariant(variant)
         self.lanes = self.eta.size if np.ndim(self.eta) else 0
         self.sketch = self.sketch_type(m, d, init=sketch_init, seed=seed, lanes=self.lanes)
+        self._init_sketch_state()
         self.sketch_every = sketch_every
         self.sketch_on_loss_only = sketch_on_loss_only
         self.rounds = 0
+
+    def _init_sketch_state(self):
+        """Allocate the state kept beside the sketch; the dense learner keeps none."""
 
     def _advance_sketch(self, positions, values, active: bool):
         """Count the round; when the sketch is due, feed it xhat = x / sqrt(gamma).
@@ -151,8 +152,7 @@ class SparseSketchedCSGD(_SketchedLearner):
 
     sketch_type = SparseOjaSketch
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def _init_sketch_state(self):
         self.b = np.zeros((*np.shape(self.eta), self.sketch.m))
 
     def lazy_score(self, positions: np.ndarray, values: np.ndarray) -> float:

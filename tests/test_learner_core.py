@@ -8,11 +8,13 @@ sequence of G values gives d x G (one lane per value), which full ACOG
 alone refuses.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from costsense.acog import AdaptiveCSGD
-from costsense.baselines import CostSensitiveGD, LinearLearner, PassiveAggressiveI
+from costsense.baselines import CostSensitiveGD, LinearLearner, PassiveAggressiveI, Perceptron
 from costsense.sacog import SketchedCSGD, SparseSketchedCSGD
 
 LEARNERS = {
@@ -61,3 +63,16 @@ def test_mean_is_the_core_weights_and_read_only(make):
     assert learner.mu is learner.w
     with pytest.raises(AttributeError):
         learner.mu = np.ones(3)
+
+
+def test_perceptron_takes_the_dimension_alone():
+    assert Perceptron(3).w.shape == (3,)
+    with pytest.raises(TypeError):
+        Perceptron(3, 0.5)
+
+
+def test_sketched_signatures_name_their_arguments():
+    names = ["d", "eta", "gamma", "m", "variant", "sketch_init", "seed", "sketch_every",
+             "sketch_on_loss_only"]
+    for cls in (SketchedCSGD, SparseSketchedCSGD):
+        assert list(inspect.signature(cls).parameters) == names

@@ -19,15 +19,28 @@ TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libs
 MESSAGE = r"^sum metric undefined: .*--empty-class perfect"
 
 
-def test_dataset_without_positives_refused_before_selection(tmp_path, monkeypatch):
+def _all_negative(tmp_path):
+    """The toy set with every label -1."""
     data = tmp_path / "negatives.libsvm"
     data.write_text("".join("-1" + line[2:] for line in TOY.read_text().splitlines(True)))
-    ds = load_dataset(data)
+    return load_dataset(data)
+
+
+def test_dataset_without_positives_refused_before_selection(tmp_path, monkeypatch):
+    ds = _all_negative(tmp_path)
     assert ds.t_pos == 0 and ds.t_neg == 320
     monkeypatch.setattr(harness, "make_learner", None)
     cfg = ExperimentConfig(algo="cog2", rho_mode="laplace", eta_grid=(0.1, 1.0))
     with pytest.raises(ValueError, match=MESSAGE):
         run_experiment(cfg, ds)
+
+
+def test_dataset_without_positives_reports_oracle_rho_first(tmp_path, monkeypatch):
+    """As in run_cv, an undefined oracle rho is reported before a missing class."""
+    monkeypatch.setattr(harness, "make_learner", None)
+    cfg = ExperimentConfig(algo="cog2", eta_grid=(0.1, 1.0))
+    with pytest.raises(ValueError, match="^oracle rho undefined"):
+        run_experiment(cfg, _all_negative(tmp_path))
 
 
 def test_held_out_fold_without_a_class_refused_before_any_pass(monkeypatch):
