@@ -5,6 +5,10 @@ Feature indices are 1-based on disk (LIBSVM convention); a loaded
 ``(positions, values, label)``, sliced from them, with the 0-based
 ``positions`` through which learners address weight vectors.  Passes that
 read a different row per lane take all rows at once from ``Dataset.padded()``.
+
+A dataset's seeded orders, ``Dataset.order(seed)``, are :func:`permutation`'s,
+computed once per seed and kept, read-only, for as long as the dataset lives,
+so every experiment run on one loaded dataset shares them.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ class Dataset:
     """Samples stored as columns (CSR), and the class counts of ``labels``.
 
     Row ``i`` is ``labels[i]`` (+1/-1) with the 0-based feature ``positions``
-    and unit-norm ``values`` in ``indptr[i]:indptr[i + 1]``.
+    and unit-norm ``values`` in ``indptr[i]:indptr[i + 1]``.  :meth:`padded`
+    and :meth:`order` build their arrays on first use and keep them as long
+    as the dataset.
     """
 
     labels: np.ndarray
@@ -54,6 +60,7 @@ class Dataset:
         self.t_pos = int(np.count_nonzero(self.labels == 1))
         self.t_neg = self.labels.size - self.t_pos
         self._padded = {}
+        self._orders = {}
 
     def __len__(self) -> int:
         return self.labels.size
@@ -70,6 +77,14 @@ class Dataset:
         for lo, hi, y in zip(self.indptr[:-1][order].tolist(), self.indptr[1:][order].tolist(),
                              self.labels[order].tolist()):
             yield positions[lo:hi], values[lo:hi], y
+
+    def order(self, seed: int) -> np.ndarray:
+        """``permutation(len(self), seed)``, computed on first use and kept:
+        the same read-only array on every call."""
+        if seed not in self._orders:
+            order = self._orders[seed] = permutation(len(self), seed)
+            order.flags.writeable = False
+        return self._orders[seed]
 
     def padded(self, keep: int = 0) -> PaddedRows:
         """The rows as :class:`PaddedRows`, built on first use and kept.
@@ -214,27 +229,39 @@ def permutation(n: int, seed: int) -> np.ndarray:
     (``word & mask`` with the smallest all-ones mask covering the bound,
     rejected until in range), and the shuffle is backward Fisher-Yates
     (swap index i with a uniform draw from 0..i, for i = n-1 down to 1).
+    The stream is read in order, 2n words at first and n more whenever those
+    run out.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return np.zeros(1, dtype=np.int64)
     bits = np.random.Philox(key=seed)
-    # Python ints and lists: cheaper per swap than numpy scalars and arrays
-    words = bits.random_raw(2 * n).tolist()
-    order = list(range(n))
+    words = bits.random_raw(2 * n)
     k = 0
-    for i in range(n - 1, 0, -1):
+    order = list(range(n))
+    i = n - 1
+    # a band is every i under one mask: its words are masked in one numpy
+    # call, and Python (ints and lists, cheaper per swap than numpy scalars)
+    # runs only the accept test and the swap.  A band takes 1.4 to 2 words
+    # per i, so the slice of 2 per i almost always finishes it
+    while i:
         mask = (1 << i.bit_length()) - 1
-        while True:
-            if k == len(words):
-                words = bits.random_raw(n).tolist()
+        low = (mask + 1) >> 1
+        while i >= low:
+            if k == words.size:
+                words = bits.random_raw(n)
                 k = 0
-            j = words[k] & mask
-            k += 1
-            if j <= i:
-                break
-        order[i], order[j] = order[j], order[i]
+            top, rejected = i, 0
+            for j in (words[k:k + 2 * (i - low) + 8] & mask).tolist():
+                if j <= i:
+                    order[i], order[j] = order[j], order[i]
+                    i -= 1
+                    if i < low:
+                        break
+                else:
+                    rejected += 1
+            k += top - i + rejected
     return np.array(order, dtype=np.int64)
 
 

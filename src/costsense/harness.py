@@ -9,15 +9,17 @@ sequence of step sizes builds one learner with a lane per value, and each
 lane reads the rows in its own order.  Selection runs a lane per (grid
 value, selection permutation), evaluation a lane per evaluation permutation
 at the selected value, and k-fold mode a lane per fold, whose frozen lane
-then scores the fold's held-out rows.  A sketched lane carries a sketch of
-its own, about (m + 1) x (u + 2m) doubles with u the columns the rows use.
-A random sketch init is dense over d, so those passes run one at a time, as
-do the perceptron's and full ACOG's.  Everything downstream of
-(config, base seed) is deterministic; elapsed-time columns are the only
-environment-dependent output.  A row's ``elapsed_ms`` is the wall time of
-the pass that produced it divided by that pass's lane count, so a one-lane
-pass reports its own time, and the rows of a batched pass add up to the
-pass's time.
+then scores the fold's held-out rows.  Selection and evaluation orders are
+the dataset's (``Dataset.order``), computed once for every experiment on it;
+CV's fold splits and training orders are computed per experiment.  A
+sketched lane carries a sketch of its own, about (m + 1) x (u + 2m) doubles
+with u the columns the rows use.  A random sketch init is dense over d, so
+those passes run one at a time, as do the perceptron's and full ACOG's.
+Everything downstream of (config, base seed) is deterministic; elapsed-time
+columns are the only environment-dependent output.  A row's ``elapsed_ms``
+is the wall time of the pass that produced it divided by that pass's lane
+count, so a one-lane pass reports its own time, and the rows of a batched
+pass add up to the pass's time.
 
 Reported ``sum``/``sensitivity``/``specificity`` are percentages; ``cost``
 is in raw units.
@@ -270,16 +272,12 @@ def run_single(
     eta: float,
     perm_seed: int,
     collect_trace: bool = False,
-    order: np.ndarray | None = None,
 ):
-    """One prequential pass over a seeded permutation of the dataset.
-
-    ``order`` is ``permutation(len(dataset), perm_seed)``, computed here
-    unless the caller already has it.  Returns a metrics row dict, plus a
+    """One prequential pass over the dataset's seeded order
+    ``dataset.order(perm_seed)``.  Returns a metrics row dict, plus a
     :class:`RunTrace` when requested.
     """
-    if order is None:
-        order = permutation(len(dataset), perm_seed)
+    order = dataset.order(perm_seed)
     learner = make_learner(cfg, dataset.d, eta)
     cm = make_cost_model(cfg, (dataset.t_pos, dataset.t_neg))
     trace = RunTrace(order=order) if collect_trace else None
@@ -420,13 +418,14 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
                orders: list, counts: list | None = None, heldout: list | None = None) -> list:
     """The row of each pass g at step size ``etas[g]`` over ``orders[g]``,
     whose class counts (T_p, T_n) are ``counts[g]``, the dataset's unless
-    given: a prequential pass's as :func:`run_single` gives it, or with
+    given: a prequential pass's as :func:`run_single` gives it (``orders[g]``
+    is then ``dataset.order(seeds[g])``), or with
     ``heldout`` :func:`_frozen_pass`'s on the rows ``heldout[g]``.  Batched
     by :func:`_lane_pass` where :func:`_runs_as_lanes`, else one pass each."""
     if _runs_as_lanes(cfg):
         return _lane_pass(cfg, dataset, etas, seeds, orders, counts, heldout)
     if heldout is None:
-        return [run_single(cfg, dataset, eta, s, order=o) for eta, s, o in zip(etas, seeds, orders)]
+        return [run_single(cfg, dataset, eta, s) for eta, s in zip(etas, seeds)]
     return [_frozen_pass(cfg, dataset, *lane) for lane in zip(etas, seeds, orders, counts, heldout)]
 
 
@@ -435,10 +434,10 @@ def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:
 
     Selection seeds are disjoint from the evaluation seeds, so chosen
     hyperparameters never peek at evaluation shuffles.  Each permutation is
-    computed once and shared by every grid value.
+    the dataset's :meth:`Dataset.order`, shared by every grid value.
     """
     seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
-    orders = [permutation(len(dataset), s) for s in seeds]
+    orders = [dataset.order(s) for s in seeds]
     p = len(seeds)
     rows = _pass_rows(cfg, dataset, [eta for eta in grid for _ in seeds],
                       seeds * len(grid), orders * len(grid))
@@ -495,7 +494,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Run
     table = {}
     eta = grid_select(cfg, dataset, table)
     seeds = [cfg.seed + i for i in range(cfg.permutations)]
-    orders = [permutation(len(dataset), s) for s in seeds]
+    orders = [dataset.order(s) for s in seeds]
     rows = _pass_rows(cfg, dataset, [eta] * len(seeds), seeds, orders)
     return _report(cfg, eta, rows, table)
 

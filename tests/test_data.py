@@ -398,9 +398,15 @@ class TestPermutation:
             order[i], order[j] = order[j], order[i]
         return order, refilled
 
-    @pytest.mark.parametrize("n,seeds", [(1, 50), (2, 2000), (3, 2000), (17, 2000), (1500, 100)])
+    # ``seeds`` first seeds, or the listed ones: the band edges (n - 1 a power
+    # of two, or one below), a9a-cv's CV training length and the largest key
+    @pytest.mark.parametrize("n,seeds", [
+        (1, 50), (2, 2000), (3, 2000), (17, 2000), (1500, 100),
+        *((n, 200) for n in (4, 5, 8, 9, 64, 65)), *((n, 50) for n in (1024, 1025, 4097)),
+        (1040, 100), pytest.param(1500, [2**128 - 1], id="1500-largest_key"),
+    ])
     def test_equals_frozen_loop(self, n, seeds):
-        for seed in range(seeds):
+        for seed in range(seeds) if isinstance(seeds, int) else seeds:
             got = permutation(n, seed)
             assert got.dtype == np.int64
             assert np.array_equal(got, self.frozen_loop(n, seed)[0]), seed

@@ -158,18 +158,19 @@ class TestGridSelect:
         assert table == {eta: score[column] for eta, score in scores.items()}
 
     @pytest.mark.parametrize("algo", ["perceptron", "acog2", "sacog2", "ssacog2", "cog2"])
-    def test_each_selection_permutation_computed_once(self, toy, algo, monkeypatch):
-        from costsense import harness
+    def test_each_selection_permutation_computed_once(self, algo, monkeypatch):
+        from costsense import data, harness
 
         seeds = []
 
         def counted(n, seed):
             seeds.append(seed)
             return permutation(n, seed)
-        monkeypatch.setattr(harness, "permutation", counted)
+        monkeypatch.setattr(data, "permutation", counted)
         cfg = ExperimentConfig(algo=algo, eta_grid=(0.1, 1.0, 10.0))
         table = {}
-        grid_select(cfg, toy, table)
+        # a fresh dataset: a loaded one keeps the orders it has computed
+        grid_select(cfg, load_dataset(TOY), table)
         if algo == "perceptron":
             # it ignores eta, so the smallest value wins the tie without a pass
             assert seeds == [] and table == {}
@@ -188,6 +189,25 @@ class TestGridSelect:
 
 
 class TestRunExperiment:
+    def test_experiments_on_one_dataset_share_each_order(self, monkeypatch):
+        from costsense import data
+
+        seeds = []
+
+        def counted(n, seed):
+            seeds.append(seed)
+            return permutation(n, seed)
+        monkeypatch.setattr(data, "permutation", counted)
+        ds = load_dataset(TOY)
+        for algo in ("cog2", "acog2-diag"):
+            run_experiment(ExperimentConfig(algo=algo, eta_grid=(0.1, 1.0, 10.0)), ds)
+        selection = [SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
+        assert sorted(seeds) == list(range(20)) + selection
+        order = ds.order(0)
+        assert ds.order(0) is order
+        with pytest.raises(ValueError):
+            order[0] = order[1]
+
     def test_single_permutation_has_zero_std(self, toy):
         cfg = ExperimentConfig(algo="cog1", eta_grid=(1.0,), permutations=1)
         report = run_experiment(cfg, toy)
