@@ -272,12 +272,4 @@ def split_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     """
     if k < 2 or k > n:
         raise ValueError(f"fold count {k} out of range for {n} examples")
-    order = permutation(n, seed)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(order[start : start + size].copy())
-        start += size
-    return folds
+    return np.array_split(permutation(n, seed), k)

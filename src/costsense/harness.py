@@ -3,23 +3,26 @@
 One experiment = pick a step size from the grid on dedicated selection
 permutations, then evaluate the learner prequentially over ``permutations``
 seeded shuffles of the dataset, reporting per-run and aggregate metrics.
-For the learners of :data:`LANE_ALGOS` (PA-I, COG, diagonal ACOG and the
-sketched learners) each phase is one batched pass: ``make_learner`` given a
+Every pass of the three phases is run by :func:`_pass_rows`: selection a
+pass per (grid value, selection permutation), evaluation a pass per
+evaluation permutation at the selected value, and k-fold mode a pass per
+fold, whose frozen learner then scores the fold's held-out rows.  For the
+learners of :data:`LANE_ALGOS` (PA-I, COG, diagonal ACOG and the sketched
+learners) the passes of a phase run batched: ``make_learner`` given a
 sequence of step sizes builds one learner with a lane per value, and each
-lane reads the rows in its own order.  Selection runs a lane per (grid
-value, selection permutation), evaluation a lane per evaluation permutation
-at the selected value, and k-fold mode a lane per fold, whose frozen lane
-then scores the fold's held-out rows.  Selection and evaluation orders are
-the dataset's (``Dataset.order``), computed once for every experiment on it;
-CV's fold splits and training orders are computed per experiment.  A
-sketched lane carries a sketch of its own, about (m + 1) x (u + 2m) doubles
-with u the columns the rows use.  A random sketch init is dense over d, so
-those passes run one at a time, as do the perceptron's and full ACOG's.
+lane reads the rows in its own order.  A sketched lane carries a sketch of
+its own, about (m + 1) x (u + 2m) doubles with u the columns the rows use.
+A random sketch init is dense over d, so those passes run one learner at a
+time, as do the perceptron's and full ACOG's.  Selection and evaluation
+orders are the dataset's (``Dataset.order``), computed once for every
+experiment on it; CV's fold splits and training orders are computed per
+experiment.  :func:`run_single` is the scalar reference pass, and the one
+that can record a :class:`RunTrace`.
 Everything downstream of (config, base seed) is deterministic; elapsed-time
 columns are the only environment-dependent output.  A row's ``elapsed_ms``
-is the wall time of the pass that produced it divided by that pass's lane
-count, so a one-lane pass reports its own time, and the rows of a batched
-pass add up to the pass's time.
+is the wall time of the block that produced it divided by that block's pass
+count, so a one-learner block reports its own time, and the rows of a
+batched block add up to the block's time.
 
 Reported ``sum``/``sensitivity``/``specificity`` are percentages; ``cost``
 is in raw units.
@@ -144,6 +147,8 @@ class ExperimentConfig:
             raise ValueError(f"d_override must be >= 1, got {self.d_override}")
         if self.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
             raise ValueError(f"no directory to write {self.out!r} into")
+        if self.out is not None and os.path.isdir(self.out):
+            raise ValueError(f"cannot write the report to {self.out!r}: it is a directory")
         _cost_model(self)  # checks the cost fields and rho_mode
 
     @property
@@ -319,20 +324,6 @@ def _class_counts(dataset: Dataset, rows: np.ndarray) -> tuple[int, int]:
     return t_pos, len(rows) - t_pos
 
 
-def _frozen_pass(cfg: ExperimentConfig, dataset: Dataset, eta: float, seed: int,
-                 order: np.ndarray, counts: tuple[int, int], heldout: np.ndarray) -> dict:
-    """One online pass over ``order``, whose class counts are ``counts``,
-    then the row of the frozen learner's scores on the rows ``heldout``."""
-    learner = make_learner(cfg, dataset.d, eta)
-    cm = make_cost_model(cfg, counts)
-    start = time.perf_counter()
-    _online_pass(learner, cm, dataset, order)
-    scores = np.array([learner.score(p, v) for p, v, _ in dataset.rows(heldout)])
-    mistakes = map(int, count_mistakes(dataset.labels[heldout], scores))
-    cc = ConfusionCounts(*_class_counts(dataset, heldout), *mistakes)
-    return _row(cfg, seed, eta, cc, (time.perf_counter() - start) * 1e3)
-
-
 def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool = True):
     """Each lane's positive and negative mistakes on its rows ``orders[g]``,
     all equally long.  With ``step`` this is :func:`_online_pass` with one
@@ -363,28 +354,35 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
     return m_pos, m_neg
 
 
-def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
+def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
                orders: list, counts: list | None = None, heldout: list | None = None) -> list:
-    """:func:`_pass_rows`'s row for each lane g, from one batched pass per
-    block of lanes (:func:`_runs_as_lanes` only).
+    """The row of each pass g at step size ``etas[g]`` over ``orders[g]``,
+    whose class counts (T_p, T_n) are ``counts[g]``, the dataset's unless
+    given: a prequential pass's, as :func:`run_single` gives it when
+    ``orders[g]`` is ``dataset.order(seeds[g])``, or with ``heldout`` the
+    frozen learner's on the rows ``heldout[g]``.
 
-    In round t lane g reads row ``orders[g][t]`` of :meth:`Dataset.padded`,
-    so lane state covers the columns in use plus the padding column, not d;
-    for a sketched learner the columns of its canonical init, 0..m-1, are
-    kept too, and m is checked against d as a scalar pass checks it.  Each
-    lane's oracle rho comes from its own class counts.  Lanes whose
-    orders (and held-out rows) are equally long form a group, so every lane
-    reads a real row in every round; a group runs in blocks that keep lane
-    state (:func:`_lane_bytes` per lane) within ``FULL_SIGMA_MAX_BYTES``.
-    With ``heldout``, each block then scores its lanes' held-out rows
-    frozen, in the same layout (:func:`_lane_rounds`).
+    Passes whose orders (and held-out rows) are equally long form a group,
+    and a group runs in blocks.  Where :func:`_runs_as_lanes`, a block is one
+    batched pass (:func:`_lane_rounds`), in whose round t lane g reads row
+    ``orders[g][t]`` of :meth:`Dataset.padded`, so lane state covers the
+    columns in use plus the padding column, not d; for a sketched learner the
+    columns of its canonical init, 0..m-1, are kept too, and m is checked
+    against d as a scalar pass checks it.  Each lane's oracle rho comes from
+    its own class counts, and a block's lanes keep their state
+    (:func:`_lane_bytes` per lane) within ``FULL_SIGMA_MAX_BYTES``.  Every
+    other block is one learner at ``dataset.d``, trained by
+    :func:`_online_pass`, whose ``score`` then takes its held-out rows one at
+    a time.
     """
-    keep = 0
-    if cfg.algo in SKETCHED_ALGOS:
-        keep = cfg.sketch_size
-        check_size(keep, dataset.d)
-    padded = dataset.padded(keep)
-    block = max(1, FULL_SIGMA_MAX_BYTES // _lane_bytes(cfg, padded.width))
+    padded, block = None, 1
+    if _runs_as_lanes(cfg):
+        keep = 0
+        if cfg.algo in SKETCHED_ALGOS:
+            keep = cfg.sketch_size
+            check_size(keep, dataset.d)
+        padded = dataset.padded(keep)
+        block = max(1, FULL_SIGMA_MAX_BYTES // _lane_bytes(cfg, padded.width))
     if counts is None:
         counts = [(dataset.t_pos, dataset.t_neg)] * len(orders)
 
@@ -396,37 +394,33 @@ def _lane_pass(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
         group = list(group)
         for lo in range(0, len(group), block):
             ids = group[lo:lo + block]
-            lanes = make_learner(cfg, padded.width, [etas[i] for i in ids])
-            cms = [make_cost_model(cfg, counts[i]) for i in ids]
-            cm = cms[0]
-            if cm is not None:
-                cm.rho = np.array([c.rho for c in cms])
-            start = time.perf_counter()
-            mistakes = _lane_rounds(lanes, cm, dataset, padded, [orders[i] for i in ids])
-            if heldout is not None:
-                mistakes = _lane_rounds(lanes, None, dataset, padded, [heldout[i] for i in ids],
-                                        step=False)
+            if padded is None:
+                (i,) = ids
+                learner, cm = make_learner(cfg, dataset.d, etas[i]), make_cost_model(cfg, counts[i])
+                start = time.perf_counter()
+                read = orders[i]
+                scores = _online_pass(learner, cm, dataset, read)
+                if heldout is not None:
+                    read = heldout[i]
+                    scores = np.array([learner.score(p, v) for p, v, _ in dataset.rows(read)])
+                mistakes = count_mistakes(dataset.labels[read][:, None], scores[:, None])
+            else:
+                learner = make_learner(cfg, padded.width, [etas[i] for i in ids])
+                cms = [make_cost_model(cfg, counts[i]) for i in ids]
+                cm = cms[0]
+                if cm is not None:
+                    cm.rho = np.array([c.rho for c in cms])
+                start = time.perf_counter()
+                mistakes = _lane_rounds(learner, cm, dataset, padded, [orders[i] for i in ids])
+                if heldout is not None:
+                    mistakes = _lane_rounds(learner, None, dataset, padded,
+                                            [heldout[i] for i in ids], step=False)
             elapsed_ms = (time.perf_counter() - start) * 1e3 / len(ids)
             for i, mp, mn in zip(ids, *(m.tolist() for m in mistakes)):
                 tally = counts[i] if heldout is None else _class_counts(dataset, heldout[i])
                 cc = ConfusionCounts(*tally, mp, mn)
                 rows[i] = _row(cfg, seeds[i], etas[i], cc, elapsed_ms)
     return rows
-
-
-def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
-               orders: list, counts: list | None = None, heldout: list | None = None) -> list:
-    """The row of each pass g at step size ``etas[g]`` over ``orders[g]``,
-    whose class counts (T_p, T_n) are ``counts[g]``, the dataset's unless
-    given: a prequential pass's as :func:`run_single` gives it (``orders[g]``
-    is then ``dataset.order(seeds[g])``), or with
-    ``heldout`` :func:`_frozen_pass`'s on the rows ``heldout[g]``.  Batched
-    by :func:`_lane_pass` where :func:`_runs_as_lanes`, else one pass each."""
-    if _runs_as_lanes(cfg):
-        return _lane_pass(cfg, dataset, etas, seeds, orders, counts, heldout)
-    if heldout is None:
-        return [run_single(cfg, dataset, eta, s) for eta, s in zip(etas, seeds)]
-    return [_frozen_pass(cfg, dataset, *lane) for lane in zip(etas, seeds, orders, counts, heldout)]
 
 
 def selection_rows(cfg: ExperimentConfig, dataset: Dataset, grid: list) -> dict:

@@ -402,6 +402,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):  # one evaluation seed too many
             ExperimentConfig(seed=largest, permutations=SELECTION_SEED_OFFSET + SELECTION_PERMUTATIONS + 1)
 
+    def test_out_that_is_a_directory_rejected_before_any_data(self, tmp_path):
+        with pytest.raises(ValueError, match="is a directory"):
+            ExperimentConfig(dataset="missing.libsvm", out=str(tmp_path))
+
     def test_run_cv_checks_folds_before_loading(self):
         cfg = ExperimentConfig(dataset="missing.libsvm", folds=0)
         with pytest.raises(ValueError, match="folds"):
@@ -484,6 +488,17 @@ class TestCli:
         assert cli.main(["run", "--dataset", "missing.libsvm", "--algo", "cog1"] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.libsvm" not in err
+
+    @pytest.mark.parametrize("folds", [[], ["--folds", "3"]])
+    def test_out_that_is_a_directory_is_one_error_line(self, folds, tmp_path, monkeypatch,
+                                                       capsys):
+        from costsense import harness
+
+        monkeypatch.setattr(harness, "make_learner", None)  # any pass would fail on it
+        assert cli.main(["run", "--dataset", str(TOY), "--algo", "acog2", "--eta-grid", "1",
+                         "--out", str(tmp_path)] + folds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is a directory" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("empty_class", ["perfect", "error"])
     def test_cv_fold_without_positives(self, empty_class, tmp_path, capsys):

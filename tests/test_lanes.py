@@ -293,7 +293,7 @@ def test_sketched_evaluation_lanes_match_scalar_passes(toy, sketch_cache, algo, 
 
 def test_random_sketch_init_stays_scalar(toy, monkeypatch):
     # a random init is dense over d: no lane pass may run it
-    monkeypatch.setattr(harness, "_lane_pass", None)
+    monkeypatch.setattr(harness, "_lane_rounds", None)
     cfg = ExperimentConfig(algo="ssacog2", sketch_init="random", eta_grid=SKETCH_GRID,
                            permutations=2)
     assert len(run_experiment(cfg, toy).rows) == 2
