@@ -8,7 +8,8 @@ read a different row per lane take all rows at once from ``Dataset.padded()``.
 
 A dataset's seeded orders, ``Dataset.order(seed)``, are :func:`permutation`'s,
 computed once per seed and kept, read-only, for as long as the dataset lives,
-so every experiment run on one loaded dataset shares them.
+so every experiment run on one loaded dataset shares them; so are its
+cross-validation splits, ``Dataset.cv_split(k, seed)``.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class Dataset:
     """Samples stored as columns (CSR), and the class counts of ``labels``.
 
     Row ``i`` is ``labels[i]`` (+1/-1) with the 0-based feature ``positions``
-    and unit-norm ``values`` in ``indptr[i]:indptr[i + 1]``.  :meth:`padded`
-    and :meth:`order` build their arrays on first use and keep them as long
-    as the dataset.
+    and unit-norm ``values`` in ``indptr[i]:indptr[i + 1]``.  :meth:`padded`,
+    :meth:`order` and :meth:`cv_split` build their arrays on first use and
+    keep them as long as the dataset.
     """
 
     labels: np.ndarray
@@ -61,6 +62,7 @@ class Dataset:
         self.t_neg = self.labels.size - self.t_pos
         self._padded = {}
         self._orders = {}
+        self._splits = {}
 
     def __len__(self) -> int:
         return self.labels.size
@@ -85,6 +87,22 @@ class Dataset:
             order = self._orders[seed] = permutation(len(self), seed)
             order.flags.writeable = False
         return self._orders[seed]
+
+    def cv_split(self, k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each fold's (training order, held-out rows) for k folds at ``seed``,
+        computed on first use and kept, read-only.  Fold i holds out
+        ``split_folds(len(self), k, seed)[i]`` and trains on the other folds'
+        rows, concatenated, in the order ``permutation(len(train), seed + i)``."""
+        if (k, seed) not in self._splits:
+            folds = split_folds(len(self), k, seed)
+            split = []
+            for i, heldout in enumerate(folds):
+                train = np.concatenate(folds[:i] + folds[i + 1:])
+                order = train[permutation(train.size, seed + i)]
+                order.flags.writeable = heldout.flags.writeable = False
+                split.append((order, heldout))
+            self._splits[k, seed] = tuple(split)
+        return self._splits[k, seed]
 
     def padded(self, keep: int = 0) -> PaddedRows:
         """The rows as :class:`PaddedRows`, built on first use and kept.

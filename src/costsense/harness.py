@@ -40,7 +40,9 @@ import numpy as np
 
 from .acog import FULL_SIGMA_MAX_BYTES, AdaptiveCSGD
 from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron
-from .data import Dataset, load_dataset, permutation, split_folds
+# permutation and split_folds are not called here since Dataset.cv_split
+# keeps the folds, but perfbench/tracing.py wraps both under these names
+from .data import Dataset, load_dataset, permutation, split_folds  # noqa: F401
 from .losses import METRICS, CostModel, LossVariant, lane_class_weight, observe_label, resolve_rho
 from .metrics import ConfusionCounts, class_rates, cost_metric, count_mistakes, sum_metric
 from .sacog import SketchedCSGD, SparseSketchedCSGD
@@ -500,6 +502,8 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
 
     The training stream for fold i is a single permutation seeded with
     ``seed + i``; oracle rho comes from the training portion's class counts.
+    The dataset keeps the split and the training streams
+    (:meth:`Dataset.cv_split`), so every CV experiment on it shares them.
     The folds run as the lanes of :func:`_pass_rows`: fold sizes differ by
     at most one, so their lanes form at most two groups of equal lengths.
     """
@@ -509,16 +513,16 @@ def run_cv(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
     # the fold count is checked against the row count, every fold's oracle
     # rho and then every held-out fold's classes, before any pass
-    folds = split_folds(len(dataset), cfg.folds, cfg.seed)
-    orders, counts = [], []
-    for i, heldout in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        counts.append(_class_counts(dataset, train_idx))
+    split = dataset.cv_split(cfg.folds, cfg.seed)
+    orders = [order for order, _ in split]
+    folds = [heldout for _, heldout in split]
+    counts = []
+    for i, order in enumerate(orders):
+        counts.append(_class_counts(dataset, order))
         try:
             make_cost_model(cfg, counts[-1])
         except ValueError as exc:  # e.g. oracle rho of a training fold with no positives
             raise ValueError(f"CV fold {i + 1} of {cfg.folds}: {exc}") from None
-        orders.append(train_idx[permutation(len(train_idx), cfg.seed + i)])
     for i, heldout in enumerate(folds):
         try:
             class_rates(ConfusionCounts(*_class_counts(dataset, heldout)), cfg.empty_class)

@@ -33,22 +33,32 @@ its learner gathered to score the round, and the values' ``xhat @ xhat``
 its learner computed once per chunk (:func:`sketch_inputs`), and returns
 the rows it wrote back.
 
+The factorizations call the stacked LAPACK gufuncs behind
+``np.linalg.cholesky``, ``solve`` and ``inv`` directly: the same bits,
+without those wrappers' per-call checks, which on 5 x 5 stacks cost more
+than LAPACK.  A failed factorization comes back as NaN, not LinAlgError.
+
 Overflow and invalid values in a step's arithmetic, which an extreme gamma
-brings about, end in a pivot that :func:`_cholesky` reports as
-:class:`SketchConditionError`; numpy does not warn of them first.
+brings about, and a failed factorization end in a pivot that
+:func:`_cholesky` reports as :class:`SketchConditionError`; numpy does not
+warn of them first.
 """
 
 from __future__ import annotations
 
 import numpy as np
+# private, but these gufuncs are what np.linalg's cholesky, solve and inv
+# call; imported here only, and with no fallback (numpy >= 2.0 has them all)
+from numpy.linalg import _umath_linalg
 
 # Each round multiplies Z by I + x x^T / t, so K's eigenvalues stay >= 1 and
 # tr(K) bounds cond(K), to which F Z's orthonormality error is proportional.
 # Past this trace the sketch folds F into Z, which brings K back to I.
 FOLD_TRACE = 1e6
 
-# numpy's error state for a sketch step's arithmetic (see the module docstring)
-QUIET = {"over": "ignore", "invalid": "ignore"}
+# numpy's error state for a sketch step's arithmetic and for each
+# factorization (see the module docstring), as np.linalg's wrappers set it
+QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 class SketchConditionError(RuntimeError):
@@ -80,13 +90,11 @@ def _cholesky(G: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the Gram matrix G of a row basis, or of each
     matrix of a stack.  A failed factorization or a pivot <= 1e-10 or NaN in
     any of them means a basis lost rank and raises
-    :class:`SketchConditionError`."""
-    try:
-        R = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        R = None
-    # second-pass pivots are ~1, so there the check only catches NaN
-    if R is None or not np.diagonal(R, axis1=-2, axis2=-1).min() > 1e-10:
+    :class:`SketchConditionError`.  Call it under :data:`QUIET`."""
+    R = _umath_linalg.cholesky_lo(G, signature="d->d")
+    # a failed factorization is all NaN; second-pass pivots are ~1, so
+    # there the check only catches NaN
+    if not R.diagonal(0, -2, -1).min() > 1e-10:
         raise SketchConditionError("sketch basis lost rank during re-orthonormalization")
     return R
 
@@ -96,10 +104,12 @@ def orthonormalize_rows(V: np.ndarray) -> np.ndarray:
     CholeskyQR2: two passes of V = R^{-1} V with R = cholesky(V V^T).
     Returns a new array; V = L Q with L lower triangular, so Q's rows are
     Gram-Schmidt's.  Lost rank raises :class:`SketchConditionError`."""
-    for _ in range(2):
-        # inv(R) @ V, not solve(R, V): on 5 x 1e5 rows, one core of a 2-core
-        # Xeon VM, solve took 18 ms a call, the m x m inverse and a matmul 3 ms
-        V = np.linalg.inv(_cholesky(V @ V.mT)) @ V
+    with np.errstate(**QUIET):
+        for _ in range(2):
+            # inv(R) @ V, not solve(R, V): on 5 x 1e5 rows, one core of a
+            # 2-core Xeon VM, solve took 18 ms a call, the m x m inverse and
+            # a matmul 3 ms
+            V = _umath_linalg.inv(_cholesky(V @ V.mT), signature="d->d") @ V
     return V
 
 
@@ -262,8 +272,9 @@ def decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
     A failed Cholesky or a pivot <= 1e-10 or NaN means lost rank and raises
     :class:`SketchConditionError`."""
     Q = F
-    for _ in range(2):
-        Q = np.linalg.solve(_cholesky(Q @ K @ Q.mT), Q)
+    with np.errstate(**QUIET):
+        for _ in range(2):
+            Q = _umath_linalg.solve(_cholesky(Q @ K @ Q.mT), Q, signature="dd->d")
     return Q
 
 

@@ -168,6 +168,36 @@ class TestCovarianceUpdate:
             assert out is sigma
             assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 22, 63, 64, 65, 123, 181, 182, 300, 2100])
+    def test_bitwise_like_outer_product_in_64_row_blocks(self, d):
+        # the formula the one-buffer einsum replaced; einsum may write +0.0
+        # where np.outer writes -0.0, which sigma - block must not show
+        def outer_blocks(sigma, positions, values, gamma):
+            s = sigma[:, positions] @ values
+            denom = gamma + float(values @ s[positions])
+            for lo in range(0, s.size, 64):
+                sigma[lo:lo + 64] -= np.outer(s[lo:lo + 64], s) / denom
+            return sigma
+
+        rng = np.random.default_rng(d)
+        sigma, expected = np.eye(d), np.eye(d)
+        # supports within the first two thirds of the columns keep s at
+        # exactly 0 on the rest, so np.outer(s, s) holds -0.0
+        width = max(1, 2 * d // 3)
+        negative_zeros = False
+        for _ in range(40 if d < 1000 else 8):
+            pos = np.sort(rng.choice(width, int(rng.integers(1, min(width, 12) + 1)),
+                                     replace=False))
+            vals = rng.standard_normal(pos.size)
+            vals[rng.random(pos.size) < 0.2] = 0.0
+            s = expected[:, pos] @ vals
+            negative_zeros |= bool((s == 0).any() and (s < 0).any())
+            outer_blocks(expected, pos, vals, 0.7)
+            assert covariance_update(sigma, pos, vals, 0.7) is sigma
+            assert sigma.tobytes() == expected.tobytes()
+            assert np.array_equal(np.signbit(sigma), np.signbit(expected))
+        assert d == 1 or negative_zeros
+
 
 class TestStep:
     def test_fresh_model_composition(self):

@@ -444,6 +444,27 @@ class TestSplitFolds:
         with pytest.raises(ValueError):
             split_folds(10, 11, seed=0)
 
+    @pytest.mark.parametrize("n,k,seed", [(6, 3, 0), (11, 5, 3), (50, 7, 12)])
+    def test_cv_split_is_kept_per_dataset(self, n, k, seed):
+        rng = np.random.default_rng(n)
+        labels = np.where(rng.random(n) < 0.5, 1, -1)
+        ds = Dataset(labels, np.arange(n + 1), np.zeros(n, dtype=np.int64), np.ones(n), 1)
+        split = ds.cv_split(k, seed)
+        assert ds.cv_split(k, seed) is split
+        folds = split_folds(n, k, seed)
+        assert len(split) == k
+        for i, (order, heldout) in enumerate(split):
+            train = np.concatenate([f for j, f in enumerate(folds) if j != i])
+            assert order.tobytes() == train[permutation(train.size, seed + i)].tobytes()
+            assert heldout.tobytes() == folds[i].tobytes()
+            assert order.dtype == heldout.dtype == np.int64
+            with pytest.raises(ValueError):
+                order[0] = 0
+            with pytest.raises(ValueError):
+                heldout[0] = 0
+        with pytest.raises(ValueError):
+            ds.cv_split(n + 1, seed)
+
     def test_folds_of_a_loaded_dataset(self, tmp_path):
         p = tmp_path / "toy.libsvm"
         p.write_text("".join(f"+1 1:{i + 1}\n" for i in range(6)))

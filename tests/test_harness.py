@@ -316,6 +316,22 @@ class TestRunCv:
         assert len(a.rows) == 5
         assert [strip_elapsed(r) for r in a.rows] == [strip_elapsed(r) for r in b.rows]
 
+    def test_cv_experiments_on_one_dataset_share_each_split(self, monkeypatch):
+        from costsense import data
+
+        calls = []
+
+        def counted(n, seed):
+            calls.append((n, seed))
+            return permutation(n, seed)
+        monkeypatch.setattr(data, "permutation", counted)
+        ds = load_dataset(TOY)
+        for algo in ("cog2", "acog2", "ssacog2"):
+            run_cv(ExperimentConfig(algo=algo, eta_grid=(1.0,), folds=3, seed=4), ds)
+        # the split at seed 4, then one training order per fold at seed 4 + i
+        assert [seed for _, seed in calls] == [4, 4, 5, 6]
+        assert calls[0][0] == len(ds) and sum(n for n, _ in calls[1:]) == 2 * len(ds)
+
     def test_rejects_bad_fold_count(self, toy):
         cfg = ExperimentConfig(algo="cog1", eta_grid=(1.0,), folds=0)
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,119 @@ class TestDegenerateRows:
         sk = sketch_type(2, 3)
         with pytest.raises(SketchConditionError, match="rank"):
             sk.update(np.array([0, 1]), np.array([1e12, 1e12]))
+
+
+def linalg_cholesky(G):
+    """``_cholesky`` as np.linalg's public functions computed it."""
+    try:
+        R = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        R = None
+    if R is None or not np.diagonal(R, axis1=-2, axis2=-1).min() > 1e-10:
+        raise SketchConditionError("sketch basis lost rank during re-orthonormalization")
+    return R
+
+
+def linalg_orthonormalize_rows(V):
+    for _ in range(2):
+        V = np.linalg.inv(linalg_cholesky(V @ V.mT)) @ V
+    return V
+
+
+def linalg_decompose(F, K):
+    Q = F
+    for _ in range(2):
+        Q = np.linalg.solve(linalg_cholesky(Q @ K @ Q.mT), Q)
+    return Q
+
+
+class TestKernelsMatchLinalg:
+    """The factorizations call np.linalg's gufuncs directly; their results
+    are bitwise those of np.linalg.cholesky, inv and solve."""
+
+    STACKS = [(), (1,), (5,), (20,), (33,), (165,)]
+
+    @staticmethod
+    def gram_pair(rng, lanes, m, width):
+        F = rng.standard_normal(lanes + (m, m))
+        Z = rng.standard_normal(lanes + (m, width))
+        return F, Z @ Z.mT
+
+    @pytest.mark.parametrize("lanes", STACKS, ids=str)
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_cholesky(self, lanes, m):
+        rng = np.random.default_rng(m * 1000 + sum(lanes))
+        _, K = self.gram_pair(rng, lanes, m, m + 4)
+        np.testing.assert_array_equal(sketch._cholesky(K), linalg_cholesky(K))
+
+    @pytest.mark.parametrize("lanes", STACKS, ids=str)
+    @pytest.mark.parametrize("m,width", [(1, 3), (5, 5), (5, 123), (3, 1000)])
+    def test_orthonormalize_rows(self, lanes, m, width):
+        rng = np.random.default_rng(width * 10 + m + sum(lanes))
+        V = rng.standard_normal(lanes + (m, width))
+        np.testing.assert_array_equal(orthonormalize_rows(V), linalg_orthonormalize_rows(V))
+
+    @pytest.mark.parametrize("lanes", STACKS, ids=str)
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_decompose(self, lanes, m):
+        rng = np.random.default_rng(m * 7 + sum(lanes))
+        F, K = self.gram_pair(rng, lanes, m, m + 3)
+        np.testing.assert_array_equal(decompose(F, K), linalg_decompose(F, K))
+        eye = np.broadcast_to(np.eye(m), K.shape)  # the fold's decompose(I, K)
+        np.testing.assert_array_equal(decompose(eye, K), linalg_decompose(eye, K))
+
+
+class TestFailuresRaiseWithoutWarning:
+    """Outside any errstate, a stack that lost rank or holds NaN or +-inf
+    raises one SketchConditionError and no RuntimeWarning."""
+
+    @staticmethod
+    def bases():
+        rng = np.random.default_rng(11)
+        good = rng.standard_normal((4, 3, 8))
+        cases = {}
+        zero_row = good.copy()
+        zero_row[2, 1] = 0.0
+        cases["zero row"] = zero_row
+        near_copy = good.copy()
+        near_copy[1, 2] = near_copy[1, 0] * (1 + 1e-14)
+        cases["near copy"] = near_copy
+        nan = good.copy()
+        nan[3, 0, 1] = np.nan
+        cases["nan"] = nan
+        for sign in (1, -1):
+            inf = good.copy()
+            inf[0, 1, 2] = sign * np.inf
+            cases[f"{sign:+d}inf entry"] = inf
+            inf_row = good.copy()
+            inf_row[2, 0] = sign * np.inf
+            cases[f"{sign:+d}inf row"] = inf_row
+        huge = good.copy()
+        huge[1] *= 1e300
+        cases["overflowing"] = huge
+        return cases
+
+    @staticmethod
+    def raises_quietly(call, *args):
+        assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore",
+                               "invalid": "warn"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SketchConditionError, match="rank"):
+                call(*args)
+
+    @pytest.mark.parametrize("case", list(bases()))
+    def test_orthonormalize_rows(self, case):
+        self.raises_quietly(orthonormalize_rows, self.bases()[case])
+
+    @pytest.mark.parametrize("case", list(bases()))
+    def test_decompose_bad_gram(self, case):
+        V = self.bases()[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = V @ V.mT
+        self.raises_quietly(decompose, np.broadcast_to(np.eye(3), K.shape), K)
+
+    @pytest.mark.parametrize("case", list(bases()))
+    def test_decompose_bad_rows(self, case):
+        V = self.bases()[case]
+        self.raises_quietly(decompose, V[..., :3], np.eye(3))
