@@ -15,7 +15,6 @@ from .harness import (
     CHOICES,
     SELECTION_PERMUTATIONS,
     ExperimentConfig,
-    run_cv,
     run_experiment,
 )
 from .sketch import SketchConditionError
@@ -72,7 +71,7 @@ def main(argv=None) -> int:
     del opts["command"]
     try:
         cfg = ExperimentConfig(**opts)
-        report = run_cv(cfg) if cfg.folds else run_experiment(cfg)
+        report = run_experiment(cfg)
     except (ValueError, OSError, MemoryError, SketchConditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,10 @@ lane reads the rows in its own order.  A sketched lane carries a sketch of
 its own, about (m + 1) x (u + 2m) doubles with u the columns the rows use.
 A random sketch init is dense over d, so those passes run one learner at a
 time, as do the perceptron's and full ACOG's.  Selection and evaluation
-orders are the dataset's (``Dataset.order``), computed once for every
-experiment on it; CV's fold splits and training orders are computed per
-experiment.  :func:`run_single` is the scalar reference pass, and the one
-that can record a :class:`RunTrace`.
+orders (``Dataset.order``) and CV's fold splits and training orders
+(``Dataset.cv_split``) are the dataset's, computed once and kept for as
+long as the loaded dataset lives.  :func:`run_single` is the scalar
+reference pass, and the one that can record a :class:`RunTrace`.
 Everything downstream of (config, base seed) is deterministic; elapsed-time
 columns are the only environment-dependent output.  A row's ``elapsed_ms``
 is the wall time of the block that produced it divided by that block's pass
@@ -151,7 +151,7 @@ class ExperimentConfig:
             raise ValueError(f"no directory to write {self.out!r} into")
         if self.out is not None and os.path.isdir(self.out):
             raise ValueError(f"cannot write the report to {self.out!r}: it is a directory")
-        _cost_model(self)  # checks the cost fields and rho_mode
+        CostModel(self.metric, self.alpha_p, self.alpha_n, self.c_p, self.c_n, self.rho_mode)
 
     @property
     def loss_variant(self) -> LossVariant:
@@ -216,25 +216,12 @@ def make_learner(cfg: ExperimentConfig, d: int, eta):
     )
 
 
-def _cost_model(cfg: ExperimentConfig) -> CostModel:
-    """The cost model the config's fields describe; ``"fixed:<value>"`` gives
-    a fixed rho, and a sum-metric oracle rho is left unresolved."""
-    mode, rho = cfg.rho_mode, None
-    if mode.startswith("fixed:"):
-        value = mode.removeprefix("fixed:")
-        try:
-            mode, rho = "oracle", float(value)
-        except ValueError:
-            raise ValueError(f"fixed rho must be a number, got {value!r}") from None
-    return CostModel(cfg.metric, cfg.alpha_p, cfg.alpha_n, cfg.c_p, cfg.c_n, mode, rho)
-
-
-def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int]) -> CostModel | None:
+def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int]) -> CostModel:
     """A pass's fresh cost model from the config, with oracle rho resolved from
-    the class counts ``counts`` = (T_p, T_n); None for the rho-free learners."""
-    if cfg.algo in RHO_FREE_ALGOS:
-        return None
-    cm = _cost_model(cfg)
+    the class counts ``counts`` = (T_p, T_n).  The rho-free learners' rho is
+    fixed at 1, where both surrogates are the plain hinge."""
+    mode = "fixed:1" if cfg.algo in RHO_FREE_ALGOS else cfg.rho_mode
+    cm = CostModel(cfg.metric, cfg.alpha_p, cfg.alpha_n, cfg.c_p, cfg.c_n, mode)
     cm.rho = resolve_rho(cm, counts)
     return cm
 
@@ -243,9 +230,9 @@ def _online_pass(learner, cm, dataset, order, trace=None) -> np.ndarray:
     """Score then update on every example of ``order`` in turn; returns the scores.
 
     Each round's rho counts that round's revealed label (:func:`observe_label`,
-    once for the whole pass).  ``cm`` is None for the rho-free learners.
+    once for the whole pass).
     """
-    rho = observe_label(cm, dataset.labels[order]) if cm is not None else None
+    rho = observe_label(cm, dataset.labels[order])
     rhos = rho.tolist() if isinstance(rho, np.ndarray) else itertools.repeat(rho)
     scores = []
     for (positions, values, y), r in zip(dataset.rows(order), rhos):
@@ -297,7 +284,7 @@ def run_single(
         # each round as a lane of its own gives its mistakes, summed up to it
         trace.m_pos_series, trace.m_neg_series = (
             np.cumsum(m).tolist() for m in count_mistakes(labels[None], scores[None]))
-        trace.rho_final = float(cm.rho) if cm is not None else 1.0
+        trace.rho_final = float(cm.rho)
         return row, trace
     return row
 
@@ -331,11 +318,10 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
     all equally long.  With ``step`` this is :func:`_online_pass` with one
     more axis, split between two owners: this loop owns the chunks, labels,
     rho and mistakes, gathering each chunk of rounds, folding its labels
-    into rho (:func:`observe_label`, ``cm`` None for the rho-free learners)
-    and counting its mistakes (:func:`count_mistakes`, one count per lane);
-    the learner's ``advance`` owns the rounds, in each of which every lane
-    scores its row and steps on it.  Without, the frozen lanes score a chunk
-    at once."""
+    into rho (:func:`observe_label`) and counting its mistakes
+    (:func:`count_mistakes`, one count per lane); the learner's ``advance``
+    owns the rounds, in each of which every lane scores its row and steps on
+    it.  Without, the frozen lanes score a chunk at once."""
     g, k = len(orders), padded.positions.shape[1]
     lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
     chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
@@ -346,8 +332,7 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
         values = padded.values[idx]
         y = dataset.labels[idx].astype(np.float64)
         if step:
-            # the rho-free learners ignore rho
-            weight = lane_class_weight(y, observe_label(cm, y) if cm is not None else 1.0)
+            weight = lane_class_weight(y, observe_label(cm, y))
             scores = lanes.advance(flat, values, y, weight, padded.sq_norms[idx])
         else:
             scores = lanes.scores(flat, values)
@@ -410,8 +395,7 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
                 learner = make_learner(cfg, padded.width, [etas[i] for i in ids])
                 cms = [make_cost_model(cfg, counts[i]) for i in ids]
                 cm = cms[0]
-                if cm is not None:
-                    cm.rho = np.array([c.rho for c in cms])
+                cm.rho = np.array([c.rho for c in cms])
                 start = time.perf_counter()
                 mistakes = _lane_rounds(learner, cm, dataset, padded, [orders[i] for i in ids])
                 if heldout is not None:
@@ -480,7 +464,10 @@ def _report(cfg: ExperimentConfig, eta: float, rows: list, grid: dict) -> RunRep
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset | None = None) -> RunReport:
-    """Grid-select, then evaluate over ``permutations`` seeded runs."""
+    """Grid-select, then evaluate over ``permutations`` seeded runs; a config
+    with ``folds`` >= 2 runs :func:`run_cv` instead."""
+    if cfg.folds:
+        return run_cv(cfg, dataset)
     if dataset is None:
         dataset = load_dataset(cfg.dataset, d_override=cfg.d_override)
     # as run_cv does, before any pass: oracle rho, then a class missing from

@@ -78,8 +78,9 @@ METRICS = ("sum", "cost")
 class CostModel:
     """Metric weights plus the bias parameter rho and its supply mode.
 
-    ``metric`` is ``"sum"`` or ``"cost"``; ``rho_mode`` is ``"oracle"`` or
-    ``"laplace"``, and a given ``rho`` is fixed.  The cost metric's rho is
+    ``metric`` is ``"sum"`` or ``"cost"``; ``rho_mode`` is ``"oracle"``,
+    ``"laplace"`` or ``"fixed:<value>"``, which is read as oracle mode with
+    that ``rho``, and a given ``rho`` is fixed.  The cost metric's rho is
     c_p/c_n.  A sum-metric oracle rho comes from the dataset's class counts
     (:func:`resolve_rho`); a Laplace one is :meth:`laplace_rho` of the labels
     :func:`observe_label` has counted, per lane once it has seen lanes.
@@ -96,6 +97,12 @@ class CostModel:
     seen_neg: int = 0
 
     def __post_init__(self):
+        if self.rho_mode.startswith("fixed:"):
+            value = self.rho_mode.removeprefix("fixed:")
+            try:
+                self.rho_mode, self.rho = "oracle", float(value)
+            except ValueError:
+                raise ValueError(f"fixed rho must be a number, got {value!r}") from None
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.rho_mode not in ("oracle", "laplace"):

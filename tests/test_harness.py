@@ -25,6 +25,7 @@ from costsense.harness import (
     run_experiment,
     run_single,
 )
+from costsense.losses import observe_label
 from costsense.metrics import ConfusionCounts, sum_metric
 from costsense.sketch import SketchConditionError
 
@@ -332,6 +333,12 @@ class TestRunCv:
         assert [seed for _, seed in calls] == [4, 4, 5, 6]
         assert calls[0][0] == len(ds) and sum(n for n, _ in calls[1:]) == 2 * len(ds)
 
+    def test_run_experiment_runs_cv_when_folds_are_set(self, toy):
+        cfg = ExperimentConfig(algo="cog2", eta_grid=(0.1, 1.0), folds=3, seed=4)
+        rows = [strip_elapsed(r) for r in run_experiment(cfg, toy).rows]
+        assert rows == [strip_elapsed(r) for r in run_cv(cfg, toy).rows]
+        assert len(rows) == 3
+
     def test_rejects_bad_fold_count(self, toy):
         cfg = ExperimentConfig(algo="cog1", eta_grid=(1.0,), folds=0)
         with pytest.raises(ValueError):
@@ -446,6 +453,17 @@ class TestConfigValidation:
         assert [strip_elapsed(r) for r in a.rows] == [strip_elapsed(r) for r in b.rows]
         with pytest.raises(ValueError, match="permutations"):
             dataclasses.replace(cfg, permutations=0)
+
+    @pytest.mark.parametrize("algo", ["perceptron", "pa1"])
+    @pytest.mark.parametrize("metric", ["sum", "cost"])
+    @pytest.mark.parametrize("rho_mode", ["oracle", "laplace", "fixed:2.5"])
+    def test_rho_free_learners_get_a_unit_cost_model(self, algo, metric, rho_mode):
+        # no positives: an oracle rho of these counts would be undefined
+        cfg = ExperimentConfig(algo=algo, metric=metric, rho_mode=rho_mode)
+        cm = make_cost_model(cfg, (0, 10))
+        assert cm.rho == 1.0
+        assert observe_label(cm, np.array([1, -1, 1, 1])) == 1.0
+        assert (cm.rho, cm.seen_pos, cm.seen_neg) == (1.0, 0, 0)
 
     def test_variant_derived_from_algo_id(self):
         from costsense.losses import LossVariant

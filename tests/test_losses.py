@@ -167,6 +167,21 @@ class TestCostModel:
         assert cm2.rho == pytest.approx(4.0)
 
 
+class TestFixedRhoMode:
+    def test_fixed_reads_as_oracle_with_that_rho(self):
+        assert CostModel(rho_mode="fixed:2.5") == CostModel(rho_mode="oracle", rho=2.5)
+        assert CostModel(metric="cost", rho_mode="fixed:2.5").rho == 2.5  # not c_p/c_n
+
+    @pytest.mark.parametrize("rho_mode, message", [
+        ("fixed:abc", "fixed rho must be a number, got 'abc'"),
+        ("fixed:nan", "rho must be finite and positive, got nan"),
+        ("fixed:0", "rho must be finite and positive, got 0.0"),
+    ])
+    def test_bad_fixed_rho_refused(self, rho_mode, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CostModel(rho_mode=rho_mode)
+
+
 class TestResolveRho:
     def test_sum_oracle(self):
         cm = CostModel(metric="sum")
