@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import LinearLearner
 from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
 
-# Largest full sigma allocated (d = 16384): a fixed policy, not a measured limit.
+# Largest full sigma allocated (16384 columns): a fixed policy, not a measured limit.
 FULL_SIGMA_MAX_BYTES = 2**31
 
 
@@ -85,8 +85,8 @@ class AdaptiveCSGD(LinearLearner):
     ):
         super().__init__(d, eta)
         if not diagonal and d * d * 8 > FULL_SIGMA_MAX_BYTES:
-            raise ValueError(f"full-matrix ACOG at d={d} needs {d * d * 8 / 2**30:.1f} GiB, over "
-                             f"{FULL_SIGMA_MAX_BYTES / 2**30:g} GiB; use the -diag variant")
+            raise ValueError(f"full-matrix ACOG over {d} columns needs {d * d * 8 / 2**30:.1f} "
+                             f"GiB, over {FULL_SIGMA_MAX_BYTES / 2**30:g} GiB; use the -diag variant")
         if np.ndim(self.eta) and not diagonal:
             raise ValueError("full-matrix ACOG takes one eta; a sequence needs diagonal=True")
         if not gamma > 0.0:
@@ -127,9 +127,11 @@ class AdaptiveCSGD(LinearLearner):
         return l
 
     def advance(self, flat, values, y, weight, sq_norms=None):
-        """``update`` on every lane's own row, round by round over a chunk
-        (lanes only); returns the chunk's scores.  A lane whose loss is 0
-        keeps its state."""
+        """``update`` on every lane's own row, round by round over a chunk;
+        returns the chunk's scores.  A lane whose loss is 0 keeps its state.
+        The full-matrix learner is one lane, advanced by the core."""
+        if not self.diagonal:
+            return super().advance(flat, values, y, weight)
         mu, sigma = self.w.reshape(-1), self.sigma.reshape(-1)  # views
         eta_slope = self.eta * lane_slope(self.variant, y, weight)
         scores = np.empty(flat.shape[:2])

@@ -22,6 +22,7 @@ the labels and rho; the learner owns the rounds.  Whatever does not depend
 on a round's scores (the slope and ``eta`` times it, and COG's step along
 x) is computed once per chunk, and the weights a lane's score gathers are
 the ones its step updates.  ``scores`` gives the scores of frozen lanes.
+The core's ``advance`` runs one lane, a learner of one step size, by ``update``.
 """
 
 from __future__ import annotations
@@ -69,10 +70,21 @@ class LinearLearner:
         return float(self.w[positions] @ values)
 
     def scores(self, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Each frozen lane's scores on its own rows (d x G weights only; any
-        leading axes are rounds): one dot product per row, as ``score``
-        takes it."""
+        """Each frozen lane's scores on its own rows (any leading axes are
+        rounds): one dot product per row, as ``score`` takes it."""
         return np.vecdot(self.w.take(flat), values)
+
+    def advance(self, flat, values, y, weight, sq_norms=None):
+        """One lane (d weights, so ``flat`` is the positions): ``score`` then
+        ``update`` on each round's row in turn; returns the chunk's scores.
+        ``update`` reads rho only through its class weight, so it takes the
+        round's ``weight`` as rho."""
+        scores = np.empty(flat.shape[:2])
+        for t, (f, x, yt, r) in enumerate(zip(flat[:, 0], values[:, 0], y[:, 0].tolist(),
+                                              weight[:, 0].tolist())):
+            s = scores[t, 0] = self.score(f, x)
+            self.update(f, x, yt, r, score=s)
+        return scores
 
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)

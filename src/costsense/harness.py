@@ -6,23 +6,23 @@ seeded shuffles of the dataset, reporting per-run and aggregate metrics.
 Every pass of the three phases is run by :func:`_pass_rows`: selection a
 pass per (grid value, selection permutation), evaluation a pass per
 evaluation permutation at the selected value, and k-fold mode a pass per
-fold, whose frozen learner then scores the fold's held-out rows.  For the
-learners of :data:`LANE_ALGOS` (PA-I, COG, diagonal ACOG and the sketched
-learners) the passes of a phase run batched: ``make_learner`` given a
-sequence of step sizes builds one learner with a lane per value, and each
-lane reads the rows in its own order.  A sketched lane carries a sketch of
-its own, about (m + 1) x (u + 2m) doubles with u the columns the rows use.
-A random sketch init is dense over d, so those passes run one learner at a
-time, as do the perceptron's and full ACOG's.  Selection and evaluation
-orders (``Dataset.order``) and CV's fold splits and training orders
-(``Dataset.cv_split``) are the dataset's, computed once and kept for as
-long as the loaded dataset lives.  :func:`run_single` is the scalar
-reference pass, and the one that can record a :class:`RunTrace`.
-Everything downstream of (config, base seed) is deterministic; elapsed-time
-columns are the only environment-dependent output.  A row's ``elapsed_ms``
-is the wall time of the block that produced it divided by that block's pass
-count, so a one-learner block reports its own time, and the rows of a
-batched block add up to the block's time.
+fold, whose frozen learner then scores the fold's held-out rows.  Every
+pass runs as a lane of :func:`_lane_rounds`, on the columns the rows use.
+For the learners of :data:`LANE_ALGOS` (PA-I, COG, diagonal ACOG and the
+sketched learners) the passes of a phase run batched: ``make_learner``
+given a sequence of step sizes builds one learner with a lane per value,
+and each lane reads the rows in its own order.  A sketched lane carries a
+sketch of its own, about (m + 1) x (u + 2m) doubles with u the columns the
+rows use (all d under a random init).  The perceptron and full ACOG run
+one lane per pass.  Selection and evaluation orders (``Dataset.order``)
+and CV's fold splits and training orders (``Dataset.cv_split``) are the
+dataset's, computed once and kept for as long as the loaded dataset lives.
+:func:`run_single` is the scalar reference pass at d, and the one that can
+record a :class:`RunTrace`.  Everything downstream of (config, base seed)
+is deterministic; elapsed-time columns are the only environment-dependent
+output.  A row's ``elapsed_ms`` is the wall time of the pass that produced
+it divided by its lane count, so a one-lane pass reports its own time, and
+the rows of a batched pass add up to the pass's time.
 
 Reported ``sum``/``sensitivity``/``specificity`` are percentages; ``cost``
 is in raw units.
@@ -63,9 +63,10 @@ ALGO_IDS = (
     "ssacog2",
 )
 
-# learners whose state is O(d) per step size: selection runs every (grid
-# value, permutation) pair, and evaluation every permutation, as lanes of one
-# batched pass; a sketched lane carries its own sketch (see _runs_as_lanes)
+# learners whose state is O(d) per step size, which run many lanes per pass:
+# selection every (grid value, permutation) pair, evaluation every
+# permutation; a sketched lane carries its own sketch.  Every other learner
+# runs one lane per pass
 LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1-diag", "acog2-diag",
               "sacog1", "sacog2", "ssacog1", "ssacog2")
 SKETCHED_ALGOS = ("sacog1", "sacog2", "ssacog1", "ssacog2")
@@ -181,9 +182,8 @@ class RunReport:
 
 
 def make_learner(cfg: ExperimentConfig, d: int, eta):
-    """The learner ``cfg.algo`` names, at step size ``eta``; a sequence of
-    step sizes gives one learner with a lane per value (:data:`LANE_ALGOS`
-    only)."""
+    """The learner ``cfg.algo`` names, at step size ``eta``: one lane, or for
+    a sequence of step sizes (:data:`LANE_ALGOS` only) a lane per value."""
     variant = cfg.loss_variant
     algo = cfg.algo
     if algo == "perceptron":
@@ -289,14 +289,6 @@ def run_single(
     return row
 
 
-def _runs_as_lanes(cfg: ExperimentConfig) -> bool:
-    """Whether ``cfg``'s passes run as lanes: :data:`LANE_ALGOS`, except a
-    random sketch init, which is dense over d and so cannot be compacted
-    onto the columns in use."""
-    random_sketch = cfg.algo in SKETCHED_ALGOS and cfg.sketch_init == "random"
-    return cfg.algo in LANE_ALGOS and not random_sketch
-
-
 def _lane_bytes(cfg: ExperimentConfig, width: int) -> int:
     """One lane's state over ``width`` columns, in bytes: the weights of PA-I
     and COG, mu and sigma of diagonal ACOG, or a sketched learner's weights,
@@ -350,26 +342,24 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
     frozen learner's on the rows ``heldout[g]``.
 
     Passes whose orders (and held-out rows) are equally long form a group,
-    and a group runs in blocks.  Where :func:`_runs_as_lanes`, a block is one
-    batched pass (:func:`_lane_rounds`), in whose round t lane g reads row
-    ``orders[g][t]`` of :meth:`Dataset.padded`, so lane state covers the
-    columns in use plus the padding column, not d; for a sketched learner the
-    columns of its canonical init, 0..m-1, are kept too, and m is checked
-    against d as a scalar pass checks it.  Each lane's oracle rho comes from
-    its own class counts, and a block's lanes keep their state
-    (:func:`_lane_bytes` per lane) within ``FULL_SIGMA_MAX_BYTES``.  Every
-    other block is one learner at ``dataset.d``, trained by
-    :func:`_online_pass`, whose ``score`` then takes its held-out rows one at
-    a time.
+    and a group runs in blocks, each one pass of :func:`_lane_rounds`, in
+    whose round t lane g reads row ``orders[g][t]`` of
+    :meth:`Dataset.padded`.  So lane state covers the columns in use plus
+    the padding column, not d: full ACOG's sigma too, whose unused rows and
+    columns would stay the identity's.  A sketched learner keeps the columns
+    of its init, 0..m-1 or all d for a random one, and m is checked against
+    d as a scalar pass checks it.  Each lane's oracle rho comes from its own
+    class counts.  A block of :data:`LANE_ALGOS` holds as many lanes as keep
+    their state (:func:`_lane_bytes` per lane) within
+    ``FULL_SIGMA_MAX_BYTES``; every other learner runs one lane per block.
     """
-    padded, block = None, 1
-    if _runs_as_lanes(cfg):
-        keep = 0
-        if cfg.algo in SKETCHED_ALGOS:
-            keep = cfg.sketch_size
-            check_size(keep, dataset.d)
-        padded = dataset.padded(keep)
-        block = max(1, FULL_SIGMA_MAX_BYTES // _lane_bytes(cfg, padded.width))
+    keep = 0
+    if cfg.algo in SKETCHED_ALGOS:
+        check_size(cfg.sketch_size, dataset.d)
+        keep = dataset.d if cfg.sketch_init == "random" else cfg.sketch_size
+    padded = dataset.padded(keep)
+    lanes = cfg.algo in LANE_ALGOS
+    block = max(1, FULL_SIGMA_MAX_BYTES // _lane_bytes(cfg, padded.width)) if lanes else 1
     if counts is None:
         counts = [(dataset.t_pos, dataset.t_neg)] * len(orders)
 
@@ -381,26 +371,16 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
         group = list(group)
         for lo in range(0, len(group), block):
             ids = group[lo:lo + block]
-            if padded is None:
-                (i,) = ids
-                learner, cm = make_learner(cfg, dataset.d, etas[i]), make_cost_model(cfg, counts[i])
-                start = time.perf_counter()
-                read = orders[i]
-                scores = _online_pass(learner, cm, dataset, read)
-                if heldout is not None:
-                    read = heldout[i]
-                    scores = np.array([learner.score(p, v) for p, v, _ in dataset.rows(read)])
-                mistakes = count_mistakes(dataset.labels[read][:, None], scores[:, None])
-            else:
-                learner = make_learner(cfg, padded.width, [etas[i] for i in ids])
-                cms = [make_cost_model(cfg, counts[i]) for i in ids]
-                cm = cms[0]
-                cm.rho = np.array([c.rho for c in cms])
-                start = time.perf_counter()
-                mistakes = _lane_rounds(learner, cm, dataset, padded, [orders[i] for i in ids])
-                if heldout is not None:
-                    mistakes = _lane_rounds(learner, None, dataset, padded,
-                                            [heldout[i] for i in ids], step=False)
+            eta = [etas[i] for i in ids] if lanes else etas[ids[0]]
+            learner = make_learner(cfg, padded.width, eta)
+            cms = [make_cost_model(cfg, counts[i]) for i in ids]
+            cm = cms[0]
+            cm.rho = np.array([c.rho for c in cms])
+            start = time.perf_counter()
+            mistakes = _lane_rounds(learner, cm, dataset, padded, [orders[i] for i in ids])
+            if heldout is not None:
+                mistakes = _lane_rounds(learner, None, dataset, padded,
+                                        [heldout[i] for i in ids], step=False)
             elapsed_ms = (time.perf_counter() - start) * 1e3 / len(ids)
             for i, mp, mn in zip(ids, *(m.tolist() for m in mistakes)):
                 tally = counts[i] if heldout is None else _class_counts(dataset, heldout[i])

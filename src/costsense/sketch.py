@@ -150,7 +150,7 @@ class OjaSketch(_Sketch):
     def __init__(self, m: int, d: int, init: str = "canonical", seed: int | None = None,
                  lanes: int = 0):
         super().__init__(m, d, lanes)
-        self.V = _per_lane(_init_rows(m, d, init, seed), lanes)
+        self.V = _per_lane(_init_rows(m, d, init, seed, lanes), lanes)
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> None:
         """One streaming step with the (already scaled) to-sketch vector."""
@@ -195,7 +195,7 @@ class SparseOjaSketch(_Sketch):
         super().__init__(m, d, lanes)
         self.F = _per_lane(np.eye(m), lanes)
         self.K = _per_lane(np.eye(m), lanes)
-        Z = _init_rows(m, d, init, seed)
+        Z = _init_rows(m, d, init, seed, lanes)
         self.Z = np.repeat(Z.T[:, None], lanes, axis=1) if lanes else Z
         self.last_fold = None
 
@@ -278,13 +278,14 @@ def decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _init_rows(m: int, d: int, init: str, seed: int | None) -> np.ndarray:
+def _init_rows(m: int, d: int, init: str, seed: int | None, lanes: int = 0) -> np.ndarray:
+    """The m starting rows over d columns.  A lane sketch's last column is
+    its padding column (``Dataset.padded``), which stays zero: a random init
+    is the one sketch's over the other d - 1, beside a zero column."""
     if init == "canonical":
-        V = np.zeros((m, d))
-        V[np.arange(m), np.arange(m)] = 1.0
-        return V
+        return np.eye(m, d)
     if init == "random":
         rng = np.random.Generator(np.random.Philox(key=0 if seed is None else seed))
-        A = rng.standard_normal((m, d))
-        return orthonormalize_rows(A)
+        V = orthonormalize_rows(rng.standard_normal((m, d - 1 if lanes else d)))
+        return np.pad(V, ((0, 0), (0, 1))) if lanes else V
     raise ValueError(f"unknown sketch init {init!r}")

@@ -1,17 +1,19 @@
 """CV folds as lanes against one scalar pass per fold.
 
 ``run_cv`` trains the folds of a ``LANE_ALGOS`` config as the lanes of one
-batched pass per group of equally long folds, and then scores each fold's
-held-out rows with its frozen lane.  Each fold's row must count the mistakes
-that a scalar reference counts: a learner from ``make_learner`` trained by
-``_online_pass`` on the fold's training order, with oracle rho from the
-training rows' class counts, then its ``score`` on each held-out row.  The
-toy set's 320 rows split into folds of 107, 107 and 106 rows, so every case
-runs two groups.
+batched pass per group of equally long folds, and those of every other
+config (the perceptron and full ACOG) as one-lane passes, and then scores
+each fold's held-out rows with its frozen lane.  Each fold's row must count
+the mistakes that a scalar reference counts: a learner from
+``make_learner`` trained by ``_online_pass`` on the fold's training order,
+with oracle rho from the training rows' class counts, then its ``score`` on
+each held-out row.  The toy set's 320 rows split into folds of 107, 107
+and 106 rows, so every case runs two groups.
 """
 
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ import pytest
 from costsense import harness
 from costsense.data import load_dataset, permutation, split_folds
 from costsense.harness import (
-    LANE_ALGOS,
+    ALGO_IDS,
     SKETCHED_ALGOS,
     ExperimentConfig,
     make_cost_model,
@@ -60,24 +62,34 @@ def scalar_cv_rows(cfg, ds):
 
 
 def assert_lanes_match(cfg, ds):
-    assert harness._runs_as_lanes(cfg)
-    assert [strip(r) for r in run_cv(cfg, ds).rows] == scalar_cv_rows(cfg, ds)
+    with mock.patch.object(harness, "_lane_rounds", wraps=harness._lane_rounds) as rounds:
+        rows = run_cv(cfg, ds).rows
+    assert rounds.called
+    assert [strip(r) for r in rows] == scalar_cv_rows(cfg, ds)
 
 
 def cv_config(algo, **kw):
     return ExperimentConfig(algo=algo, **{"eta_grid": (0.5,), "folds": 3, "seed": 4, **kw})
 
 
-@pytest.mark.parametrize("algo", LANE_ALGOS)
+@pytest.mark.parametrize("algo", ALGO_IDS)
 def test_fold_lanes_match_scalar_folds(toy, algo):
     assert_lanes_match(cv_config(algo), toy)
 
 
 @pytest.mark.parametrize("metric", ["sum", "cost"])
 @pytest.mark.parametrize("rho_mode", ["oracle", "laplace", "fixed:2.5"])
-@pytest.mark.parametrize("algo", ["cog2", "ssacog2"])
+@pytest.mark.parametrize("algo", ["cog2", "ssacog2", "acog2"])
 def test_fold_lanes_match_under_every_rho(toy, algo, rho_mode, metric):
     assert_lanes_match(cv_config(algo, rho_mode=rho_mode, metric=metric), toy)
+
+
+@pytest.mark.parametrize("option", [dict(algo="acog2", update_rule="old"),
+                                    dict(algo="sacog2", sketch_init="random"),
+                                    dict(algo="ssacog2", sketch_init="random")],
+                         ids=["acog2-old", "sacog2-random", "ssacog2-random"])
+def test_fold_lanes_match_under_each_option(toy, option):
+    assert_lanes_match(cv_config(**option), toy)
 
 
 @pytest.mark.parametrize("cadence", [dict(sketch_lazy=3), dict(sketch_on_loss_only=True)],

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import resource
@@ -572,11 +573,25 @@ class TestCli:
         assert [line.split()[0] for line in out[head + 1:]] == ["0.1", "1"]
         assert sum(line.endswith("<- selected") for line in out) == 1
 
-    def test_full_acog_over_memory_limit_reported(self, capsys):
-        assert cli.main(["run", "--dataset", str(TOY), "--algo", "acog2",
-                         "--d-override", "200000", "--eta-grid", "1"]) == 2
+    def test_full_acog_over_memory_limit_reported(self, tmp_path, capsys):
+        # sigma covers the columns in use plus the padding column: rows using
+        # 16,384 columns need a 16,385-wide sigma, past 2 GiB
+        wide = tmp_path / "wide.libsvm"
+        wide.write_text("+1 " + " ".join(f"{j}:1" for j in range(1, 16385)) + "\n-1 1:1\n")
+        assert cli.main(["run", "--dataset", str(wide), "--algo", "acog2", "--eta-grid", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: full-matrix ACOG") and "-diag" in err
+        assert err.count("\n") == 1
+        # a d far past the limit whose columns go unused runs, with the same rows
+        tables = []
+        for extra in ([], ["--d-override", "200000"]):
+            out = tmp_path / f"acog{len(extra)}.csv"
+            assert cli.main(["run", "--dataset", str(TOY), "--algo", "acog2", "--eta-grid", "0.1,1",
+                             "--permutations", "2", "--out", str(out), *extra]) == 0
+            with open(out, newline="") as fh:
+                tables.append([{k: v for k, v in row.items() if not k.startswith("elapsed_ms")}
+                               for row in csv.DictReader(fh)])
+        assert tables[0] == tables[1] and len(tables[0]) == 3
 
     @pytest.mark.parametrize("algo", ["sacog2", "ssacog2"])
     def test_sketched_learners_share_one_gamma_range(self, algo, capsys):
@@ -604,9 +619,9 @@ class TestCli:
 
     @pytest.mark.parametrize("algo", ["sacog2", "cog2", "sacog2 --sketch-init random"])
     def test_allocation_failure_reported(self, algo):
-        # sacog2 and cog2 run as lanes and fail in the d-long mask of the
-        # columns in use, random-init sacog2 runs alone and fails in the
-        # sketch's 5 x d rows; with the child's address space capped at 2 GiB
+        # every pass runs as lanes and fails in the d-long mask of the
+        # columns in use (random-init sacog2 keeps all d of them); with the
+        # child's address space capped at 2 GiB
         # the allocation fails at once whatever the kernel's overcommit setting
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

@@ -4,12 +4,13 @@
 rounds at a time, and the learner computes what does not depend on the
 round's scores (the slope, ``eta`` times it, the sketch's xhat and
 xhat @ xhat) once per chunk, while its sketch cadence counts rounds across
-chunks.  Every ``LANE_ALGOS`` learner must give bitwise the same scores and
-lane state whether its pass advances in chunks of 1, of 7, or of the
-default size (the whole toy pass): under both loss variants, each rho mode,
-the old update rule, each sketch cadence, and on a stream on which the
-sparse sketch folds.  A state view that turned out to be a copy would lose
-every write and fail here too.
+chunks.  Every learner must give bitwise the same scores and lane state
+whether its pass advances in chunks of 1, of 7, or of the default size (the
+whole toy pass): under both loss variants, each rho mode, the old update
+rule, each sketch cadence, a random sketch init, and on a stream on which
+the sparse sketch folds.  The perceptron and full ACOG run one lane per
+pass, the others one pass of every lane.  A state view that turned out to
+be a copy would lose every write and fail here too.
 """
 
 from pathlib import Path
@@ -19,7 +20,7 @@ import pytest
 
 from costsense import harness
 from costsense.data import Dataset, load_dataset, permutation
-from costsense.harness import LANE_ALGOS, SKETCHED_ALGOS, ExperimentConfig
+from costsense.harness import ALGO_IDS, LANE_ALGOS, SKETCHED_ALGOS, ExperimentConfig
 from costsense.sketch import SparseOjaSketch
 
 TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libsvm"
@@ -27,10 +28,11 @@ TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libs
 ETAS = [0.01, 1.0, 100.0]
 SEEDS = [3, 4]
 
-CASES = [(algo, {}) for algo in LANE_ALGOS]
+CASES = [(algo, {}) for algo in ALGO_IDS]
 CASES += [(algo, dict(rho_mode=rho_mode)) for algo in ("cog1", "acog2-diag", "sacog2", "ssacog1")
           for rho_mode in ("laplace", "fixed:2.5")]
-CASES += [(algo, dict(update_rule="old")) for algo in ("acog1-diag", "acog2-diag")]
+CASES += [(algo, dict(update_rule="old")) for algo in ("acog2", "acog1-diag", "acog2-diag")]
+CASES += [(algo, dict(sketch_init="random")) for algo in ("sacog2", "ssacog2")]
 CASES += [(algo, cadence) for algo in SKETCHED_ALGOS
           for cadence in (dict(sketch_lazy=3), dict(sketch_on_loss_only=True, rho_mode="laplace"))]
 
@@ -48,10 +50,11 @@ def lane_state(lanes) -> dict:
 
 
 def chunked_pass(monkeypatch, cfg, ds, chunk):
-    """One lane pass over every (eta, seed) of ``ETAS`` x ``SEEDS``, in chunks
-    of ``chunk`` rounds (None: the default).  Returns its scores (one row
-    per round), the lengths of its chunks, its lane state, its rows, and
-    how many lanes its sparse sketch folded, over all its rounds."""
+    """The lane passes over every (eta, seed) of ``ETAS`` x ``SEEDS``, one
+    pass or one per lane, in chunks of ``chunk`` rounds (None: the default).
+    Returns their scores (one row per round), the lengths of their chunks,
+    each pass's lane state, their rows, and how many lanes their sparse
+    sketch folded, over all their rounds."""
     learners, scores, lengths, folds = [], [], [], []
     make = harness.make_learner
 
@@ -79,29 +82,31 @@ def chunked_pass(monkeypatch, cfg, ds, chunk):
     monkeypatch.setattr(harness, "make_learner", make_learner)
     if chunk is not None:
         slots = ds.padded(cfg.sketch_size if cfg.algo in SKETCHED_ALGOS else 0).positions.shape[1]
-        lanes = len(ETAS) * len(SEEDS)
+        lanes = len(ETAS) * len(SEEDS) if cfg.algo in LANE_ALGOS else 1
         monkeypatch.setattr(harness, "LANE_GATHER_ENTRIES", chunk * lanes * slots)
     etas = [eta for eta in ETAS for _ in SEEDS]
     seeds = SEEDS * len(ETAS)
     rows = harness._pass_rows(cfg, ds, etas, seeds, [permutation(len(ds), s) for s in seeds])
     monkeypatch.undo()
-    (lanes,) = learners
-    return np.concatenate(scores), lengths, lane_state(lanes), rows, sum(folds)
+    states = [lane_state(lanes) for lanes in learners]
+    return np.concatenate(scores), lengths, states, rows, sum(folds)
 
 
-def assert_bitwise_equal(got: dict, want: dict):
-    assert got.keys() == want.keys()
-    for name in want:
-        assert got[name].shape == want[name].shape, name
-        assert got[name].tobytes() == want[name].tobytes(), name
+def assert_bitwise_equal(got: list, want: list):
+    assert len(got) == len(want)
+    for got, want in zip(got, want):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def check_chunks(monkeypatch, cfg, ds):
     scores, lengths, state, rows, folds = chunked_pass(monkeypatch, cfg, ds, None)
-    assert lengths == [len(ds)]
+    assert lengths == [len(ds)] * len(state)
     for chunk in (1, 7):
         got, lengths, got_state, got_rows, _ = chunked_pass(monkeypatch, cfg, ds, chunk)
-        assert max(lengths) == chunk and sum(lengths) == len(ds)
+        assert max(lengths) == chunk and sum(lengths) == len(ds) * len(state)
         assert got.tobytes() == scores.tobytes()
         assert_bitwise_equal(got_state, state)
         strip = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in (*rows, *got_rows)]
@@ -115,8 +120,8 @@ def toy():
 
 
 def test_every_lane_algo_is_covered():
-    assert {algo for algo, _ in CASES} == set(LANE_ALGOS)
-    assert {ExperimentConfig(algo=algo).loss_variant for algo in LANE_ALGOS} == {1, 2}
+    assert {algo for algo, _ in CASES} == set(ALGO_IDS)
+    assert {ExperimentConfig(algo=algo).loss_variant for algo in ALGO_IDS} == {1, 2}
 
 
 @pytest.mark.parametrize("algo,kw", CASES, ids=[f"{a}-{'-'.join(map(str, kw.values()))}"

@@ -14,8 +14,10 @@ The sketched learners, whose lanes each carry a sketch of their own, are
 checked the same way on the toy set with a two-value grid (their scalar
 passes cost about 40 ms each there), under each rho mode and metric and
 each sketch cadence (every round, every third round, loss-active rounds
-only).  Their lane state is checked against scalar learners over a stream
-on which the sparse sketch folds many times.
+only), and with a random sketch init under both protocols.  So are the
+perceptron and full ACOG, whose passes run one lane per block.  Lane state
+is checked against scalar learners over a stream on which the sparse sketch
+folds many times.
 """
 
 import dataclasses
@@ -38,12 +40,14 @@ from costsense.harness import (
     ExperimentConfig,
     grid_select,
     make_learner,
+    run_cv,
     run_experiment,
     run_single,
     selection_rows,
 )
 from costsense.losses import lane_class_weight
 from costsense.sacog import SparseSketchedCSGD
+from test_cv_lanes import scalar_cv_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "datasets" / "toy_imbalanced.libsvm"
@@ -291,12 +295,51 @@ def test_sketched_evaluation_lanes_match_scalar_passes(toy, sketch_cache, algo, 
             sketch_cache, cfg, toy, eta, SELECTION_SEEDS)
 
 
-def test_random_sketch_init_stays_scalar(toy, monkeypatch):
-    # a random init is dense over d: no lane pass may run it
-    monkeypatch.setattr(harness, "_lane_rounds", None)
-    cfg = ExperimentConfig(algo="ssacog2", sketch_init="random", eta_grid=SKETCH_GRID,
-                           permutations=2)
-    assert len(run_experiment(cfg, toy).rows) == 2
+def assert_passes_match_run_single(cfg, toy):
+    """``cfg``'s experiment runs through ``_lane_rounds``, and its rows and
+    selection table are those of ``run_single``'s passes."""
+    with mock.patch.object(harness, "_lane_rounds", wraps=harness._lane_rounds) as rounds:
+        report = run_experiment(cfg, toy)
+    assert rounds.called
+    assert [strip(r) for r in report.rows] == [
+        strip(run_single(cfg, toy, report.eta, cfg.seed + i)) for i in range(cfg.permutations)]
+    if cfg.algo == "perceptron":
+        return  # every step size ties, so no selection pass runs
+    selection_seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
+    assert report.grid == {
+        eta: float(np.mean([run_single(cfg, toy, eta, s)[cfg.metric] for s in selection_seeds]))
+        for eta in cfg.eta_grid}
+
+
+# the perceptron and full ACOG, which run one lane per pass, and a random
+# sketch init, whose lanes keep all d columns
+RUN_SINGLE_CASES = [
+    dict(algo="perceptron"),
+    dict(algo="acog1"),
+    dict(algo="acog2"),
+    dict(algo="acog2", rho_mode="laplace"),
+    dict(algo="acog2", update_rule="old"),
+    dict(algo="sacog2", sketch_init="random"),
+    dict(algo="ssacog2", sketch_init="random"),
+]
+
+
+@pytest.mark.parametrize("case", RUN_SINGLE_CASES,
+                         ids=["-".join(case.values()) for case in RUN_SINGLE_CASES])
+def test_lane_passes_match_run_single(toy, case):
+    cfg = ExperimentConfig(eta_grid=(0.1, 1.0), permutations=2, seed=3, **case)
+    assert_passes_match_run_single(cfg, toy)
+
+
+@pytest.mark.parametrize("algo", SKETCHED_ALGOS)
+def test_random_sketch_init_lanes_match_scalar_passes(toy, algo):
+    # a random init is drawn over d, so its lanes keep every column; under
+    # both protocols, with lanes that fall out of step
+    cfg = ExperimentConfig(algo=algo, sketch_init="random", eta_grid=SKETCH_GRID, seed=5,
+                           rho_mode="laplace", sketch_on_loss_only=True, permutations=3)
+    assert_passes_match_run_single(cfg, toy)
+    cv = dataclasses.replace(cfg, eta_grid=(0.5,), folds=3)
+    assert [strip(r) for r in run_cv(cv, toy).rows] == scalar_cv_rows(cv, toy)
 
 
 @pytest.mark.parametrize("algo", ["sacog2", "ssacog2"])

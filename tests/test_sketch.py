@@ -77,6 +77,17 @@ class TestDenseSketchInit:
         V = OjaSketch(3, 10, init="random", seed=5).V
         assert np.abs(V - Q.T).max() <= 1e-13
 
+    @pytest.mark.parametrize("init", ["random", "canonical"])
+    def test_lane_init_is_the_scalar_init_beside_a_zero_padding_column(self, init):
+        # a lane sketch over d + 1 columns: the last is Dataset.padded's padding column
+        V = OjaSketch(3, 10, init=init, seed=5).V
+        want = np.concatenate([V, np.zeros((3, 1))], axis=1)
+        dense = OjaSketch(3, 11, init=init, seed=5, lanes=2)
+        sparse = SparseOjaSketch(3, 11, init=init, seed=5, lanes=2)
+        for j in range(2):
+            assert dense.V[j].tobytes() == want.tobytes()
+            assert sparse.Z[:, j].T.copy().tobytes() == want.tobytes()
+
 
 class TestDenseSketchUpdate:
     def test_first_update_hand_values(self):

@@ -6,9 +6,10 @@ breaks only traced benchmark runs, so this test installs the unmodified
 tracer, runs small experiments under both protocols on the toy set, and
 checks that the learner counters were hit.  The batched lane passes of
 both protocols call no patched learner method, so the scalar updates are
-reached through the passes that stay scalar: CV runs of the perceptron, of
-full ACOG and of the sketched learners with a random sketch init, and one
-traced pass of diagonal ACOG.
+reached through the one-lane passes, whose learner runs its own ``update``
+(CV runs of the perceptron and of full ACOG), and through scalar reference
+passes (``run_single``) of the sketched learners with a random sketch init
+and of diagonal ACOG.
 """
 
 import importlib.util
@@ -38,11 +39,11 @@ def test_tracer_installs_and_counts_every_learner_layer(tmp_path):
         runs = [(run_experiment, algo, dict(eta_grid=(0.1, 1.0), permutations=2))
                 for algo in ("cog2", "acog2-diag", "ssacog2")]
         # the lane learners run as batched lanes under both protocols; the
-        # perceptron, full ACOG and a random sketch init keep scalar updates
+        # perceptron's and full ACOG's one-lane passes call their update
         runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3)) for algo in ("acog2", "perceptron")]
-        runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3, sketch_init="random"))
-                 for algo in ("sacog2", "ssacog2")]
-        # and so does a traced pass, run through the patched harness function
+        # and so do scalar passes, run through the patched harness function
+        runs += [(lambda cfg, ds: costsense.harness.run_single(cfg, ds, 1.0, 0), algo,
+                  dict(sketch_init="random")) for algo in ("sacog2", "ssacog2")]
         runs += [(lambda cfg, ds: costsense.harness.run_single(cfg, ds, 1.0, 0, collect_trace=True),
                   "acog2-diag", {})]
         for run, algo, kw in runs:
