@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from costsense import acog
 from costsense.acog import (
     FULL_SIGMA_MAX_BYTES,
+    PENDING_TERMS,
     AdaptiveCSGD,
     covariance_update,
     covariance_update_diag,
@@ -300,6 +302,97 @@ class TestInvariants:
         m.sigma = 0.5 * np.eye(4)  # any positive-definite stand-in
         after = [m.predict(p, v)[1] for p, v, _ in probe]
         assert before == after
+
+
+def lane_rounds(stream, chunk):
+    """``stream`` as one lane's chunks of ``chunk`` rounds for ``advance``,
+    each row padded with value 0.0 at position 0 to the longest row, and
+    every positive round at class weight 2."""
+    k = max(len(pos) for pos, _, _ in stream)
+    flat = np.array([np.pad(pos, (0, k - len(pos))) for pos, _, _ in stream])[:, None]
+    values = np.array([np.pad(vals, (0, k - len(vals))) for _, vals, _ in stream])[:, None]
+    y = np.array([[float(y)] for _, _, y in stream])
+    weight = np.where(y == 1.0, 2.0, 1.0)
+    for t in range(0, len(stream), chunk):
+        yield flat[t:t + chunk], values[t:t + chunk], y[t:t + chunk], weight[t:t + chunk]
+
+
+class TestDelayedTerms:
+    """The full-matrix lane pass holds up to ``PENDING_TERMS`` - 1 covariance
+    terms back, and applies them on its own count of active rounds."""
+
+    @pytest.mark.parametrize("update_rule", ["new", "old"])
+    def test_reading_sigma_mid_pass_changes_nothing(self, update_rule):
+        stream = random_stream(np.random.default_rng(16), 10, 300)
+        passes = []
+        for read in (False, True):
+            m = AdaptiveCSGD(10, eta=0.5, gamma=0.5, variant=LossVariant.II,
+                             update_rule=update_rule)
+            scores, pending = [], []
+            for chunk in lane_rounds(stream, 7):
+                scores.append(m.advance(*chunk))
+                if read:
+                    pending.append(m._pending)
+                    assert np.array_equal(m.sigma, m.sigma.T)
+            passes.append((np.concatenate(scores), m.mu, m.sigma, m._sigma, m._terms[:m._pending]))
+        assert len({k for k in pending if k}) >= 5  # read at many pending counts
+        for unread, read in zip(*passes):
+            assert unread.tobytes() == read.tobytes()
+
+    def test_update_after_advance_applies_the_pending_terms_first(self):
+        stream = random_stream(np.random.default_rng(17), 8, 200)
+        m = AdaptiveCSGD(8, eta=0.5, gamma=1.0, variant=LossVariant.II)
+        for chunk in lane_rounds(stream[:-1], 50):
+            m.advance(*chunk)
+        assert m._pending
+        ref = AdaptiveCSGD(8, eta=0.5, gamma=1.0, variant=LossVariant.II)
+        ref.sigma, ref.mu[:] = m.sigma, m.mu
+        pos, vals, y = stream[-1]
+        assert m.update(pos, vals, y, rho=2.0) == ref.update(pos, vals, y, rho=2.0) > 0.0
+        assert m._pending == 0
+        assert np.array_equal(m.sigma, ref.sigma) and np.array_equal(m.mu, ref.mu)
+
+    def test_setting_sigma_drops_the_pending_terms(self):
+        m = AdaptiveCSGD(8, eta=0.5, gamma=1.0, variant=LossVariant.II)
+        for chunk in lane_rounds(random_stream(np.random.default_rng(17), 8, 199), 50):
+            m.advance(*chunk)
+        assert m._pending
+        effective = m.sigma
+        m.sigma = effective
+        assert m.sigma is effective
+
+    def test_lane_pass_calls_covariance_update_once_per_active_round(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args))
+            return covariance_update(*args)
+        monkeypatch.setattr(acog, "covariance_update", counted)
+        stream = random_stream(np.random.default_rng(18), 6, 150)
+        m = AdaptiveCSGD(6, eta=0.5, gamma=1.0, variant=LossVariant.I)
+        active = [m.update(pos, vals, y, rho=2.0) > 0.0 for pos, vals, y in stream]
+        lanes = AdaptiveCSGD(6, eta=0.5, gamma=1.0, variant=LossVariant.I)
+        for chunk in lane_rounds(stream, 150):
+            lanes.advance(*chunk)
+        assert calls == [4] * sum(active) + [5] * sum(active)
+
+    def test_terms_applied_in_blocks_of_rows_past_724_columns(self):
+        # past 724 columns the terms go into sigma a block of rows at a time,
+        # each off-diagonal block subtracted on both sides of the diagonal
+        d = 800
+        rng = np.random.default_rng(19)
+        stream = [(np.sort(rng.choice(d, size=20, replace=False)), 3.0 * unit, 1)
+                  for unit in (v / np.linalg.norm(v) for v in rng.standard_normal((40, 20)))]
+        m, ref = (AdaptiveCSGD(d, eta=0.5, gamma=1.0, variant=LossVariant.II) for _ in range(2))
+        for pos, vals, y in stream:
+            assert ref.update(pos, vals, y, rho=2.0) > 0.0
+        for chunk in lane_rounds(stream, 40):
+            m.advance(*chunk)
+        assert m._pending == len(stream) % PENDING_TERMS
+        assert np.array_equal(m._sigma, m._sigma.T)
+        assert np.abs(m._sigma - m.sigma).max() > 1e-3  # holds terms back, so applied some
+        assert np.abs(m.sigma - ref.sigma).max() <= 1e-12
+        assert np.abs(m.mu - ref.mu).max() <= 1e-12
 
 
 class DenseReference:
