@@ -6,23 +6,24 @@ seeded shuffles of the dataset, reporting per-run and aggregate metrics.
 Every pass of the three phases is run by :func:`_pass_rows`: selection a
 pass per (grid value, selection permutation), evaluation a pass per
 evaluation permutation at the selected value, and k-fold mode a pass per
-fold, whose frozen learner then scores the fold's held-out rows.  Every
-pass runs as a lane of :func:`_lane_rounds`, on the columns the rows use.
-For the learners of :data:`LANE_ALGOS` (PA-I, COG, diagonal ACOG and the
-sketched learners) the passes of a phase run batched: ``make_learner``
-given a sequence of step sizes builds one learner with a lane per value,
-and each lane reads the rows in its own order.  A sketched lane carries a
-sketch of its own, about (m + 1) x (u + 2m) doubles with u the columns the
-rows use (all d under a random init).  The perceptron and full ACOG run
-one lane per pass.  Selection and evaluation orders (``Dataset.order``)
-and CV's fold splits and training orders (``Dataset.cv_split``) are the
-dataset's, computed once and kept for as long as the loaded dataset lives.
-:func:`run_single` is the scalar reference pass at d, and the one that can
-record a :class:`RunTrace`.  Everything downstream of (config, base seed)
-is deterministic; elapsed-time columns are the only environment-dependent
-output.  A row's ``elapsed_ms`` is the wall time of the pass that produced
-it divided by its lane count, so a one-lane pass reports its own time, and
-the rows of a batched pass add up to the pass's time.
+fold, whose frozen learner then scores the fold's held-out rows; and
+:func:`run_single`, which can record a :class:`RunTrace`, runs one pass
+over one order.  Every pass runs as a lane of :func:`_lane_rounds`, the one
+streaming loop, on the columns the rows use.  For the learners of
+:data:`LANE_ALGOS` (PA-I, COG, diagonal ACOG and the sketched learners)
+the passes of a phase run batched: ``make_learner`` given a sequence of
+step sizes builds one learner with a lane per value, and each lane reads
+the rows in its own order.  A sketched lane carries a sketch of its own,
+about (m + 1) x (u + 2m) doubles with u the columns the rows use (all d
+under a random init).  The perceptron and full ACOG run one lane per pass.
+Selection and evaluation orders (``Dataset.order``) and CV's fold splits
+and training orders (``Dataset.cv_split``) are the dataset's, computed
+once and kept for as long as the loaded dataset lives.  Everything
+downstream of (config, base seed) is deterministic; elapsed-time columns
+are the only environment-dependent output.  A row's ``elapsed_ms`` is the
+wall time of the pass that produced it divided by its lane count, so a
+one-lane pass reports its own time, and the rows of a batched pass add up
+to the pass's time.
 
 Reported ``sum``/``sensitivity``/``specificity`` are percentages; ``cost``
 is in raw units.
@@ -43,7 +44,8 @@ from .baselines import CostSensitiveGD, PassiveAggressiveI, Perceptron
 # permutation and split_folds are not called here since Dataset.cv_split
 # keeps the folds, but perfbench/tracing.py wraps both under these names
 from .data import Dataset, load_dataset, permutation, split_folds  # noqa: F401
-from .losses import METRICS, CostModel, LossVariant, lane_class_weight, observe_label, resolve_rho
+from .losses import (METRICS, CostModel, LossVariant, lane_class_weight, loss, observe_label,
+                     resolve_rho)
 from .metrics import ConfusionCounts, class_rates, cost_metric, count_mistakes, sum_metric
 from .sacog import SketchedCSGD, SparseSketchedCSGD
 from .sketch import check_size
@@ -226,24 +228,6 @@ def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int]) -> CostModel
     return cm
 
 
-def _online_pass(learner, cm, dataset, order, trace=None) -> np.ndarray:
-    """Score then update on every example of ``order`` in turn; returns the scores.
-
-    Each round's rho counts that round's revealed label (:func:`observe_label`,
-    once for the whole pass).
-    """
-    rho = observe_label(cm, dataset.labels[order])
-    rhos = rho.tolist() if isinstance(rho, np.ndarray) else itertools.repeat(rho)
-    scores = []
-    for (positions, values, y), r in zip(dataset.rows(order), rhos):
-        s = learner.score(positions, values)
-        l = learner.update(positions, values, y, r, score=s)
-        scores.append(s)
-        if trace is not None:
-            trace.losses.append(l)
-    return np.array(scores, dtype=np.float64)
-
-
 def _row(cfg: ExperimentConfig, seed: int, eta: float, cc: ConfusionCounts,
          elapsed_ms: float) -> dict:
     sens, spec = class_rates(cc, cfg.empty_class)
@@ -268,25 +252,25 @@ def run_single(
     collect_trace: bool = False,
 ):
     """One prequential pass over the dataset's seeded order
-    ``dataset.order(perm_seed)``.  Returns a metrics row dict, plus a
-    :class:`RunTrace` when requested.
+    ``dataset.order(perm_seed)``, as a one-lane :func:`_pass_rows` call.
+    Returns a metrics row dict, plus a :class:`RunTrace` when requested,
+    whose loss in each round is what the scalar ``update`` returns there: the
+    surrogate :func:`loss` at the round's rho, or the perceptron's 0/1 mistake.
     """
     order = dataset.order(perm_seed)
-    learner = make_learner(cfg, dataset.d, eta)
-    cm = make_cost_model(cfg, (dataset.t_pos, dataset.t_neg))
-    trace = RunTrace(order=order) if collect_trace else None
-    start = time.perf_counter()
-    scores = _online_pass(learner, cm, dataset, order, trace)
-    labels = dataset.labels[order]
-    cc = ConfusionCounts(dataset.t_pos, dataset.t_neg, *map(int, count_mistakes(labels, scores)))
-    row = _row(cfg, perm_seed, eta, cc, (time.perf_counter() - start) * 1e3)
-    if collect_trace:
-        # each round as a lane of its own gives its mistakes, summed up to it
-        trace.m_pos_series, trace.m_neg_series = (
-            np.cumsum(m).tolist() for m in count_mistakes(labels[None], scores[None]))
-        trace.rho_final = float(cm.rho)
-        return row, trace
-    return row
+    chunks = [] if collect_trace else None
+    (row,) = _pass_rows(cfg, dataset, [eta], [perm_seed], [order], record=chunks)
+    if not collect_trace:
+        return row
+    scores, labels, rhos = (np.concatenate(c)[:, 0] for c in zip(*chunks))
+    if cfg.algo == "perceptron":
+        losses = np.where(labels * scores <= 0.0, 1.0, 0.0).tolist()
+    else:
+        losses = [loss(cfg.loss_variant, s, y, r)
+                  for s, y, r in zip(scores.tolist(), labels.tolist(), rhos.tolist())]
+    # each round as a lane of its own gives its mistakes, summed up to it
+    m_pos, m_neg = (np.cumsum(m).tolist() for m in count_mistakes(labels[None], scores[None]))
+    return row, RunTrace(order, losses, m_pos, m_neg, float(rhos[-1]))
 
 
 def _lane_bytes(cfg: ExperimentConfig, width: int) -> int:
@@ -305,15 +289,17 @@ def _class_counts(dataset: Dataset, rows: np.ndarray) -> tuple[int, int]:
     return t_pos, len(rows) - t_pos
 
 
-def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool = True):
+def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool = True,
+                 record: list | None = None):
     """Each lane's positive and negative mistakes on its rows ``orders[g]``,
-    all equally long.  With ``step`` this is :func:`_online_pass` with one
-    more axis, split between two owners: this loop owns the chunks, labels,
-    rho and mistakes, gathering each chunk of rounds, folding its labels
-    into rho (:func:`observe_label`) and counting its mistakes
-    (:func:`count_mistakes`, one count per lane); the learner's ``advance``
-    owns the rounds, in each of which every lane scores its row and steps on
-    it.  Without, the frozen lanes score a chunk at once."""
+    all equally long.  With ``step`` this is the prequential loop, split
+    between two owners: this loop owns the chunks, labels, rho and mistakes,
+    gathering each chunk of rounds, folding its labels into rho
+    (:func:`observe_label`) and counting its mistakes (:func:`count_mistakes`,
+    one count per lane); the learner's ``advance`` owns the rounds, in each
+    of which every lane scores its row and steps on it.  ``record``, when
+    given, receives each chunk's (scores, labels, rho), rounds by lanes.
+    Without ``step``, the frozen lanes score a chunk at once."""
     g, k = len(orders), padded.positions.shape[1]
     lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
     chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
@@ -324,8 +310,11 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
         values = padded.values[idx]
         y = dataset.labels[idx].astype(np.float64)
         if step:
-            weight = lane_class_weight(y, observe_label(cm, y))
-            scores = lanes.advance(flat, values, y, weight, padded.sq_norms[idx])
+            rho = observe_label(cm, y)
+            scores = lanes.advance(flat, values, y, lane_class_weight(y, rho),
+                                   padded.sq_norms[idx])
+            if record is not None:
+                record.append((scores, y, np.broadcast_to(rho, y.shape)))
         else:
             scores = lanes.scores(flat, values)
         pos, neg = count_mistakes(y, scores)
@@ -334,12 +323,13 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
 
 
 def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
-               orders: list, counts: list | None = None, heldout: list | None = None) -> list:
+               orders: list, counts: list | None = None, heldout: list | None = None,
+               record: list | None = None) -> list:
     """The row of each pass g at step size ``etas[g]`` over ``orders[g]``,
     whose class counts (T_p, T_n) are ``counts[g]``, the dataset's unless
-    given: a prequential pass's, as :func:`run_single` gives it when
-    ``orders[g]`` is ``dataset.order(seeds[g])``, or with ``heldout`` the
-    frozen learner's on the rows ``heldout[g]``.
+    given: a prequential pass's, or with ``heldout`` the frozen learner's on
+    the rows ``heldout[g]``.  ``record`` goes to :func:`_lane_rounds` for the
+    prequential rounds; :func:`run_single` passes it for its one pass.
 
     Passes whose orders (and held-out rows) are equally long form a group,
     and a group runs in blocks, each one pass of :func:`_lane_rounds`, in
@@ -348,8 +338,8 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
     the padding column, not d: full ACOG's sigma too, whose unused rows and
     columns would stay the identity's.  A sketched learner keeps the columns
     of its init, 0..m-1 or all d for a random one, and m is checked against
-    d as a scalar pass checks it.  Each lane's oracle rho comes from its own
-    class counts.  A block of :data:`LANE_ALGOS` holds as many lanes as keep
+    d, not the width.  Each lane's oracle rho comes from its own class
+    counts.  A block of :data:`LANE_ALGOS` holds as many lanes as keep
     their state (:func:`_lane_bytes` per lane) within
     ``FULL_SIGMA_MAX_BYTES``; every other learner runs one lane per block.
     """
@@ -377,7 +367,8 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
             cm = cms[0]
             cm.rho = np.array([c.rho for c in cms])
             start = time.perf_counter()
-            mistakes = _lane_rounds(learner, cm, dataset, padded, [orders[i] for i in ids])
+            mistakes = _lane_rounds(learner, cm, dataset, padded, [orders[i] for i in ids],
+                                    record=record)
             if heldout is not None:
                 mistakes = _lane_rounds(learner, None, dataset, padded,
                                         [heldout[i] for i in ids], step=False)

@@ -5,10 +5,15 @@ batched pass per group of equally long folds, and those of every other
 config (the perceptron and full ACOG) as one-lane passes, and then scores
 each fold's held-out rows with its frozen lane.  Each fold's row must count
 the mistakes that a scalar reference counts: a learner from
-``make_learner`` trained by ``_online_pass`` on the fold's training order,
+``make_learner`` over all d columns, trained by :func:`scalar_pass` (score,
+then the per-sample ``update``, row by row) on the fold's training order,
 with oracle rho from the training rows' class counts, then its ``score`` on
 each held-out row.  The toy set's 320 rows split into folds of 107, 107
 and 106 rows, so every case runs two groups.
+
+:func:`scalar_pass` and :func:`scalar_single` are also the reference that
+``test_lanes.py`` and ``test_harness.py`` check ``run_single`` and the
+experiment passes against.
 """
 
 import itertools
@@ -24,11 +29,13 @@ from costsense.harness import (
     ALGO_IDS,
     SKETCHED_ALGOS,
     ExperimentConfig,
+    RunTrace,
     make_cost_model,
     make_learner,
     run_cv,
 )
-from costsense.metrics import ConfusionCounts
+from costsense.losses import observe_label
+from costsense.metrics import ConfusionCounts, count_mistakes
 
 TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libsvm"
 
@@ -42,6 +49,41 @@ def toy():
     return load_dataset(TOY)
 
 
+def scalar_pass(learner, cm, ds, order, losses=None):
+    """Score then ``update`` on every row of ``order`` in turn; returns the
+    scores, and appends each ``update``'s return to ``losses`` when given.
+    Each round's rho counts that round's revealed label (``observe_label``,
+    once for the whole pass)."""
+    rho = observe_label(cm, ds.labels[order])
+    rhos = rho.tolist() if isinstance(rho, np.ndarray) else itertools.repeat(rho)
+    scores = []
+    for (positions, values, y), r in zip(ds.rows(order), rhos):
+        s = learner.score(positions, values)
+        l = learner.update(positions, values, y, r, score=s)
+        scores.append(s)
+        if losses is not None:
+            losses.append(l)
+    return np.array(scores, dtype=np.float64)
+
+
+def scalar_single(cfg, ds, eta, seed):
+    """The reference for ``run_single(cfg, ds, eta, seed, collect_trace=True)``:
+    a learner over all d columns, trained by :func:`scalar_pass` over
+    ``ds.order(seed)``.  Returns its row without ``elapsed_ms``, and its
+    trace."""
+    order = ds.order(seed)
+    learner = make_learner(cfg, ds.d, eta)
+    cm = make_cost_model(cfg, (ds.t_pos, ds.t_neg))
+    trace = RunTrace(order=order)
+    scores = scalar_pass(learner, cm, ds, order, trace.losses)
+    labels = ds.labels[order]
+    cc = ConfusionCounts(ds.t_pos, ds.t_neg, *map(int, count_mistakes(labels, scores)))
+    trace.m_pos_series, trace.m_neg_series = (
+        np.cumsum(m).tolist() for m in count_mistakes(labels[None], scores[None]))
+    trace.rho_final = float(cm.rho)
+    return strip(harness._row(cfg, seed, eta, cc, 0.0)), trace
+
+
 def scalar_cv_rows(cfg, ds):
     """The reference: each fold's row from a scalar pass, then frozen scores,
     without ``elapsed_ms`` (a one-value grid, so no selection runs)."""
@@ -53,7 +95,7 @@ def scalar_cv_rows(cfg, ds):
         order = train[permutation(len(train), cfg.seed + i)]
         t_pos = int(np.sum(ds.labels[train] == 1))
         learner = make_learner(cfg, ds.d, eta)
-        harness._online_pass(learner, make_cost_model(cfg, (t_pos, len(train) - t_pos)), ds, order)
+        scalar_pass(learner, make_cost_model(cfg, (t_pos, len(train) - t_pos)), ds, order)
         cc = ConfusionCounts()
         for positions, values, y in ds.rows(heldout):
             cc.record(1 if learner.score(positions, values) >= 0.0 else -1, y)

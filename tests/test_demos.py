@@ -41,7 +41,7 @@ per-round trace written to trace_acog2.csv
 """
 # sha256 of demo 05's per-round trace, and of its report without the
 # elapsed_ms columns, the only ones that depend on the machine
-DEMO_05_TRACE_SHA256 = "037e01ae9501f8c1646dc4de32c09de70d145da950ef4b1cce1714cd7f867566"
+DEMO_05_TRACE_SHA256 = "2a48dd538fd0b7704419c2e596e12b0fafc5dba75ed2284567c6328b729293c0"
 DEMO_05_REPORT_SHA256 = "a53e44f6ac6247fb441b3b043fea60ed6736487c0c3625a70aa54bbe768c1468"
 
 

@@ -13,6 +13,7 @@ from costsense import cli
 from costsense.baselines import Perceptron
 from costsense.data import load_dataset, permutation
 from costsense.harness import (
+    ALGO_IDS,
     SELECTION_PERMUTATIONS,
     SELECTION_SEED_OFFSET,
     ExperimentConfig,
@@ -29,6 +30,7 @@ from costsense.harness import (
 from costsense.losses import observe_label
 from costsense.metrics import ConfusionCounts, sum_metric
 from costsense.sketch import SketchConditionError
+from test_cv_lanes import scalar_single
 
 TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libsvm"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,6 +107,33 @@ class TestRunSingle:
         assert trace.m_pos_series[-1] == row["mistakes_pos"]
         assert all(l >= 0 for l in trace.losses)
 
+    @pytest.mark.parametrize("metric", ["sum", "cost"])
+    @pytest.mark.parametrize("rho_mode", ["oracle", "laplace", "fixed:2.5"])
+    @pytest.mark.parametrize("algo", ALGO_IDS)
+    def test_trace_matches_scalar_updates(self, toy, algo, rho_mode, metric):
+        # the lane pass's trace against the per-sample update's returns; full
+        # ACOG's lane pass delays its covariance terms, so its losses may
+        # differ in the last bits
+        cfg = ExperimentConfig(algo=algo, rho_mode=rho_mode, metric=metric)
+        for eta, seed in ((0.1, 0), (1.0, 3)):
+            row, trace = run_single(cfg, toy, eta, seed, collect_trace=True)
+            want_row, want = scalar_single(cfg, toy, eta, seed)
+            assert strip_elapsed(row) == want_row
+            assert (trace.order == want.order).all()
+            assert (trace.m_pos_series, trace.m_neg_series, trace.rho_final) == (
+                want.m_pos_series, want.m_neg_series, want.rho_final)
+            if algo in ("acog1", "acog2"):
+                np.testing.assert_allclose(trace.losses, want.losses, rtol=1e-12, atol=1e-12)
+            else:
+                assert trace.losses == want.losses
+
+    def test_full_acog_over_wide_data_runs_as_its_experiment(self):
+        # sigma covers the columns in use, as in an experiment's passes, not d
+        wide = load_dataset(TOY, d_override=200_000)
+        cfg = ExperimentConfig(algo="acog2", eta_grid=(1.0,), permutations=1, seed=2)
+        row = run_single(cfg, wide, 1.0, 2)
+        assert strip_elapsed(row) == strip_elapsed(run_experiment(cfg, wide).rows[0])
+
 
 class TestGridSelect:
     def test_single_element_grid(self, toy, no_selection):
@@ -119,7 +148,7 @@ class TestGridSelect:
     def _selection_means(self, cfg, toy):
         seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
         return {
-            eta: np.mean([run_single(cfg, toy, eta, s)[cfg.metric] for s in seeds])
+            eta: np.mean([scalar_single(cfg, toy, eta, s)[0][cfg.metric] for s in seeds])
             for eta in cfg.eta_grid
         }
 

@@ -3,8 +3,10 @@
 For the learners in ``LANE_ALGOS`` grid selection runs every (eta, selection
 seed) pair, and evaluation every permutation, as lanes of one pass in which
 each lane reads the rows in its own order.  Each lane must count the same
-mistakes as ``run_single`` with that eta and seed, and ``grid_select`` must
-pick the eta that a loop over scalar passes picks.  The data are the toy set
+mistakes as a scalar pass with that eta and seed (``scalar_single`` of
+``test_cv_lanes.py``: a learner over all d columns that runs the per-sample
+``update`` row by row), and ``grid_select`` must pick the eta that a loop
+over scalar passes picks.  The data are the toy set
 (rows of 3 to 10 features, so padding is exercised) and the benchmark's
 seed-0 ijcnn1-shaped file, written by ``perfbench/workloads.py`` (only read)
 into a temporary directory.  Scalar passes are cached per module and shared
@@ -47,7 +49,7 @@ from costsense.harness import (
 )
 from costsense.losses import lane_class_weight
 from costsense.sacog import SparseSketchedCSGD
-from test_cv_lanes import scalar_cv_rows
+from test_cv_lanes import scalar_cv_rows, scalar_single
 
 ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "datasets" / "toy_imbalanced.libsvm"
@@ -88,14 +90,14 @@ def strip(row):
 
 
 def scalar_rows(cache, cfg, dataset, eta, seeds):
-    """``run_single``'s rows at ``eta``, one per seed, without ``elapsed_ms``;
+    """Scalar passes' rows at ``eta``, one per seed, without ``elapsed_ms``;
     each pass runs once per dataset."""
     out = []
     for seed in seeds:
         key = (cfg.algo, cfg.update_rule, cfg.sketch_lazy, cfg.sketch_on_loss_only,
                cfg.rho_mode, cfg.metric, eta, seed)
         if key not in cache:
-            cache[key] = strip(run_single(cfg, dataset, eta, seed))
+            cache[key] = scalar_single(cfg, dataset, eta, seed)[0]
         out.append(cache[key])
     return out
 
@@ -295,19 +297,20 @@ def test_sketched_evaluation_lanes_match_scalar_passes(toy, sketch_cache, algo, 
             sketch_cache, cfg, toy, eta, SELECTION_SEEDS)
 
 
-def assert_passes_match_run_single(cfg, toy):
+def assert_passes_match_scalar(cfg, toy):
     """``cfg``'s experiment runs through ``_lane_rounds``, and its rows and
-    selection table are those of ``run_single``'s passes."""
+    selection table are those of scalar passes."""
     with mock.patch.object(harness, "_lane_rounds", wraps=harness._lane_rounds) as rounds:
         report = run_experiment(cfg, toy)
     assert rounds.called
     assert [strip(r) for r in report.rows] == [
-        strip(run_single(cfg, toy, report.eta, cfg.seed + i)) for i in range(cfg.permutations)]
+        scalar_single(cfg, toy, report.eta, cfg.seed + i)[0] for i in range(cfg.permutations)]
     if cfg.algo == "perceptron":
         return  # every step size ties, so no selection pass runs
     selection_seeds = [cfg.seed + SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
     assert report.grid == {
-        eta: float(np.mean([run_single(cfg, toy, eta, s)[cfg.metric] for s in selection_seeds]))
+        eta: float(np.mean([scalar_single(cfg, toy, eta, s)[0][cfg.metric]
+                            for s in selection_seeds]))
         for eta in cfg.eta_grid}
 
 
@@ -328,7 +331,7 @@ RUN_SINGLE_CASES = [
                          ids=["-".join(case.values()) for case in RUN_SINGLE_CASES])
 def test_lane_passes_match_run_single(toy, case):
     cfg = ExperimentConfig(eta_grid=(0.1, 1.0), permutations=2, seed=3, **case)
-    assert_passes_match_run_single(cfg, toy)
+    assert_passes_match_scalar(cfg, toy)
 
 
 @pytest.mark.parametrize("algo", SKETCHED_ALGOS)
@@ -337,7 +340,7 @@ def test_random_sketch_init_lanes_match_scalar_passes(toy, algo):
     # both protocols, with lanes that fall out of step
     cfg = ExperimentConfig(algo=algo, sketch_init="random", eta_grid=SKETCH_GRID, seed=5,
                            rho_mode="laplace", sketch_on_loss_only=True, permutations=3)
-    assert_passes_match_run_single(cfg, toy)
+    assert_passes_match_scalar(cfg, toy)
     cv = dataclasses.replace(cfg, eta_grid=(0.5,), folds=3)
     assert [strip(r) for r in run_cv(cv, toy).rows] == scalar_cv_rows(cv, toy)
 

@@ -5,11 +5,12 @@ the class that owns them, and module functions by name.  Moving one of them
 breaks only traced benchmark runs, so this test installs the unmodified
 tracer, runs small experiments under both protocols on the toy set, and
 checks that the learner counters were hit.  The batched lane passes of
-both protocols call no patched learner method, so the scalar updates are
-reached through the one-lane passes, whose learner runs its own ``update``
-(CV runs of the perceptron and of full ACOG), and through scalar reference
-passes (``run_single``) of the sketched learners with a random sketch init
-and of diagonal ACOG.
+both protocols call no patched learner method, and full ACOG's one-lane
+passes call ``covariance_update`` but not its ``update``.  So the scalar
+updates are reached through the perceptron's one-lane passes (its CV run),
+which run its own ``update``, and through plain ``update`` loops over
+learners from ``costsense.harness.make_learner``: the sketched learners with
+a random sketch init, and diagonal ACOG.
 """
 
 import importlib.util
@@ -30,6 +31,16 @@ def load_tracing():
     return module
 
 
+def update_loop(cfg, ds):
+    """Score then update on every row of ``ds.order(0)`` at step size 1, as
+    the per-sample API runs; the harness functions are looked up at call
+    time, so the tracer's wrappers run."""
+    learner = costsense.harness.make_learner(cfg, ds.d, 1.0)
+    rho = costsense.harness.make_cost_model(cfg, (ds.t_pos, ds.t_neg)).rho
+    for positions, values, y in ds.rows(ds.order(0)):
+        learner.update(positions, values, y, rho, score=learner.score(positions, values))
+
+
 def test_tracer_installs_and_counts_every_learner_layer(tmp_path):
     tracer = load_tracing().Tracer()
     try:
@@ -39,13 +50,12 @@ def test_tracer_installs_and_counts_every_learner_layer(tmp_path):
         runs = [(run_experiment, algo, dict(eta_grid=(0.1, 1.0), permutations=2))
                 for algo in ("cog2", "acog2-diag", "ssacog2")]
         # the lane learners run as batched lanes under both protocols; the
-        # perceptron's and full ACOG's one-lane passes call their update
+        # perceptron's one-lane passes call its update, full ACOG's its
+        # covariance_update
         runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3)) for algo in ("acog2", "perceptron")]
-        # and so do scalar passes, run through the patched harness function
-        runs += [(lambda cfg, ds: costsense.harness.run_single(cfg, ds, 1.0, 0), algo,
-                  dict(sketch_init="random")) for algo in ("sacog2", "ssacog2")]
-        runs += [(lambda cfg, ds: costsense.harness.run_single(cfg, ds, 1.0, 0, collect_trace=True),
-                  "acog2-diag", {})]
+        # and plain update loops call the other learners' update
+        runs += [(update_loop, algo, dict(sketch_init="random")) for algo in ("sacog2", "ssacog2")]
+        runs += [(update_loop, "acog2-diag", {})]
         for run, algo, kw in runs:
             span = tracer.open("experiment", algo=algo,
                                mode="cv" if run is run_cv else "experiment")
