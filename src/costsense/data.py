@@ -6,6 +6,13 @@ Feature indices are 1-based on disk (LIBSVM convention); a loaded
 ``positions`` through which learners address weight vectors.  Passes that
 read a different row per lane take all rows at once from ``Dataset.padded()``.
 
+:func:`load_dataset` has two paths.  A plain file (its docstring says what
+that is) is parsed whole, in vectorized byte scans and one ``np.fromstring``
+call; any other goes through the line path, :func:`parse_libsvm_line`'s
+tokenizer line by line, which also skips blank and comment lines.  Both give
+the same :class:`Dataset` bit for bit, and every error message, with its
+line number, comes from the line path.
+
 A dataset's seeded orders, ``Dataset.order(seed)``, are :func:`permutation`'s,
 computed once per seed and kept, read-only, for as long as the dataset lives,
 so every experiment run on one loaded dataset shares them; so are its
@@ -14,7 +21,9 @@ cross-validation splits, ``Dataset.cv_split(k, seed)``.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -199,14 +208,46 @@ def parse_libsvm_line(line: str, lineno: int | None = None
 def load_dataset(path, d_override: int | None = None) -> Dataset:
     """Load and per-sample normalize a LIBSVM file into columns.
 
+    The file is read once, as bytes.  A plain file is parsed whole by numpy;
+    any other goes line by line through :func:`parse_libsvm_line`'s
+    tokenizer.  Both paths give the same :class:`Dataset` bit for bit.  A
+    file that is not plain may still load, and every error, with its line
+    number, is the line path's.  A file is plain when it has
+
+    - only the bytes ``0-9 + - . e E :``, space, tab and ``\\n``, or ``\\r``
+      right before ``\\n``;
+    - no blank or comment line, and on every line a label and at least one
+      feature;
+    - feature tokens ``<digits>:<value>``, with at most 16 digits;
+    - labels of +1 or -1;
+    - indices from 1 to below 2**53, increasing along each line;
+    - every row norm within [2**-511, inf): every value is finite, and no
+      row needs rescaling.
+
     ``d_override`` widens the dimensionality when a companion split uses
     higher feature indices than this file; it may not shrink it.
     """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    labels, indptr, positions, values, norms = _bulk_rows(text) or _line_rows(text, path)
+    d = int(positions.max()) + 1
+    if d_override is not None:
+        if d_override < d:
+            raise ValueError(f"d_override {d_override} below observed max index {d}")
+        d = d_override
+    values = values / np.repeat(norms, np.diff(indptr))
+    return Dataset(labels, indptr, positions, values, d)
+
+
+def _line_rows(text: bytes, path):
+    """Labels, ``indptr``, 0-based positions, raw values and row norms of a
+    LIBSVM file's ``text``, tokenized line by line and validated as it goes."""
     labels, indptr, indices, values, norms = [], [0], [], [], []
     # norm() takes sqrt(x @ x); where x @ x overflows, or is zero or subnormal
-    # (norm below 2**-511), the row is rescaled below
-    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
-        for lineno, raw in enumerate(fh, start=1):
+    # (norm below 2**-511), the row is rescaled below.  The lines are the
+    # ones a text-mode open() of the file yields, decoding errors included
+    with io.TextIOWrapper(io.BytesIO(text), encoding="utf-8") as lines, np.errstate(over="ignore"):
+        for lineno, raw in enumerate(lines, start=1):
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
             label, idx, val = _tokenize(raw, lineno)
@@ -227,15 +268,79 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
             norms.append(n)
     if not labels:
         raise LibsvmFormatError(f"{path}: no examples found")
-    positions = np.array(indices, dtype=np.int64) - 1
-    d = int(positions.max()) + 1
-    if d_override is not None:
-        if d_override < d:
-            raise ValueError(f"d_override {d_override} below observed max index {d}")
-        d = d_override
-    values = np.array(values) / np.repeat(norms, np.diff(indptr))
-    return Dataset(np.array(labels, dtype=np.int64), np.array(indptr, dtype=np.int64),
-                   positions, values, d)
+    return (np.array(labels, dtype=np.int64), np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int64) - 1, np.array(values), norms)
+
+
+def _bulk_rows(text: bytes):
+    """What :func:`_line_rows` returns for ``text`` if it is plain (see
+    :func:`load_dataset`), from vectorized byte scans and one
+    ``np.fromstring`` call; None for any other text."""
+    if text.translate(None, b"0123456789+-.eE: \t\r\n") or text.count(b"\r") != text.count(b"\r\n"):
+        return None
+    buf = np.frombuffer(text, dtype=np.uint8)
+    space = buf <= 32  # of the plain bytes, space, tab, \r and \n
+    begins = np.empty_like(space)
+    begins[:1] = ~space[:1]
+    np.greater(space[:-1], space[1:], out=begins[1:])
+    starts = np.flatnonzero(begins)  # each token's first byte
+    ends = np.flatnonzero(buf == 10)
+    if text[-1:] != b"\n":
+        ends = np.append(ends, buf.size)
+    tokens = np.diff(np.searchsorted(starts, ends), prepend=0)  # per line
+    if tokens.min() < 2:
+        return None
+    is_feature = np.ones(starts.size, dtype=bool)
+    is_feature[np.cumsum(tokens) - tokens] = False  # each line's label
+    feature_starts = starts[is_feature]
+    # the k-th colon ends the k-th feature token's digits: then every feature
+    # token holds exactly one colon, and no label holds one
+    colons = np.flatnonzero(buf == 58)
+    if colons.size != feature_starts.size:
+        return None
+    digits = colons - feature_starts
+    if digits.min() < 1 or digits.max() > 16:
+        return None
+    # read each index from its digits, and blank them and the colons out, so
+    # that np.fromstring reads only labels and values
+    index = np.zeros(colons.size, dtype=np.int64)
+    blanked = buf.copy()
+    blanked[colons] = 32
+    for j in range(int(digits.max())):
+        has = digits > j
+        at = feature_starts[has] + j
+        digit = buf[at] - 48  # wraps past 9 below b"0"
+        if (digit > 9).any():
+            return None
+        index[has] = index[has] * 10 + digit
+        blanked[at] = 32
+    try:
+        # numpy warns (2.0 to 2.3) or raises (later) at text it cannot read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            numbers = np.fromstring(blanked.tobytes(), sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if numbers.size != starts.size:
+        return None  # an empty value
+    indptr = np.zeros(tokens.size + 1, dtype=np.int64)
+    np.cumsum(tokens - 1, out=indptr[1:])
+    label_at = np.arange(tokens.size) + indptr[:-1]
+    labels = numbers[label_at]
+    values = np.delete(numbers, label_at)
+    rising = index[1:] > index[:-1]
+    rising[indptr[1:-1] - 1] = True  # a row's first index follows another row's
+    if not (((labels == 1) | (labels == -1)).all() and index.min() >= 1
+            and index.max() < 2**53 and rising.all()):
+        return None
+    # v.dot(v) on a contiguous v is what np.linalg.norm takes the root of
+    bounds = indptr.tolist()
+    with np.errstate(over="ignore"):
+        norms = np.array([math.sqrt(v.dot(v)) for v in
+                          (values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))])
+    if not ((norms >= 2.0**-511) & (norms < math.inf)).all():
+        return None
+    return labels.astype(np.int64), indptr, index - 1, values, norms
 
 
 def permutation(n: int, seed: int) -> np.ndarray:

@@ -667,6 +667,13 @@ class TestCli:
 
     @pytest.mark.parametrize("line,message", [
         ("+1 99999999999999999999:1", "feature index 99999999999999999999 past the int64 range"),
+        # rows the bulk parse must refuse, so that the line path reports them
+        ("+1 1:1e400", "non-finite feature value '1:1e400'"),
+        ("+1 0:1", "feature index 0 < 1"),
+        ("+1 3:1 2:1", "feature index 2 not increasing (previous 3)"),
+        ("2 1:1", "non-binary label '2'"),
+        ("+1 1.5:1", "malformed token '1.5:1'"),
+        ("+1 1:1:1", "malformed token '1:1:1'"),
     ])
     def test_unloadable_row_reported_with_its_line(self, tmp_path, line, message):
         data = tmp_path / "huge.libsvm"
