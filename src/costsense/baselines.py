@@ -17,11 +17,13 @@ their scores: in each round every lane scores its row and then takes
 the longest row) is lane g's sample, addressed as ``position * G + g`` in
 the C-order weights and padded with value 0.0 at a position no sample uses;
 ``y``, ``weight`` (``losses.class_weight``) and ``sq_norms`` (``values @
-values``) hold one entry per round and lane.  The caller owns the chunks,
-the labels and rho; the learner owns the rounds.  Whatever does not depend
-on a round's scores (the slope and ``eta`` times it, and COG's step along
-x) is computed once per chunk, and the weights a lane's score gathers are
-the ones its step updates.  ``scores`` gives the scores of frozen lanes.
+values``) hold one entry per round and lane, though a caller passes
+``sq_norms`` only to a learner that ``reads_sq_norms`` (PA-I) and None to
+the others.  The caller owns the chunks, the labels and rho; the learner
+owns the rounds.  Whatever does not depend on a round's scores (the slope
+and ``eta`` times it, and COG's step along x) is computed once per chunk,
+and the weights a lane's score gathers are the ones its step updates.
+``scores`` gives the scores of frozen lanes.
 The core's ``advance`` runs one lane, a learner of one step size, by ``update``.
 """
 
@@ -56,6 +58,7 @@ class LinearLearner:
     kept as the attribute ``step_name``; the perceptron has none."""
 
     step_name = "eta"
+    reads_sq_norms = False  # whether ``advance`` reads its ``sq_norms``
 
     def __init__(self, d: int, step=None):
         if d < 1:
@@ -110,6 +113,7 @@ class PassiveAggressiveI(LinearLearner):
     (one lane per value when ``C`` is a sequence)."""
 
     step_name = "C"
+    reads_sq_norms = True
 
     def __init__(self, d: int, C: float = 1.0):
         super().__init__(d, C)

@@ -16,7 +16,8 @@ line number, comes from the line path.
 A dataset's seeded orders, ``Dataset.order(seed)``, are :func:`permutation`'s,
 computed once per seed and kept, read-only, for as long as the dataset lives,
 so every experiment run on one loaded dataset shares them; so are its
-cross-validation splits, ``Dataset.cv_split(k, seed)``.
+cross-validation splits, ``Dataset.cv_split(k, seed)``, its padded layouts,
+``Dataset.padded(keep)``, and its row norms, ``Dataset.sq_norms``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -34,18 +35,25 @@ class LibsvmFormatError(ValueError):
     """Malformed LIBSVM text: bad label, bad token, or bad index order."""
 
 
-class PaddedRows(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class PaddedRows:
     """Every row of a :class:`Dataset` at once, padded to the longest: row
     ``i`` is ``positions[i]``/``values[i]`` (n x K).  Positions are renumbered
     onto the columns some row uses, plus any kept leading columns, in order;
     ``width - 1`` is a column no row uses, and every padding slot points there
     with value 0.0.  A row of 4q + 3 entries has two padding slots before its
-    last entry."""
+    last entry.  The arrays are read-only: every pass over the dataset
+    shares them."""
 
     positions: np.ndarray
     values: np.ndarray
     width: int
-    sq_norms: np.ndarray  # each row's values @ values, as one-row code takes it
+    dataset: Dataset = field(repr=False)
+
+    @property
+    def sq_norms(self) -> np.ndarray:
+        """Each row's ``values @ values``: the dataset's :attr:`Dataset.sq_norms`."""
+        return self.dataset.sq_norms
 
 
 @dataclass(eq=False)
@@ -54,8 +62,8 @@ class Dataset:
 
     Row ``i`` is ``labels[i]`` (+1/-1) with the 0-based feature ``positions``
     and unit-norm ``values`` in ``indptr[i]:indptr[i + 1]``.  :meth:`padded`,
-    :meth:`order` and :meth:`cv_split` build their arrays on first use and
-    keep them as long as the dataset.
+    :meth:`order`, :meth:`cv_split` and :attr:`sq_norms` build their arrays on
+    first use and keep them, read-only, as long as the dataset.
     """
 
     labels: np.ndarray
@@ -117,11 +125,15 @@ class Dataset:
         """The rows as :class:`PaddedRows`, built on first use and kept.
         Columns ``0..keep-1`` stay in the renumbering whether or not a row
         uses them, as columns ``0..keep-1`` (a sketch's canonical init lives
-        there)."""
+        there); where rows use them all, this is ``padded(0)`` itself, so a
+        dataset builds one layout for every ``keep`` its rows cover."""
         if keep in self._padded:
             return self._padded[keep]
         in_use = np.zeros(self.d, dtype=bool)
         in_use[self.positions] = True
+        if keep and in_use[:keep].all():
+            rows = self._padded[keep] = self.padded(0)
+            return rows
         in_use[:keep] = True
         used = np.flatnonzero(in_use)
         nnz = np.diff(self.indptr)
@@ -138,10 +150,19 @@ class Dataset:
         positions[row, slot] = np.searchsorted(used, self.positions)
         values = np.zeros(shape)
         values[row, slot] = self.values
-        # row by row as PA-I's one-row code: a vectorized sum differs on rows of 16+
-        sq_norms = np.array([float(v @ v) for _, v, _ in self.rows(np.arange(len(nnz)))])
-        rows = self._padded[keep] = PaddedRows(positions, values, used.size + 1, sq_norms)
+        positions.flags.writeable = values.flags.writeable = False
+        rows = self._padded[keep] = PaddedRows(positions, values, used.size + 1, self)
         return rows
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Each row's ``values @ values``, computed on first read and kept,
+        read-only.  Only PA-I's step reads it, so other passes never pay
+        for it."""
+        # row by row as PA-I's one-row code: a vectorized sum differs on rows of 16+
+        sq_norms = np.array([float(v @ v) for _, v, _ in self.rows(np.arange(len(self)))])
+        sq_norms.flags.writeable = False
+        return sq_norms
 
 
 def _tokenize(line: str, lineno: int | None) -> tuple[int, list, list]:

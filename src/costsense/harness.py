@@ -303,6 +303,7 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
     g, k = len(orders), padded.positions.shape[1]
     lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
     chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
+    sq_norms = padded.sq_norms if step and lanes.reads_sq_norms else None
     m_pos = m_neg = 0
     for t0 in range(0, len(orders[0]), chunk):
         idx = np.stack([order[t0:t0 + chunk] for order in orders], axis=1)
@@ -312,7 +313,7 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
         if step:
             rho = observe_label(cm, y)
             scores = lanes.advance(flat, values, y, lane_class_weight(y, rho),
-                                   padded.sq_norms[idx])
+                                   None if sq_norms is None else sq_norms[idx])
             if record is not None:
                 record.append((scores, y, np.broadcast_to(rho, y.shape)))
         else:

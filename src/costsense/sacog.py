@@ -15,10 +15,15 @@ with a sketch of its own (``sketch.py``'s ``lanes``): column g of the d x G
 coefficients, and ``advance`` and ``scores`` follow the lane layout that
 ``baselines`` describes.  Per chunk ``advance`` also computes the sketch's
 xhat (and xhat @ xhat); per round, the Z rows gathered for the score are
-the ones the sketch step updates.  A lane's state is about (m + 1) x (d +
-2m) doubles.  Lanes fall out of step under ``sketch_on_loss_only``, so each
-lane counts its own sketch rounds, and a lane whose sketch is not due keeps
-its state as it is.
+the ones the sketch step updates.  A round's mean (or ``b``) step is
+computed for every lane and written only where the lane's loss is positive
+(``where=``), so a passive lane keeps its weights bit for bit, with no
+per-round copy of the active lanes; numpy's stacked matmul gives each lane
+the same bits whatever the others hold, so an active lane's step is the one
+it would take alone.  A lane's state is about (m + 1) x (d + 2m) doubles.
+Lanes fall out of step under ``sketch_on_loss_only``, so each lane counts
+its own sketch rounds, and a lane whose sketch is not due keeps its state
+as it is.
 """
 
 from __future__ import annotations
@@ -28,15 +33,6 @@ import numpy as np
 from .baselines import LinearLearner
 from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
 from .sketch import OjaSketch, SparseOjaSketch, lane_products, sketch_inputs, to_sketch_vector
-
-
-def _lanes(mask: np.ndarray):
-    """The lanes ``mask`` sets: a slice when it sets all (so that state is
-    read through views), an index array when it sets some, None when none."""
-    if mask.all():
-        return slice(None)
-    lanes = np.flatnonzero(mask)
-    return lanes if lanes.size else None
 
 
 class _SketchedLearner(LinearLearner):
@@ -84,12 +80,17 @@ class _SketchedLearner(LinearLearner):
 
     def _due_lanes(self, active: np.ndarray):
         """``_advance_sketch``'s rule per lane: count the round and return the
-        lanes whose sketch is due (see :func:`_lanes`)."""
+        lanes whose sketch is due, as ``sketch.step`` takes them: a slice when
+        all are (so that state is read through views), an index array when
+        some are, None when none is."""
         due = self.rounds % self.sketch_every == 0
         self.rounds += 1
         if not due:
             return None
-        return _lanes(active) if self.sketch_on_loss_only else slice(None)
+        if not self.sketch_on_loss_only or active.all():
+            return slice(None)
+        lanes = np.flatnonzero(active)
+        return lanes if lanes.size else None
 
 
 class SketchedCSGD(_SketchedLearner):
@@ -129,16 +130,15 @@ class SketchedCSGD(_SketchedLearner):
             due = self._due_lanes(active)
             if due is not None:
                 sk.step(due, positions[t][due], xhat[t][due])
-            act = _lanes(active)
-            if act is None:
+            if not active.any():
                 continue
-            a, x = slope[t][act], x[act]
-            tl = sk.t[act] * sk.lam[act]  # the sketch's H is 1 / (1 + tl)
-            S = np.sqrt(tl)[..., None] * sk.V[act]
-            Sg = a[:, None] * lane_products(S.mT[np.arange(len(a))[:, None], positions[t][act]], x)
-            mu[f[act]] = rows[act] - step[t][act]
+            tl = sk.t * sk.lam  # the sketch's H is 1 / (1 + tl)
+            S = np.sqrt(tl)[..., None] * sk.V
+            Sg = slope[t][:, None] * lane_products(S.mT[sk.lane, positions[t]], x)
+            mu[f] = np.subtract(rows, step[t], out=rows, where=active[:, None])
             HSg = 1.0 / (1.0 + tl) * Sg
-            self.w[:, act] += (self.eta[act][:, None] * (S.mT @ HSg[..., None])[..., 0]).T
+            np.add(self.w, (self.eta[:, None] * (S.mT @ HSg[..., None])[..., 0]).T, out=self.w,
+                   where=active)
         return scores
 
 
@@ -223,15 +223,15 @@ class SparseSketchedCSGD(_SketchedLearner):
                     self.w[:, lanes] += (old.mT @ self.b[lanes][..., None])[..., 0].T
                     self.b[lanes] = 0.0
                     rows, zrows = w[f], Z.take(f, axis=0)
-            act = _lanes(active)
-            if act is None:
+            if not active.any():
                 if due is not None:
                     w[f] = rows
                 continue
             w[f] = np.subtract(rows, step[t], out=rows, where=active[:, None])
-            a, tl, F = slope[t][act], sk.t[act] * sk.lam[act], sk.F[act]
-            Zg = a[:, None] * lane_products(zrows[act], x[act])
+            tl = sk.t * sk.lam
+            Zg = slope[t][:, None] * lane_products(zrows, x)
             # t lam H, with the sketch's H = 1 / (1 + t lam)
-            v = (tl * (1.0 / (1.0 + tl))) * (F @ Zg[..., None])[..., 0]
-            self.b[act] += self.eta[act][:, None] * (F.mT @ v[..., None])[..., 0]
+            v = (tl * (1.0 / (1.0 + tl))) * (sk.F @ Zg[..., None])[..., 0]
+            np.add(self.b, self.eta[:, None] * (sk.F.mT @ v[..., None])[..., 0], out=self.b,
+                   where=active[:, None])
         return scores

@@ -137,6 +137,7 @@ class _Sketch:
         self.lanes = lanes
         self.t = np.zeros((lanes, 1), dtype=np.int64) if lanes else 0
         self.lam = _per_lane(np.zeros(m), lanes)
+        self.lane = np.arange(lanes)[:, None]  # each lane's index, as a column
 
     @property
     def H(self) -> np.ndarray:
@@ -169,7 +170,7 @@ class OjaSketch(_Sketch):
             self.t[due] += 1
             step = 1.0 / self.t[due]
             cols = self.V.mT  # lane g's column c is cols[g, c]
-            lane = np.arange(self.lanes)[due][:, None]
+            lane = self.lane[due]
             rows = cols[lane, positions]
             p = lane_products(rows, values)
             self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
@@ -239,8 +240,9 @@ class SparseOjaSketch(_Sketch):
             self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
             delta = step * Zx
             xx = xx[:, None, None]
-            K = self.K[due] + (Zx[:, :, None] * delta[:, None] + delta[:, :, None] * Zx[:, None]
-                               + xx * (delta[:, :, None] * delta[:, None]))
+            # delta Zx^T is (Zx delta^T)^T: a product commutes bit for bit
+            Zd = Zx[:, :, None] * delta[:, None]
+            K = self.K[due] + (Zd + Zd.mT + xx * (delta[:, :, None] * delta[:, None]))
             rows = rows + values[..., None] * delta[:, None]
             self.Z.reshape(-1, self.m)[flat] = rows  # a view: row position * G + g
             self.K[due] = K
@@ -250,7 +252,7 @@ class SparseOjaSketch(_Sketch):
                 return delta, rows, None
             # Z <- F Z in the folding lanes only, each lane's Z as the m x d
             # rows that update multiplies
-            lanes = np.arange(self.lanes)[due][crossed]
+            lanes = self.lane[due, 0][crossed]
             old = self.Z[:, lanes].transpose(1, 2, 0).copy()
             Z = F[crossed] @ old
             self.Z[:, lanes] = Z.transpose(2, 0, 1)
