@@ -211,11 +211,12 @@ class AdaptiveCSGD(LinearLearner):
                 continue
             on = active[:, None]
             before = sigma[f]
-            # covariance_update_diag per lane; passive lanes shrink by zero
+            # covariance_update_diag on the active lanes only, in place in
+            # before: the new rule's step reads it shrunk, the old rule's a copy
             sx = before * x
             denom = self.gamma + np.vecdot(x, sx)
-            after = sigma[f] = before - (sx * sx) / denom[:, None] * on
-            sigma_used = after if self.update_rule == "new" else before
+            sigma_used = before.copy() if self.update_rule == "old" else before
+            sigma[f] = np.subtract(before, (sx * sx) / denom[:, None], out=before, where=on)
             mu[f] = np.subtract(rows, eta_slope[t][:, None] * sigma_used * x, out=rows, where=on)
         return scores
 

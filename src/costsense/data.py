@@ -18,6 +18,11 @@ computed once per seed and kept, read-only, for as long as the dataset lives,
 so every experiment run on one loaded dataset shares them; so are its
 cross-validation splits, ``Dataset.cv_split(k, seed)``, its padded layouts,
 ``Dataset.padded(keep)``, and its row norms, ``Dataset.sq_norms``.
+
+Row norms, the plain-file load's and ``Dataset.sq_norms``, take one
+``np.vecdot`` per distinct row length (:func:`_row_dots`), not one dot per
+row; each row still goes to the BLAS dot that one-row code calls, so the
+norms are bit for bit the one-row code's.
 """
 
 from __future__ import annotations
@@ -157,10 +162,10 @@ class Dataset:
     @cached_property
     def sq_norms(self) -> np.ndarray:
         """Each row's ``values @ values``, computed on first read and kept,
-        read-only.  Only PA-I's step reads it, so other passes never pay
-        for it."""
-        # row by row as PA-I's one-row code: a vectorized sum differs on rows of 16+
-        sq_norms = np.array([float(v @ v) for _, v, _ in self.rows(np.arange(len(self)))])
+        read-only, bit for bit PA-I's one-row ``values @ values`` (see
+        :func:`_row_dots`).  Only PA-I's step reads it, so other passes never
+        pay for it."""
+        sq_norms = _row_dots(self.indptr, self.values)
         sq_norms.flags.writeable = False
         return sq_norms
 
@@ -245,6 +250,9 @@ def load_dataset(path, d_override: int | None = None) -> Dataset:
     - every row norm within [2**-511, inf): every value is finite, and no
       row needs rescaling.
 
+    A plain file's row norms come from one ``np.vecdot`` per distinct row
+    length, bit for bit the line path's ``np.linalg.norm`` of each row.
+
     ``d_override`` widens the dimensionality when a companion split uses
     higher feature indices than this file; it may not shrink it.
     """
@@ -296,7 +304,8 @@ def _line_rows(text: bytes, path):
 def _bulk_rows(text: bytes):
     """What :func:`_line_rows` returns for ``text`` if it is plain (see
     :func:`load_dataset`), from vectorized byte scans and one
-    ``np.fromstring`` call; None for any other text."""
+    ``np.fromstring`` call, with the row norms from :func:`_row_dots`; None
+    for any other text."""
     if text.translate(None, b"0123456789+-.eE: \t\r\n") or text.count(b"\r") != text.count(b"\r\n"):
         return None
     buf = np.frombuffer(text, dtype=np.uint8)
@@ -354,14 +363,30 @@ def _bulk_rows(text: bytes):
     if not (((labels == 1) | (labels == -1)).all() and index.min() >= 1
             and index.max() < 2**53 and rising.all()):
         return None
-    # v.dot(v) on a contiguous v is what np.linalg.norm takes the root of
-    bounds = indptr.tolist()
+    # each row's v.dot(v) is what np.linalg.norm takes the root of
     with np.errstate(over="ignore"):
-        norms = np.array([math.sqrt(v.dot(v)) for v in
-                          (values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))])
+        norms = np.sqrt(_row_dots(indptr, values))
     if not ((norms >= 2.0**-511) & (norms < math.inf)).all():
         return None
     return labels.astype(np.int64), indptr, index - 1, values, norms
+
+
+def _row_dots(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each CSR row's ``v.dot(v)``, bit for bit, from one ``np.vecdot`` per
+    distinct row length: for float64 it hands each row to the BLAS dot that
+    ``ndarray.dot`` calls.  Rows of one length that lie back to back are read
+    as a view of ``values``; only the other groups are gathered."""
+    nnz = np.diff(indptr)
+    dots = np.empty(nnz.size)
+    for length in np.flatnonzero(np.bincount(nnz)).tolist():  # np.unique imports numpy.ma
+        rows = np.flatnonzero(nnz == length)
+        if rows[-1] - rows[0] == rows.size - 1:
+            lo = indptr[rows[0]]
+            v = values[lo:lo + rows.size * length].reshape(rows.size, length)
+        else:
+            v = values[indptr[rows][:, None] + np.arange(length)]
+        dots[rows] = np.vecdot(v, v)
+    return dots
 
 
 def permutation(n: int, seed: int) -> np.ndarray:

@@ -307,8 +307,11 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
     m_pos = m_neg = 0
     for t0 in range(0, len(orders[0]), chunk):
         idx = np.stack([order[t0:t0 + chunk] for order in orders], axis=1)
-        flat = padded.positions[idx] * g + lane
-        values = padded.values[idx]
+        # take(axis=0) gathers whole rows, at a third to a half of [idx]'s cost
+        flat = padded.positions.take(idx, axis=0)
+        flat *= g
+        flat += lane
+        values = padded.values.take(idx, axis=0)
         y = dataset.labels[idx].astype(np.float64)
         if step:
             rho = observe_label(cm, y)

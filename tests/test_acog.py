@@ -395,6 +395,31 @@ class TestDelayedTerms:
         assert np.abs(m.mu - ref.mu).max() <= 1e-12
 
 
+class TestDiagonalLanes:
+    @pytest.mark.parametrize("update_rule", ["new", "old"])
+    def test_passive_lane_keeps_its_sigma_where_its_shrink_is_nan(self, update_rule):
+        # in round 2 lane 0 is passive on x = 1e200, whose (sigma x)^2 / denom
+        # is inf / inf, while lane 1 is active on x = 1: each lane's state is
+        # the scalar update's on its own rows, which leaves lane 0's untouched
+        rows = [[(1.0, 1), (1e200, 1)], [(1.0, 1), (1.0, -1)]]
+        lanes = AdaptiveCSGD(1, eta=[0.5, 0.5], gamma=1.0, diagonal=True,
+                             update_rule=update_rule)
+        flat = np.tile(np.arange(2)[None, :, None], (2, 1, 1))
+        values = np.array([[[x] for x, _ in round_] for round_ in zip(*rows)])
+        y = np.array([[float(y) for _, y in round_] for round_ in zip(*rows)])
+        refs = [AdaptiveCSGD(1, eta=0.5, gamma=1.0, diagonal=True, update_rule=update_rule)
+                for _ in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lanes.advance(flat, values, y, np.where(y == 1.0, 2.0, 1.0))
+            for ref, lane_rows in zip(refs, rows):
+                for x, label in lane_rows:
+                    ref.update(np.array([0]), np.array([x]), label, rho=2.0)
+        for g, ref in enumerate(refs):
+            assert lanes.sigma[0, g].tobytes() == ref.sigma.tobytes()
+            assert lanes.mu[0, g].tobytes() == ref.mu.tobytes()
+        assert lanes.sigma[0, 0] == 0.5
+
+
 class DenseReference:
     """The full-matrix rule in its dense form: x densified, sigma @ x, a new
     re-symmetrized covariance each round and the mean step sigma_used @ g."""

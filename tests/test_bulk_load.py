@@ -11,6 +11,8 @@ that both paths give the same arrays, or the same error.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -86,6 +88,46 @@ def test_bulk_path_gives_the_line_paths_dataset(files, name):
         got = load_dataset(files[name])
     assert not line.called
     assert_same(got, line_path_load(files[name]))
+
+
+def plain_rows(rng, lengths):
+    """Plain LIBSVM text, one row of each length in ``lengths``, in order."""
+    return "".join(
+        f"{rng.choice(['+1', '-1'])} "
+        + " ".join(f"{i}:{v!r}" for i, v in zip(np.sort(rng.choice(60, size=k, replace=False)) + 1,
+                                                  rng.uniform(-3.0, 3.0, k).tolist()))
+        + "\n" for k in lengths)
+
+
+@pytest.mark.parametrize("lengths", [
+    # every length from 1 to 40 several times, shuffled, so no length's rows
+    # lie back to back, and rows of 16+, where BLAS's dot adds in blocks
+    np.random.default_rng(1).permutation(np.repeat(np.arange(1, 41), 3)),
+    [23] * 50,
+])
+def test_row_norms_by_length_group_are_the_line_paths(tmp_path, lengths):
+    path = tmp_path / "rows.libsvm"
+    path.write_text(plain_rows(np.random.default_rng(2), lengths))
+    with mock.patch.object(data, "_line_rows", wraps=data._line_rows) as line:
+        got = load_dataset(path)
+    assert not line.called
+    assert np.array_equal(np.diff(got.indptr), lengths)
+    assert_same(got, line_path_load(path))
+
+
+def test_plain_load_and_pa1_experiment_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma, which the row norms must not pay for
+    code = ("import sys\n"
+            "from costsense.data import load_dataset\n"
+            "from costsense.harness import ExperimentConfig, run_experiment\n"
+            f"ds = load_dataset({str(TOY)!r})\n"
+            "run_experiment(ExperimentConfig(algo='pa1', eta_grid=(0.1, 1.0), permutations=2), ds)\n"
+            "assert 'sq_norms' in vars(ds)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout == "False\n"
 
 
 # text that is not plain, each kind once, and what the line path makes of it:

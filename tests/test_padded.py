@@ -47,3 +47,20 @@ def test_only_pa1_passes_compute_row_norms(five_columns, algo, reads):
     if reads:
         np.testing.assert_array_equal(ds.sq_norms, [float(v @ v) for _, v, _ in
                                                     ds.rows(np.arange(len(ds)))])
+
+
+def test_pa1_row_norms_on_rows_of_16_or_more_entries(tmp_path):
+    # rows of 1 to 40 entries in shuffled order: BLAS's dot adds a row of 16+
+    # in blocks, and the norms must still be the one-row products, bit for bit
+    rng = np.random.default_rng(3)
+    p = tmp_path / "long.libsvm"
+    p.write_text("".join(
+        f"{'+1' if j % 3 else '-1'} "
+        + " ".join(f"{i}:{v!r}" for i, v in zip(np.sort(rng.choice(50, size=k, replace=False)) + 1,
+                                                  rng.uniform(0.1, 2.0, k).tolist()))
+        + "\n" for j, k in enumerate(rng.permutation(np.repeat(np.arange(1, 41), 2)))))
+    ds = load_dataset(p)
+    assert np.diff(ds.indptr).max() == 40
+    run_experiment(ExperimentConfig(algo="pa1", eta_grid=(0.1, 1.0), permutations=2), ds)
+    want = np.array([float(v @ v) for _, v, _ in ds.rows(np.arange(len(ds)))])
+    assert ds.sq_norms.tobytes() == want.tobytes()
