@@ -7,18 +7,25 @@ directions.  On each loss-active round the covariance absorbs a rank-one
 term through its closed-form inverse update, and the mean then descends the
 loss subgradient preconditioned by the covariance.  Both steps read only the
 sample's support; a diagonal mode keeps only the diagonal of ``sigma`` for
-O(nnz) rounds.  Given a sequence of G step sizes the diagonal learner runs
-them as lanes, column g of the d x G ``mu`` and ``sigma`` being the learner
-with value g; its ``advance`` and ``scores`` follow the lane layout that
-``baselines`` describes.
+O(nnz) rounds.  Given a sequence of G step sizes either learner runs them
+as lanes, column g of the d x G ``mu`` being the learner with value g, and
+column g of the diagonal learner's d x G ``sigma`` or matrix g of the full
+learner's G x d x d stack its covariance; ``advance`` and ``scores``
+follow the lane layout that ``baselines`` describes.
 
 The full-matrix learner's ``update`` subtracts each round's term from
-``sigma`` at once.  Its ``advance`` delays them instead: the last k terms,
-k < ``PENDING_TERMS``, wait as the rows of a small buffer U, and every
-``PENDING_TERMS``-th active round applies them to sigma as one symmetric
-rank-k product, sigma -= U^T U (the compact representation of Byrd,
-Nocedal and Schnabel, Math. Programming 63, 1994).  Rounds still cost
-O(d^2) on average, but that part runs as a matrix-matrix product.
+``sigma`` at once.  Its ``advance``, which runs one lane as it runs G,
+delays them instead.  A round in which any lane is active fills the next
+slot of a ``PENDING_TERMS`` x d buffer U per lane, whose slot counter the
+lanes share: an active lane writes its term s / sqrt(gamma + x^T s), where
+s = sigma x is taken from sigma less the terms U holds, and a passive lane
+a zero row.  Once the slots are full, each lane's U is applied to its sigma
+as one symmetric rank-k product, sigma -= U^T U (the compact representation
+of Byrd, Nocedal and Schnabel, Math. Programming 63, 1994).  Rounds still
+cost O(d^2) on average, but that part runs as a matrix-matrix product.
+sigma x is gathered from sigma's rows at the support, which holds only
+because sigma is symmetric, so the ``sigma`` setter refuses a matrix that
+is not.
 ``sigma`` read from outside is the covariance with the pending terms
 applied, and ``update`` applies them before its own term.
 """
@@ -37,31 +44,15 @@ PENDING_TERMS = 32
 
 
 def covariance_update(
-    sigma: np.ndarray, positions: np.ndarray, values: np.ndarray, gamma: float,
-    pending: np.ndarray | None = None,
-) -> np.ndarray | tuple[np.ndarray, float]:
+    sigma: np.ndarray, positions: np.ndarray, values: np.ndarray, gamma: float
+) -> np.ndarray:
     """In place, sigma -= s s^T / (gamma + x^T s) with s = sigma x gathered from
     the support's columns: the inverse of sigma^{-1} + x x^T / gamma.  s s^T
     is exactly symmetric, so sigma stays bitwise symmetric.  The outer
     product is built in one buffer, a block of rows at a time: 256 KB of
     rows, or 16 rows past d = 2048 (one block up to d = 181).  Returns
-    ``sigma``.
-
-    With ``pending``, rows ``U[:k + 1]`` of a ``PENDING_TERMS`` x d buffer
-    whose first k rows are terms that sigma does not hold yet, the term is
-    delayed too: s is taken from sigma less those terms, s / sqrt(denom)
-    goes into the last row, and once that row is the buffer's last, all of
-    them are applied to sigma (:func:`_apply_terms`).  Returns s and denom
-    then."""
+    ``sigma``."""
     s = sigma[:, positions] @ values
-    if pending is not None:
-        held = pending[:-1]
-        s -= (held[:, positions] @ values) @ held
-        denom = gamma + float(values @ s[positions])
-        np.divide(s, np.sqrt(denom), out=pending[-1])
-        if len(pending) == PENDING_TERMS:
-            _apply_terms(sigma, pending)
-        return s, denom
     denom = gamma + float(values @ s[positions])
     d = s.size
     # einsum zeroes its output and then adds to it, so a buffer that stays
@@ -117,7 +108,7 @@ class AdaptiveCSGD(LinearLearner):
     ``update_rule`` selects whether the mean step is preconditioned by the
     freshly shrunk covariance ("new", the default) or by the covariance from
     before this round ("old", the ablation setting).  A sequence ``eta``
-    gives one lane per value; only the diagonal learner takes one.
+    gives one lane per value.
     """
 
     def __init__(
@@ -130,11 +121,11 @@ class AdaptiveCSGD(LinearLearner):
         update_rule: str = "new",
     ):
         super().__init__(d, eta)
-        if not diagonal and d * d * 8 > FULL_SIGMA_MAX_BYTES:
-            raise ValueError(f"full-matrix ACOG over {d} columns needs {d * d * 8 / 2**30:.1f} "
+        lane_shape = np.shape(self.eta)  # () for one learner, (G,) for G lanes
+        need = np.size(self.eta) * d * d * 8
+        if not diagonal and need > FULL_SIGMA_MAX_BYTES:
+            raise ValueError(f"full-matrix ACOG over {d} columns needs {need / 2**30:.1f} "
                              f"GiB, over {FULL_SIGMA_MAX_BYTES / 2**30:g} GiB; use the -diag variant")
-        if np.ndim(self.eta) and not diagonal:
-            raise ValueError("full-matrix ACOG takes one eta; a sequence needs diagonal=True")
         if not gamma > 0.0:
             raise ValueError("gamma must be positive")
         if update_rule not in ("new", "old"):
@@ -143,27 +134,49 @@ class AdaptiveCSGD(LinearLearner):
         self.variant = LossVariant(variant)
         self.diagonal = diagonal
         self.update_rule = update_rule
-        self._sigma = np.ones(self.w.shape) if diagonal else np.eye(d)
-        # the terms a lane pass has not applied to _sigma yet, in _terms[:_pending]
-        self._terms = None if diagonal else np.empty((PENDING_TERMS, d))
+        if diagonal:
+            self._sigma = np.ones(self.w.shape)
+        else:
+            self._sigma = np.zeros((*lane_shape, d, d))
+            self._sigma.reshape(*lane_shape, d * d)[..., ::d + 1] = 1.0  # each lane's identity
+        # the terms a lane pass has not applied to _sigma yet, in slots
+        # [:_pending] of each lane's PENDING_TERMS x d buffer
+        self._terms = None if diagonal else np.empty((*lane_shape, PENDING_TERMS, d))
         self._pending = 0
 
     # own entries, not inherited ones: the benchmark's tracer wraps them per class
     score, predict = LinearLearner.score, LinearLearner.predict
     mu = property(lambda self: self.w, doc="The mean weights: the core's ``w``.")
 
+    def _stacked(self, a: np.ndarray) -> np.ndarray:
+        """The full-matrix state ``a`` with a leading lane axis: itself for
+        lanes, a view of length one for one learner."""
+        return a if np.ndim(self.eta) else a[None]
+
     @property
     def sigma(self) -> np.ndarray:
         """The covariance: the stored one, updated in place, or while a lane
-        pass holds terms back, a copy with them applied as ``update`` would."""
+        pass holds terms back, a copy with them applied as ``update`` would.
+        Setting it drops any pending terms; the value must have the stored
+        covariance's shape, and a full-matrix one must be exactly symmetric,
+        since ``advance`` reads sigma x from sigma's rows."""
         if not self._pending:
             return self._sigma
         sigma = self._sigma.copy()
-        _apply_terms(sigma, self._terms[:self._pending])
+        for lane, terms in zip(self._stacked(sigma), self._stacked(self._terms)):
+            _apply_terms(lane, terms[:self._pending])
         return sigma
 
     @sigma.setter
     def sigma(self, value: np.ndarray) -> None:
+        value = np.ascontiguousarray(value, dtype=np.float64)
+        if value.shape != self._sigma.shape:
+            what = "diagonal" if self.diagonal else f"{self.d} x {self.d} per lane"
+            raise ValueError(f"sigma must have shape {self._sigma.shape} ({what}), "
+                             f"got {value.shape}")
+        if not self.diagonal and not np.array_equal(value, value.swapaxes(-1, -2)):
+            raise ValueError("a full-matrix sigma must be exactly symmetric: advance reads "
+                             "sigma x from sigma's rows")
         self._sigma, self._pending = value, 0
 
     def update(self, positions, values, y, rho, score=None):
@@ -196,10 +209,59 @@ class AdaptiveCSGD(LinearLearner):
     def advance(self, flat, values, y, weight, sq_norms=None):
         """``update`` on every lane's own row, round by round over a chunk;
         returns the chunk's scores.  A lane whose loss is 0 keeps its state.
-        The full-matrix learner is one lane, whose covariance terms wait in
-        the buffer until ``PENDING_TERMS`` of them are applied at once."""
-        if not self.diagonal:
-            return self._advance_full(flat, values, y, weight)
+        The full-matrix learner, one lane or G, delays its covariance terms
+        as the module docstring describes.  With sx = sigma x taken before
+        this round's term, the new rule's step sigma x is sx * gamma / denom
+        and the old rule's is sx, so the mean step reads no sigma."""
+        if self.diagonal:
+            return self._advance_diag(flat, values, y, weight)
+        sigma, terms = self._stacked(self._sigma), self._stacked(self._terms)
+        g, d = len(sigma), self.d
+        mu, w = self.w.reshape(-1), self.w.reshape(d, g)  # views: entry position * G + g
+        sigma_rows = sigma.reshape(-1, d)  # a view: lane g's row p is row g * d + p
+        lane = np.arange(g)[:, None]
+        positions = flat // g
+        rows = positions + lane * d  # also lane g's entry p of the flat sx
+        eta_slope = self.eta * lane_slope(self.variant, y, weight)
+        new = self.update_rule == "new"
+        k = self._pending
+        scores = np.empty(flat.shape[:2])
+        for t, (f, p, x) in enumerate(zip(flat, positions, values)):
+            s = scores[t] = np.vecdot(mu[f], x)
+            active = lane_active(self.variant, y[t], weight[t], s)
+            n = np.count_nonzero(active)
+            if not n:
+                continue
+            # sigma's rows at the support are its columns there, as sigma is
+            # symmetric, and numpy gathers columns sigma[:, positions] into
+            # Fortran order, so BLAS gets the same layout from the rows
+            sx = (x[:, None] @ sigma_rows.take(rows[t], axis=0))[:, 0]
+            if k:
+                # each lane's held terms at the support, support by slot: the
+                # Fortran-ordered layout of the column gather U[:, positions]
+                held = terms[lane, :k, p]
+                sx -= ((x[:, None] @ held) @ terms[:, :k])[:, 0]
+            denom = self.gamma + np.vecdot(x, sx.reshape(-1).take(rows[t]))
+            slot = terms[:, k]
+            np.divide(sx, np.sqrt(denom)[:, None], out=slot)
+            coef = eta_slope[t] * (self.gamma / denom) if new else eta_slope[t]
+            step = (coef[:, None] * sx).T
+            if n < g:  # a passive lane keeps its mu and holds a zero term
+                slot[~active] = 0.0
+                np.subtract(w, step, out=w, where=active)
+            else:
+                w -= step
+            k += 1
+            if k == PENDING_TERMS:
+                for lane_sigma, lane_terms in zip(sigma, terms):
+                    _apply_terms(lane_sigma, lane_terms)
+                k = 0
+        self._pending = k
+        return scores
+
+    def _advance_diag(self, flat, values, y, weight):
+        """The diagonal learner's ``advance``: every lane steps in place in
+        its column, under its activity mask."""
         mu, sigma = self.w.reshape(-1), self._sigma.reshape(-1)  # views
         eta_slope = self.eta * lane_slope(self.variant, y, weight)
         scores = np.empty(flat.shape[:2])
@@ -218,23 +280,4 @@ class AdaptiveCSGD(LinearLearner):
             sigma_used = before.copy() if self.update_rule == "old" else before
             sigma[f] = np.subtract(before, (sx * sx) / denom[:, None], out=before, where=on)
             mu[f] = np.subtract(rows, eta_slope[t][:, None] * sigma_used * x, out=rows, where=on)
-        return scores
-
-    def _advance_full(self, flat, values, y, weight):
-        """The core's one-lane ``advance`` with the covariance terms delayed.
-        With sx = sigma x taken before this round's term, the new rule's step
-        sigma x is sx * gamma / denom and the old rule's is sx, so the mean
-        step reads no sigma."""
-        scores = np.empty(flat.shape[:2])
-        new = self.update_rule == "new"
-        for t, (f, x, yt, r) in enumerate(zip(flat[:, 0], values[:, 0], y[:, 0].tolist(),
-                                              weight[:, 0].tolist())):
-            s = scores[t, 0] = self.score(f, x)
-            a = gradient_scale(self.variant, yt, r, loss(self.variant, s, yt, r))
-            if a == 0.0:
-                continue
-            k = self._pending
-            sx, denom = covariance_update(self._sigma, f, x, self.gamma, self._terms[:k + 1])
-            self._pending = (k + 1) % PENDING_TERMS
-            self.w -= (self.eta * a * (self.gamma / denom if new else 1.0)) * sx
         return scores

@@ -10,12 +10,13 @@ fold, whose frozen learner then scores the fold's held-out rows; and
 :func:`run_single`, which can record a :class:`RunTrace`, runs one pass
 over one order.  Every pass runs as a lane of :func:`_lane_rounds`, the one
 streaming loop, on the columns the rows use.  For the learners of
-:data:`LANE_ALGOS` (PA-I, COG, diagonal ACOG and the sketched learners)
-the passes of a phase run batched: ``make_learner`` given a sequence of
-step sizes builds one learner with a lane per value, and each lane reads
-the rows in its own order.  A sketched lane carries a sketch of its own,
-about (m + 1) x (u + 2m) doubles with u the columns the rows use (all d
-under a random init).  The perceptron and full ACOG run one lane per pass.
+:data:`LANE_ALGOS` (PA-I, COG, full and diagonal ACOG and the sketched
+learners) the passes of a phase run batched: ``make_learner`` given a
+sequence of step sizes builds one learner with a lane per value, and each
+lane reads the rows in its own order.  A sketched lane carries a sketch of
+its own, about (m + 1) x (u + 2m) doubles with u the columns the rows use
+(all d under a random init), and a full-ACOG lane a u x u covariance.  The
+perceptron runs one lane per pass.
 Selection and evaluation orders (``Dataset.order``) and CV's fold splits
 and training orders (``Dataset.cv_split``) are the dataset's, computed
 once and kept for as long as the loaded dataset lives.  Everything
@@ -65,13 +66,18 @@ ALGO_IDS = (
     "ssacog2",
 )
 
-# learners whose state is O(d) per step size, which run many lanes per pass:
-# selection every (grid value, permutation) pair, evaluation every
-# permutation; a sketched lane carries its own sketch.  Every other learner
-# runs one lane per pass
-LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1-diag", "acog2-diag",
+# learners that run many lanes per pass: selection every (grid value,
+# permutation) pair, evaluation every permutation; a sketched lane carries
+# its own sketch, a full-ACOG lane its own covariance.  The perceptron runs
+# one lane per pass
+LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1", "acog2", "acog1-diag", "acog2-diag",
               "sacog1", "sacog2", "ssacog1", "ssacog2")
 SKETCHED_ALGOS = ("sacog1", "sacog2", "ssacog1", "ssacog2")
+FULL_ACOG_ALGOS = ("acog1", "acog2")
+# the covariances of one block of full-ACOG lanes stay within this many
+# bytes, so two lanes share a block only up to 1,024 columns: a wide lane
+# costs its O(u^2) rounds whether or not it shares them
+FULL_LANES_MAX_BYTES = 2**24
 # a batched pass gathers the rows of this many (round, lane, slot) entries
 # at a time, about 256 KiB per gathered array
 LANE_GATHER_ENTRIES = 2**15
@@ -275,8 +281,10 @@ def run_single(
 
 def _lane_bytes(cfg: ExperimentConfig, width: int) -> int:
     """One lane's state over ``width`` columns, in bytes: the weights of PA-I
-    and COG, mu and sigma of diagonal ACOG, or a sketched learner's weights,
-    m sketch rows and m x m factors."""
+    and COG, mu and sigma of diagonal ACOG, a sketched learner's weights, m
+    sketch rows and m x m factors, or full ACOG's covariance."""
+    if cfg.algo in FULL_ACOG_ALGOS:
+        return 8 * width * width
     if cfg.algo in SKETCHED_ALGOS:
         m = cfg.sketch_size
         return 8 * (m + 1) * (width + 2 * m)
@@ -345,7 +353,9 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
     d, not the width.  Each lane's oracle rho comes from its own class
     counts.  A block of :data:`LANE_ALGOS` holds as many lanes as keep
     their state (:func:`_lane_bytes` per lane) within
-    ``FULL_SIGMA_MAX_BYTES``; every other learner runs one lane per block.
+    ``FULL_SIGMA_MAX_BYTES``, or for full ACOG their covariances within
+    ``FULL_LANES_MAX_BYTES``, and at least one; the perceptron runs one lane
+    per block.
     """
     keep = 0
     if cfg.algo in SKETCHED_ALGOS:
@@ -353,7 +363,8 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
         keep = dataset.d if cfg.sketch_init == "random" else cfg.sketch_size
     padded = dataset.padded(keep)
     lanes = cfg.algo in LANE_ALGOS
-    block = max(1, FULL_SIGMA_MAX_BYTES // _lane_bytes(cfg, padded.width)) if lanes else 1
+    budget = FULL_LANES_MAX_BYTES if cfg.algo in FULL_ACOG_ALGOS else FULL_SIGMA_MAX_BYTES
+    block = max(1, budget // _lane_bytes(cfg, padded.width)) if lanes else 1
     if counts is None:
         counts = [(dataset.t_pos, dataset.t_neg)] * len(orders)
 

@@ -32,7 +32,8 @@ import numpy as np
 
 from .baselines import LinearLearner
 from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
-from .sketch import OjaSketch, SparseOjaSketch, lane_products, sketch_inputs, to_sketch_vector
+from .sketch import (EVERY_LANE, OjaSketch, SparseOjaSketch, lane_products, sketch_inputs,
+                     to_sketch_vector)
 
 
 class _SketchedLearner(LinearLearner):
@@ -80,15 +81,15 @@ class _SketchedLearner(LinearLearner):
 
     def _due_lanes(self, active: np.ndarray):
         """``_advance_sketch``'s rule per lane: count the round and return the
-        lanes whose sketch is due, as ``sketch.step`` takes them: a slice when
-        all are (so that state is read through views), an index array when
-        some are, None when none is."""
+        lanes whose sketch is due, as ``sketch.step`` takes them:
+        ``EVERY_LANE`` when all are (so that state is stepped in place), an
+        index array when some are, None when none is."""
         due = self.rounds % self.sketch_every == 0
         self.rounds += 1
         if not due:
             return None
         if not self.sketch_on_loss_only or active.all():
-            return slice(None)
+            return EVERY_LANE
         lanes = np.flatnonzero(active)
         return lanes if lanes.size else None
 
@@ -118,6 +119,7 @@ class SketchedCSGD(_SketchedLearner):
         returns the chunk's scores.  A lane whose loss is 0 keeps its
         weights."""
         mu, sk = self.w.reshape(-1), self.sketch  # mu as a view: entry position * G + g
+        lane_mu = self.w.T  # lane by column, as the mean step's product comes
         slope = lane_slope(self.variant, y, weight)
         step = (self.eta * slope)[..., None] * values
         positions = flat // self.lanes
@@ -130,15 +132,15 @@ class SketchedCSGD(_SketchedLearner):
             due = self._due_lanes(active)
             if due is not None:
                 sk.step(due, positions[t][due], xhat[t][due])
-            if not active.any():
+            if not np.count_nonzero(active):
                 continue
             tl = sk.t * sk.lam  # the sketch's H is 1 / (1 + tl)
             S = np.sqrt(tl)[..., None] * sk.V
             Sg = slope[t][:, None] * lane_products(S.mT[sk.lane, positions[t]], x)
             mu[f] = np.subtract(rows, step[t], out=rows, where=active[:, None])
             HSg = 1.0 / (1.0 + tl) * Sg
-            np.add(self.w, (self.eta[:, None] * (S.mT @ HSg[..., None])[..., 0]).T, out=self.w,
-                   where=active)
+            np.add(lane_mu, self.eta[:, None] * (S.mT @ HSg[..., None])[..., 0], out=lane_mu,
+                   where=active[:, None])
         return scores
 
 
@@ -223,7 +225,7 @@ class SparseSketchedCSGD(_SketchedLearner):
                     self.w[:, lanes] += (old.mT @ self.b[lanes][..., None])[..., 0].T
                     self.b[lanes] = 0.0
                     rows, zrows = w[f], Z.take(f, axis=0)
-            if not active.any():
+            if not np.count_nonzero(active):
                 if due is not None:
                     w[f] = rows
                 continue

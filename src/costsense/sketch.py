@@ -105,11 +105,15 @@ def orthonormalize_rows(V: np.ndarray) -> np.ndarray:
     Returns a new array; V = L Q with L lower triangular, so Q's rows are
     Gram-Schmidt's.  Lost rank raises :class:`SketchConditionError`."""
     with np.errstate(**QUIET):
-        for _ in range(2):
-            # inv(R) @ V, not solve(R, V): on 5 x 1e5 rows, one core of a
-            # 2-core Xeon VM, solve took 18 ms a call, the m x m inverse and
-            # a matmul 3 ms
-            V = _umath_linalg.inv(_cholesky(V @ V.mT), signature="d->d") @ V
+        return _orthonormalize_rows(V)
+
+
+def _orthonormalize_rows(V: np.ndarray) -> np.ndarray:
+    """:func:`orthonormalize_rows` for a caller already under :data:`QUIET`."""
+    for _ in range(2):
+        # inv(R) @ V, not solve(R, V): on 5 x 1e5 rows, one core of a 2-core
+        # Xeon VM, solve took 18 ms a call, the m x m inverse and a matmul 3 ms
+        V = _umath_linalg.inv(_cholesky(V @ V.mT), signature="d->d") @ V
     return V
 
 
@@ -117,6 +121,12 @@ def check_size(m: int, d: int) -> None:
     """A sketch of m rows needs 1 <= m <= d."""
     if not 1 <= m <= d:
         raise ValueError(f"sketch size {m} out of range for dimension {d}")
+
+
+# the ``due`` of a lane step in which every lane steps, whose state the
+# step then updates in place or rebinds; for any other slice or index array
+# it gathers the lanes' state and writes it back
+EVERY_LANE = slice(None)
 
 
 def _per_lane(a: np.ndarray, lanes: int) -> np.ndarray:
@@ -164,18 +174,24 @@ class OjaSketch(_Sketch):
             self.V = orthonormalize_rows(self.V)
 
     def step(self, due, positions: np.ndarray, values: np.ndarray) -> None:
-        """``update`` for the lanes ``due`` (a slice or index array): lane
-        ``due[j]`` reads row j of ``positions``/``values``."""
+        """``update`` for the lanes ``due`` (:data:`EVERY_LANE`, another slice
+        or an index array): lane ``due[j]`` reads row j of
+        ``positions``/``values``."""
         with np.errstate(**QUIET):
-            self.t[due] += 1
-            step = 1.0 / self.t[due]
+            t = self.t[due]  # a view for a slice, else a copy written back below
+            t += 1
+            step = 1.0 / t
             cols = self.V.mT  # lane g's column c is cols[g, c]
             lane = self.lane[due]
             rows = cols[lane, positions]
             p = lane_products(rows, values)
-            self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
+            lam = (1.0 - step) * self.lam[due] + step * p * p
             cols[lane, positions] = rows + step[..., None] * (values[..., None] * p[:, None])
-            self.V[due] = orthonormalize_rows(self.V[due])
+            V = _orthonormalize_rows(self.V[due])
+        if due is EVERY_LANE:
+            self.lam, self.V = lam, V
+        else:
+            self.t[due], self.lam[due], self.V[due] = t, lam, V
 
     @property
     def S(self) -> np.ndarray:
@@ -224,20 +240,22 @@ class SparseOjaSketch(_Sketch):
         return delta
 
     def step(self, due, flat: np.ndarray, values: np.ndarray, rows: np.ndarray, xx: np.ndarray):
-        """``update`` for the lanes ``due`` (a slice or index array): lane
-        ``due[j]`` reads row j of ``flat``/``values``, whose columns of Z are
-        ``rows[j]`` (``Z.reshape(-1, m).take(flat, axis=0)``, slots x m) and
-        whose ``values @ values`` is ``xx[j]``.  Returns the lanes' delta
-        (one row each), their rows after the step, and, if any lane folded,
-        ``(lanes, old_Z)``: the folded lanes' indices and their Z before the
-        fold, m x d each (``update``'s ``last_fold``), else None."""
+        """``update`` for the lanes ``due`` (:data:`EVERY_LANE`, another slice
+        or an index array): lane ``due[j]`` reads row j of ``flat``/``values``, whose
+        columns of Z are ``rows[j]`` (``Z.reshape(-1, m).take(flat,
+        axis=0)``, slots x m) and whose ``values @ values`` is ``xx[j]``.
+        Returns the lanes' delta (one row each), their rows after the step,
+        and, if any lane folded, ``(lanes, old_Z)``: the folded lanes'
+        indices and their Z before the fold, m x d each (``update``'s
+        ``last_fold``), else None."""
         with np.errstate(**QUIET):
-            self.t[due] += 1
-            step = 1.0 / self.t[due]
+            t = self.t[due]  # a view for a slice, else a copy written back below
+            t += 1
+            step = 1.0 / t
             Zx = lane_products(rows, values)
             F = self.F[due]
             p = (F @ Zx[..., None])[..., 0]
-            self.lam[due] = (1.0 - step) * self.lam[due] + step * p * p
+            lam = (1.0 - step) * self.lam[due] + step * p * p
             delta = step * Zx
             xx = xx[:, None, None]
             # delta Zx^T is (Zx delta^T)^T: a product commutes bit for bit
@@ -245,10 +263,13 @@ class SparseOjaSketch(_Sketch):
             K = self.K[due] + (Zd + Zd.mT + xx * (delta[:, :, None] * delta[:, None]))
             rows = rows + values[..., None] * delta[:, None]
             self.Z.reshape(-1, self.m)[flat] = rows  # a view: row position * G + g
-            self.K[due] = K
-            self.F[due] = F = decompose(F, K)
+            F = _decompose(F, K)
+            if due is EVERY_LANE:
+                self.lam, self.K, self.F = lam, K, F
+            else:
+                self.t[due], self.lam[due], self.K[due], self.F[due] = t, lam, K, F
             crossed = K.diagonal(0, 1, 2).sum(axis=1) > FOLD_TRACE
-            if not crossed.any():
+            if not np.count_nonzero(crossed):
                 return delta, rows, None
             # Z <- F Z in the folding lanes only, each lane's Z as the m x d
             # rows that update multiplies
@@ -257,7 +278,7 @@ class SparseOjaSketch(_Sketch):
             Z = F[crossed] @ old
             self.Z[:, lanes] = Z.transpose(2, 0, 1)
             self.K[lanes] = K = Z @ Z.mT
-            self.F[lanes] = decompose(np.eye(self.m), K)
+            self.F[lanes] = _decompose(np.eye(self.m), K)
         return delta, rows, (lanes, old)
 
     def reconstruct_sigma(self) -> np.ndarray:
@@ -273,10 +294,15 @@ def decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
     residual norms).  F and K may be stacks of m x m matrices, one Q each.
     A failed Cholesky or a pivot <= 1e-10 or NaN means lost rank and raises
     :class:`SketchConditionError`."""
-    Q = F
     with np.errstate(**QUIET):
-        for _ in range(2):
-            Q = _umath_linalg.solve(_cholesky(Q @ K @ Q.mT), Q, signature="dd->d")
+        return _decompose(F, K)
+
+
+def _decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """:func:`decompose` for a caller already under :data:`QUIET`."""
+    Q = F
+    for _ in range(2):
+        Q = _umath_linalg.solve(_cholesky(Q @ K @ Q.mT), Q, signature="dd->d")
     return Q
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from costsense import acog
 from costsense.acog import (
     FULL_SIGMA_MAX_BYTES,
     PENDING_TERMS,
@@ -88,10 +87,13 @@ class TestInit:
         with pytest.raises(ValueError):
             make(steps)
 
-    def test_step_size_sequence_refused_without_lanes(self):
-        # full-matrix ACOG runs one step size only
-        with pytest.raises(ValueError):
-            AdaptiveCSGD(3, eta=[0.1, 1.0], gamma=1.0)
+    def test_full_matrix_step_size_sequence_gives_one_lane_per_value(self):
+        # d x G weights beside a G x d x d stack of identities and G term buffers
+        m = AdaptiveCSGD(3, eta=[0.1, 1.0], gamma=1.0)
+        assert m.mu.shape == (3, 2)
+        assert m.sigma.shape == (2, 3, 3)
+        assert (m.sigma == np.eye(3)).all()
+        assert m._terms.shape == (2, PENDING_TERMS, 3)
 
     def test_step_size_sequence_gives_one_lane_per_value(self):
         assert CostSensitiveGD(3, eta=[0.1, 1.0]).w.shape == (3, 2)
@@ -361,20 +363,24 @@ class TestDelayedTerms:
         m.sigma = effective
         assert m.sigma is effective
 
-    def test_lane_pass_calls_covariance_update_once_per_active_round(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(len(args))
-            return covariance_update(*args)
-        monkeypatch.setattr(acog, "covariance_update", counted)
+    def test_lane_pass_applies_the_terms_once_per_pending_terms_active_rounds(self):
+        # each active round fills one slot, and the stored sigma changes only
+        # in the round that fills the last one
         stream = random_stream(np.random.default_rng(18), 6, 150)
         m = AdaptiveCSGD(6, eta=0.5, gamma=1.0, variant=LossVariant.I)
         active = [m.update(pos, vals, y, rho=2.0) > 0.0 for pos, vals, y in stream]
+        assert sum(active) >= 2 * PENDING_TERMS
         lanes = AdaptiveCSGD(6, eta=0.5, gamma=1.0, variant=LossVariant.I)
-        for chunk in lane_rounds(stream, 150):
+        pending, applied = [], []
+        for chunk in lane_rounds(stream, 1):
+            before = lanes._sigma.copy()
             lanes.advance(*chunk)
-        assert calls == [4] * sum(active) + [5] * sum(active)
+            pending.append(lanes._pending)
+            applied.append(not np.array_equal(lanes._sigma, before))
+        assert pending == (np.cumsum(active) % PENDING_TERMS).tolist()
+        assert applied == [a and k == 0 for a, k in zip(active, pending)]
+        assert np.abs(lanes.sigma - m.sigma).max() <= 1e-12
+        assert np.abs(lanes.mu - m.mu).max() <= 1e-12
 
     def test_terms_applied_in_blocks_of_rows_past_724_columns(self):
         # past 724 columns the terms go into sigma a block of rows at a time,
@@ -393,6 +399,74 @@ class TestDelayedTerms:
         assert np.abs(m._sigma - m.sigma).max() > 1e-3  # holds terms back, so applied some
         assert np.abs(m.sigma - ref.sigma).max() <= 1e-12
         assert np.abs(m.mu - ref.mu).max() <= 1e-12
+
+    def test_lane_sigma_applies_each_lanes_pending_terms(self):
+        # three lanes, each on rows of its own, against each lane's one-lane
+        # pass; passive lanes write zero rows into the shared slots
+        rng = np.random.default_rng(20)
+        etas, d, rounds = [0.1, 0.5, 2.0], 9, 150
+        streams = [random_stream(rng, d, rounds) for _ in etas]
+        chunks = list(zip(*(lane_rounds(stream, 40) for stream in streams)))
+        lanes = AdaptiveCSGD(d, eta=etas, gamma=0.5, variant=LossVariant.II)
+        for lane_chunks in chunks:
+            flat, values, y, weight = (np.concatenate(parts, axis=1) for parts in zip(*lane_chunks))
+            lanes.advance(flat * len(etas) + np.arange(len(etas))[:, None], values, y, weight)
+        assert lanes._pending
+        sigma = lanes.sigma
+        assert sigma.shape == (len(etas), d, d)
+        assert np.abs(lanes._sigma - sigma).max() > 1e-3  # holds terms back
+        for g, eta in enumerate(etas):
+            one = AdaptiveCSGD(d, eta=eta, gamma=0.5, variant=LossVariant.II)
+            for lane_chunks in chunks:
+                one.advance(*lane_chunks[g])
+            assert np.array_equal(sigma[g], sigma[g].T)
+            assert np.abs(sigma[g] - one.sigma).max() <= 1e-12
+            assert np.abs(lanes.mu[:, g] - one.mu).max() <= 1e-12
+
+
+class TestSigmaSetter:
+    """``advance`` reads sigma x from sigma's rows, so the setter takes only
+    an exactly symmetric covariance of the stored one's shape."""
+
+    def test_symmetric_sigma_of_the_learners_shape_is_taken(self):
+        m = AdaptiveCSGD(4, eta=1.0, gamma=1.0)
+        value = 0.5 * np.eye(4)
+        m.sigma = value
+        assert m.sigma is value
+        lanes = AdaptiveCSGD(4, eta=[0.1, 1.0], gamma=1.0)
+        lanes.sigma = np.stack([0.5 * np.eye(4), np.eye(4)])
+        assert lanes.sigma[0, 0, 0] == 0.5 and lanes.sigma[1, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("eta,shape", [(1.0, (3, 3)), (1.0, (4, 5)), (1.0, (2, 4, 4)),
+                                           ([0.1, 1.0], (4, 4)), ([0.1, 1.0], (3, 4, 4))])
+    def test_sigma_of_another_shape_refused(self, eta, shape):
+        m = AdaptiveCSGD(4, eta=eta, gamma=1.0)
+        with pytest.raises(ValueError, match="sigma must have shape"):
+            m.sigma = np.zeros(shape)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_strided_sigma_is_stepped_in_place(self, diagonal):
+        # advance steps the stored sigma through reshaped views, which a
+        # Fortran-ordered value would turn into copies that lose each write
+        stream = random_stream(np.random.default_rng(21), 5, 100)
+        lanes = [AdaptiveCSGD(5, eta=[0.5, 2.0], gamma=1.0, diagonal=diagonal) for _ in range(2)]
+        start = lanes[0].sigma.copy()
+        lanes[1].sigma = np.asfortranarray(start)
+        for m in lanes:
+            for chunk in lane_rounds(stream, 30):
+                flat, values, y, weight = (np.repeat(a, 2, axis=1) for a in chunk)
+                m.advance(flat * 2 + np.arange(2)[:, None], values, y, weight)
+        assert np.abs(lanes[0].sigma - start).max() > 0.1
+        assert np.array_equal(lanes[1].sigma, lanes[0].sigma)
+
+    @pytest.mark.parametrize("eta", [1.0, [0.1, 1.0]])
+    def test_asymmetric_sigma_refused(self, eta):
+        m = AdaptiveCSGD(4, eta=eta, gamma=1.0)
+        value = np.array(m.sigma)
+        value[..., 0, 1] = 1e-16  # one entry, 1e-16 from its mirror
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            m.sigma = value
+        assert (m.sigma == np.eye(4)).all()
 
 
 class TestDiagonalLanes:

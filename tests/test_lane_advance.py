@@ -8,8 +8,8 @@ chunks.  Every learner must give bitwise the same scores and lane state
 whether its pass advances in chunks of 1, of 7, or of the default size (the
 whole toy pass): under both loss variants, each rho mode, the old update
 rule, each sketch cadence, a random sketch init, and on a stream on which
-the sparse sketch folds.  The perceptron and full ACOG run one lane per
-pass, the others one pass of every lane.  A state view that turned out to
+the sparse sketch folds.  The perceptron runs one lane per pass, the
+others one pass of every lane.  A state view that turned out to
 be a copy would lose every write and fail here too.
 """
 

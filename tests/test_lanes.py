@@ -16,10 +16,12 @@ The sketched learners, whose lanes each carry a sketch of their own, are
 checked the same way on the toy set with a two-value grid (their scalar
 passes cost about 40 ms each there), under each rho mode and metric and
 each sketch cadence (every round, every third round, loss-active rounds
-only), and with a random sketch init under both protocols.  So are the
-perceptron and full ACOG, whose passes run one lane per block.  Lane state
-is checked against scalar learners over a stream on which the sparse sketch
-folds many times.
+only), and with a random sketch init under both protocols.  So is the
+perceptron, whose passes run one lane per block.  Lane state is checked
+against scalar learners (full ACOG's lanes, which delay their covariance
+terms, within 1e-12 of the largest weight), and over a stream on which the
+sparse sketch folds many times.  A block of full-ACOG lanes keeps their
+covariances within 16 MiB.
 """
 
 import dataclasses
@@ -55,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "datasets" / "toy_imbalanced.libsvm"
 
 ALGO_RULES = [("pa1", "new"), ("cog1", "new"), ("cog2", "new"),
+              ("acog1", "new"), ("acog1", "old"), ("acog2", "new"), ("acog2", "old"),
               ("acog1-diag", "new"), ("acog1-diag", "old"),
               ("acog2-diag", "new"), ("acog2-diag", "old")]
 
@@ -173,6 +176,39 @@ def test_lane_blocks_follow_the_memory_policy(monkeypatch):
     assert [strip(r) for r in blocks.rows] == [strip(r) for r in whole.rows]
 
 
+def block_lanes(monkeypatch, run, cfg, ds):
+    """The lane count of each block that ``run(cfg, ds)`` builds."""
+    lanes, make = [], harness.make_learner
+
+    def counted(cfg, d, eta):
+        lanes.append(np.size(eta))
+        return make(cfg, d, eta)
+    monkeypatch.setattr(harness, "make_learner", counted)
+    run(cfg, ds)
+    return lanes
+
+
+@pytest.mark.parametrize("used,block", [(1023, 2), (1025, 1)])
+def test_full_acog_blocks_keep_their_covariances_within_16_mib(monkeypatch, used, block):
+    # rows over `used` columns, plus the padding column: two 1,024-column
+    # covariances fill 16 MiB, so past 1,024 columns each block is one lane
+    rows = np.array_split(np.arange(used), 8)
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    ds = Dataset(np.array([1, -1] * 4), indptr, np.concatenate(rows),
+                 np.full(used, 1.0 / 16), used)
+    assert ds.padded().width == used + 1
+    cfg = ExperimentConfig(algo="acog2", eta_grid=(1.0,), permutations=2)
+    assert block_lanes(monkeypatch, run_experiment, cfg, ds) == [block] * (2 // block)
+
+
+def test_a9a_folds_form_one_full_acog_block(monkeypatch, tmp_path):
+    workloads = _workloads()
+    path = tmp_path / "a9a.libsvm"
+    workloads.generate(workloads.SHAPES["a9a"], 0, path)
+    cfg = ExperimentConfig(algo="acog2", eta_grid=(1.0,), folds=5, metric="cost")
+    assert block_lanes(monkeypatch, run_cv, cfg, load_dataset(path)) == [5]
+
+
 def test_shared_pass_splits_its_elapsed_time(monkeypatch):
     # every pass reads the clock twice; a fake clock makes each pass take 33 s
     clock = itertools.count(0.0, 33.0)
@@ -190,7 +226,11 @@ def test_shared_pass_splits_its_elapsed_time(monkeypatch):
 @pytest.mark.parametrize("algo,rule", ALGO_RULES)
 def test_lane_state_tracks_scalar_learners(algo, rule):
     # 3000 rounds; each lane reads its own random sparse rows, padded with
-    # position d, and its own label and rho
+    # position d, and its own label and rho.  Full ACOG's lanes delay their
+    # covariance terms, where update applies each at once, so mu moves in
+    # its last bits relative to its largest entry (past 1e3 at eta 1e5): a
+    # score is compared relative to that entry, as the state is
+    full = algo in ("acog1", "acog2")
     rng = np.random.default_rng(7)
     d, k = 40, 11
     cfg = ExperimentConfig(algo=algo, update_rule=rule)
@@ -215,15 +255,21 @@ def test_lane_state_tracks_scalar_learners(algo, rule):
         (s,) = lanes.advance(flat[None], values[None], y[None], lane_class_weight(y, rho)[None],
                              sq_norms[None])
         for j, (learner, (p, x)) in enumerate(zip(learners, rows)):
-            assert s[j] == pytest.approx(learner.score(p, x), rel=1e-12, abs=1e-12)
+            scale = max(1.0, np.abs(learner.w).max()) if full else 1.0
+            assert s[j] == pytest.approx(learner.score(p, x), rel=1e-12, abs=1e-12 * scale)
             learner.update(p, x, int(y[j]), rho[j])
-    if algo.startswith("acog"):
-        assert (lanes.mu[d] == 0.0).all() and (lanes.sigma[d] == 1.0).all()  # padding column
+    sigma = lanes.sigma if algo.startswith("acog") else None
+    if full:  # padding row and column: the identity's
+        assert (sigma[:, d, :d] == 0.0).all() and (sigma[:, :d, d] == 0.0).all()
+        assert (sigma[:, d, d] == 1.0).all() and (lanes.mu[d] == 0.0).all()
+    elif algo.startswith("acog"):
+        assert (lanes.mu[d] == 0.0).all() and (sigma[d] == 1.0).all()  # padding column
     else:
         assert (lanes.w[d] == 0.0).all()
     for j, learner in enumerate(learners):
         if algo.startswith("acog"):
-            pairs = [(lanes.mu[:d, j], learner.mu), (lanes.sigma[:d, j], learner.sigma)]
+            lane_sigma = sigma[j, :d, :d] if full else sigma[:d, j]
+            pairs = [(lanes.mu[:d, j], learner.mu), (lane_sigma, learner.sigma)]
         else:
             pairs = [(lanes.w[:d, j], learner.w)]
         for got, scalar in pairs:
@@ -314,8 +360,8 @@ def assert_passes_match_scalar(cfg, toy):
         for eta in cfg.eta_grid}
 
 
-# the perceptron and full ACOG, which run one lane per pass, and a random
-# sketch init, whose lanes keep all d columns
+# the perceptron, which runs one lane per pass, full ACOG under each
+# option, and a random sketch init, whose lanes keep all d columns
 RUN_SINGLE_CASES = [
     dict(algo="perceptron"),
     dict(algo="acog1"),

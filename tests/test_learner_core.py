@@ -4,8 +4,7 @@
 allocates the weights for every learner that takes a step size: PA-I (its
 ``C``), COG, diagonal and full ACOG and both sketched learners.  So each of
 them refuses the same bad arguments, and a number gives d weights while a
-sequence of G values gives d x G (one lane per value), which full ACOG
-alone refuses.
+sequence of G values gives d x G (one lane per value).
 """
 
 import inspect
@@ -45,11 +44,7 @@ def test_bad_step_size_refused(make, step):
 @every_learner
 def test_weights_have_one_column_per_step_size(make):
     assert make(3, 0.5).w.shape == (3,)
-    if make is LEARNERS["acog-full"]:
-        with pytest.raises(ValueError, match="one eta"):
-            make(3, [0.1, 1.0])
-    else:
-        assert make(3, [0.1, 1.0]).w.shape == (3, 2)
+    assert make(3, [0.1, 1.0]).w.shape == (3, 2)
 
 
 @every_learner
