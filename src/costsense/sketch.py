@@ -33,10 +33,15 @@ its learner gathered to score the round, and the values' ``xhat @ xhat``
 its learner computed once per chunk (:func:`sketch_inputs`), and returns
 the rows it wrote back.
 
-The factorizations call the stacked LAPACK gufuncs behind
-``np.linalg.cholesky``, ``solve`` and ``inv`` directly: the same bits,
-without those wrappers' per-call checks, which on 5 x 5 stacks cost more
-than LAPACK.  A failed factorization comes back as NaN, not LinAlgError.
+Each CholeskyQR pass is one Cholesky factorization, of a bordered matrix
+(:func:`_cholesky_solve`): the lower factor of [[A, B], [B^T, BORDER I]] is
+[[R, 0], [B^T R^{-T}, S]] with R = cholesky(A), so LAPACK's forward
+substitution inside the factorization gives R^{-1} B (with B = Q, the next
+Q; with B = I, R^{-1}), and that factorization is the module's only LAPACK
+call.  It calls the stacked LAPACK gufunc behind ``np.linalg.cholesky``
+directly: the same bits, without that wrapper's per-call checks, which on
+small stacks cost more than LAPACK.  A failed factorization comes back as
+NaN, not LinAlgError.
 
 Overflow and invalid values in a step's arithmetic, which an extreme gamma
 brings about, and a failed factorization end in a pivot that
@@ -47,14 +52,25 @@ warn of them first.
 from __future__ import annotations
 
 import numpy as np
-# private, but these gufuncs are what np.linalg's cholesky, solve and inv
-# call; imported here only, and with no fallback (numpy >= 2.0 has them all)
+# private, but its cholesky_lo gufunc is what np.linalg.cholesky calls;
+# imported here only, and with no fallback (numpy >= 2.0 has it)
 from numpy.linalg import _umath_linalg
 
 # Each round multiplies Z by I + x x^T / t, so K's eigenvalues stay >= 1 and
 # tr(K) bounds cond(K), to which F Z's orthonormality error is proportional.
 # Past this trace the sketch folds F into Z, which brings K back to I.
 FOLD_TRACE = 1e6
+
+# The trailing block of the bordered matrix [[A, B], [B^T, BORDER I]] that
+# _cholesky_solve factors.  It never reaches the factor's leading columns; it
+# only keeps the trailing Schur complement BORDER I - B^T A^{-1} B positive
+# definite, which takes BORDER > 1/lambda_min(K) in decompose and
+# > 1/lambda_min(V V^T) in orthonormalize_rows.  K's eigenvalues stay >= 1 in
+# the sketch, but not in every K that decompose is given, and V's rows may
+# be tiny, so BORDER is a power of two far above either, whose square root
+# is still finite.  Were it too small, the factorization would fail and
+# raise SketchConditionError on a basis that has not lost rank.
+BORDER = 2.0 ** 500
 
 # numpy's error state for a sketch step's arithmetic and for each
 # factorization (see the module docstring), as np.linalg's wrappers set it
@@ -87,8 +103,9 @@ def lane_products(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(G: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the Gram matrix G of a row basis, or of each
-    matrix of a stack.  A failed factorization or a pivot <= 1e-10 or NaN in
+    """Lower Cholesky factor of the Gram matrix G of a row basis, or of a
+    bordered matrix that holds one (:func:`_border`), or of each matrix of a
+    stack.  A failed factorization or a pivot <= 1e-10 or NaN in
     any of them means a basis lost rank and raises
     :class:`SketchConditionError`.  Call it under :data:`QUIET`."""
     R = _umath_linalg.cholesky_lo(G, signature="d->d")
@@ -97,6 +114,28 @@ def _cholesky(G: np.ndarray) -> np.ndarray:
     if not R.diagonal(0, -2, -1).min() > 1e-10:
         raise SketchConditionError("sketch basis lost rank during re-orthonormalization")
     return R
+
+
+def _border(lead: tuple, m: int) -> np.ndarray:
+    """A stack (of shape ``lead``) of 2m x 2m matrices to hold the bordered
+    matrix [[A, B], [B^T, BORDER I]] of a CholeskyQR pass, for A the m x m
+    Gram matrix of a row basis: BORDER on the trailing diagonal and zero
+    elsewhere, until the pass writes A and B^T in.  LAPACK reads the lower
+    triangle only, so B's block is never written.  In a matrix's flat view,
+    entry 2m*m + k*(2m + 1) is M[m + k, k], and m entries on, M[m + k, m + k]."""
+    M = np.zeros(lead + (2 * m, 2 * m))
+    M.reshape(lead + (-1,))[..., 2 * m * m + m::2 * m + 1] = BORDER
+    return M
+
+
+def _cholesky_solve(M: np.ndarray) -> np.ndarray:
+    """R^{-1} B with R = cholesky(A), for each bordered matrix of M
+    (:func:`_border`) holding A and B^T, from one :func:`_cholesky` of it: the
+    lower factor of [[A, B], [B^T, BORDER I]] is [[R, 0], [B^T R^{-T}, S]].
+    The border's pivots are about 2**250, so the pivot check is R's.  Call
+    it under :data:`QUIET`."""
+    m = M.shape[-1] // 2
+    return _cholesky(M)[..., m:, :m].mT
 
 
 def orthonormalize_rows(V: np.ndarray) -> np.ndarray:
@@ -110,10 +149,16 @@ def orthonormalize_rows(V: np.ndarray) -> np.ndarray:
 
 def _orthonormalize_rows(V: np.ndarray) -> np.ndarray:
     """:func:`orthonormalize_rows` for a caller already under :data:`QUIET`."""
+    m = V.shape[-2]
+    M = _border(V.shape[:-2], m)
+    # B = I, so R^{-1} B is R^{-1}: an m x m inverse, then one matmul over
+    # V's columns, not a triangular system over them.  On 5 x 1e5 rows, one
+    # core of a 2-core Xeon VM, LAPACK took 18 ms a call for the system, 3 ms
+    # for the m x m inverse and a matmul
+    M.reshape(V.shape[:-2] + (-1,))[..., 2 * m * m::2 * m + 1] = 1.0
     for _ in range(2):
-        # inv(R) @ V, not solve(R, V): on 5 x 1e5 rows, one core of a 2-core
-        # Xeon VM, solve took 18 ms a call, the m x m inverse and a matmul 3 ms
-        V = _umath_linalg.inv(_cholesky(V @ V.mT), signature="d->d") @ V
+        np.matmul(V, V.mT, out=M[..., :m, :m])  # A, bitwise as V @ V.mT
+        V = _cholesky_solve(M) @ V
     return V
 
 
@@ -227,8 +272,9 @@ class SparseOjaSketch(_Sketch):
             # the stepsize matrix is (1/t) * identity, so conjugating it by F
             # cancels and delta reduces to (Z xhat) / t
             delta = step * Zx
+            # Zx delta^T + delta Zx^T + xx delta delta^T, as one outer product
             xx = float(values @ values)
-            self.K += np.outer(Zx, delta) + np.outer(delta, Zx) + xx * np.outer(delta, delta)
+            self.K += step * (2.0 + xx * step) * np.outer(Zx, Zx)
             self.Z[:, positions] += np.outer(delta, values)
             self.F = decompose(self.F, self.K)
             self.last_fold = None
@@ -257,15 +303,15 @@ class SparseOjaSketch(_Sketch):
             p = (F @ Zx[..., None])[..., 0]
             lam = (1.0 - step) * self.lam[due] + step * p * p
             delta = step * Zx
-            xx = xx[:, None, None]
-            # delta Zx^T is (Zx delta^T)^T: a product commutes bit for bit
-            Zd = Zx[:, :, None] * delta[:, None]
-            K = self.K[due] + (Zd + Zd.mT + xx * (delta[:, :, None] * delta[:, None]))
+            # update's one outer product: a view for a slice, else a copy
+            # written back below
+            K = self.K[due]
+            K += (step * (2.0 + xx[:, None] * step))[..., None] * (Zx[:, :, None] * Zx[:, None])
             rows = rows + values[..., None] * delta[:, None]
             self.Z.reshape(-1, self.m)[flat] = rows  # a view: row position * G + g
             F = _decompose(F, K)
             if due is EVERY_LANE:
-                self.lam, self.K, self.F = lam, K, F
+                self.lam, self.F = lam, F
             else:
                 self.t[due], self.lam[due], self.K[due], self.F[due] = t, lam, K, F
             crossed = K.diagonal(0, 1, 2).sum(axis=1) > FOLD_TRACE
@@ -300,9 +346,14 @@ def decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 def _decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
     """:func:`decompose` for a caller already under :data:`QUIET`."""
+    m = F.shape[-1]
+    # B = Q, so R^{-1} B is the next Q
+    M = _border(np.broadcast(F[..., 0, 0], K[..., 0, 0]).shape, m)
     Q = F
     for _ in range(2):
-        Q = _umath_linalg.solve(_cholesky(Q @ K @ Q.mT), Q, signature="dd->d")
+        np.matmul(Q @ K, Q.mT, out=M[..., :m, :m])  # A, bitwise as Q @ K @ Q.mT
+        M[..., m:, :m] = Q.mT
+        Q = _cholesky_solve(M)
     return Q
 
 

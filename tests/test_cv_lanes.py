@@ -1,9 +1,9 @@
 """CV folds as lanes against one scalar pass per fold.
 
-``run_cv`` trains the folds of a ``LANE_ALGOS`` config as the lanes of one
-batched pass per group of equally long folds, and those of every other
-config (the perceptron and full ACOG) as one-lane passes, and then scores
-each fold's held-out rows with its frozen lane.  Each fold's row must count
+``run_cv`` trains the folds of a ``LANE_ALGOS`` config, full ACOG's among
+them, as the lanes of one batched pass per group of equally long folds, and
+those of every other config (the perceptron) as one-lane passes, and then
+scores each fold's held-out rows with its frozen lane.  Each fold's row must count
 the mistakes that a scalar reference counts: a learner from
 ``make_learner`` over all d columns, trained by :func:`scalar_pass` (score,
 then the per-sample ``update``, row by row) on the fold's training order,

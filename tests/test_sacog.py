@@ -1,9 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from costsense.acog import AdaptiveCSGD
+from costsense.data import load_dataset
+from costsense.harness import ExperimentConfig, run_experiment
 from costsense.losses import LossVariant
 from costsense.sacog import SketchedCSGD, SparseSketchedCSGD
+from costsense.sketch import SketchConditionError
+
+TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libsvm"
 
 
 def sparse(*pairs):
@@ -253,3 +260,18 @@ class TestLearnerEquivalence:
             # w and Z^T b do not grow apart: nothing cancels far above mu's size
             assert np.abs(b.w).max() <= 1e4 * max(1.0, np.abs(a.mu).max())
         assert folds >= 10
+
+
+@pytest.mark.parametrize("algo", ["sacog2", "ssacog2"])
+def test_gamma_envelope_on_the_toy_file(algo, tmp_path):
+    """The sketch module's stated envelope: on the toy file an experiment
+    with the default grid runs at gamma = 1e-8 and stops with
+    SketchConditionError at 1e-9 and 1e-10."""
+    ds = load_dataset(TOY)
+    out = tmp_path / "out.csv"
+    run_experiment(ExperimentConfig(algo=algo, gamma=1e-8, out=str(out)), ds)
+    assert out.exists()
+    for gamma in (1e-9, 1e-10):
+        cfg = ExperimentConfig(algo=algo, gamma=gamma, out=str(tmp_path / f"{gamma}.csv"))
+        with pytest.raises(SketchConditionError, match="rank"):
+            run_experiment(cfg, ds)

@@ -368,22 +368,61 @@ def linalg_cholesky(G):
     return R
 
 
+def linalg_cholesky_solve(A, B):
+    """R^{-1} B for R = cholesky(A), read off np.linalg.cholesky of the
+    bordered matrix [[A, B], [B^T, BORDER I]], as the kernels compute it."""
+    m = A.shape[-1]
+    border = np.broadcast_to(sketch.BORDER * np.eye(m), A.shape)
+    M = np.concatenate([np.concatenate([A, B], axis=-1),
+                        np.concatenate([B.mT, border], axis=-1)], axis=-2)
+    return linalg_cholesky(M)[..., m:, :m].mT
+
+
 def linalg_orthonormalize_rows(V):
+    eye = np.broadcast_to(np.eye(V.shape[-2]), V.shape[:-1] + V.shape[-2:-1])
     for _ in range(2):
-        V = np.linalg.inv(linalg_cholesky(V @ V.mT)) @ V
+        V = linalg_cholesky_solve(V @ V.mT, eye) @ V
     return V
 
 
 def linalg_decompose(F, K):
     Q = F
     for _ in range(2):
+        Q = linalg_cholesky_solve(Q @ K @ Q.mT, Q)
+    return Q
+
+
+def inv_orthonormalize_rows(V):
+    """CholeskyQR2 by an explicit inverse of each pass's factor."""
+    for _ in range(2):
+        V = np.linalg.inv(linalg_cholesky(V @ V.mT)) @ V
+    return V
+
+
+def solve_decompose(F, K):
+    """CholeskyQR2 in the K inner product by a linear solve with each pass's
+    factor."""
+    Q = F
+    for _ in range(2):
         Q = np.linalg.solve(linalg_cholesky(Q @ K @ Q.mT), Q)
     return Q
 
 
+def assert_close_by_condition(actual, expected, basis):
+    """Each matrix of ``actual`` within 1e-15 * cond(basis) of ``expected``,
+    relative to ``expected``'s largest entry: two CholeskyQR2 runs that
+    round differently agree to about machine epsilon times the condition
+    number of the basis they orthonormalize."""
+    scale = np.abs(expected).max(axis=(-2, -1)) * np.linalg.cond(basis)
+    assert np.all(np.abs(actual - expected).max(axis=(-2, -1)) <= 1e-15 * scale)
+
+
 class TestKernelsMatchLinalg:
-    """The factorizations call np.linalg's gufuncs directly; their results
-    are bitwise those of np.linalg.cholesky, inv and solve."""
+    """The factorizations call np.linalg's Cholesky gufunc directly, once per
+    CholeskyQR pass, on the bordered matrix: their results are bitwise those
+    of np.linalg.cholesky on that matrix.  They also agree, to a tolerance
+    set by the basis's condition number, with the same CholeskyQR2 computed
+    by np.linalg.inv and solve."""
 
     STACKS = [(), (1,), (5,), (20,), (33,), (165,)]
 
@@ -405,16 +444,49 @@ class TestKernelsMatchLinalg:
     def test_orthonormalize_rows(self, lanes, m, width):
         rng = np.random.default_rng(width * 10 + m + sum(lanes))
         V = rng.standard_normal(lanes + (m, width))
-        np.testing.assert_array_equal(orthonormalize_rows(V), linalg_orthonormalize_rows(V))
+        Q = orthonormalize_rows(V)
+        np.testing.assert_array_equal(Q, linalg_orthonormalize_rows(V))
+        assert_close_by_condition(Q, inv_orthonormalize_rows(V), V)
 
     @pytest.mark.parametrize("lanes", STACKS, ids=str)
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_decompose(self, lanes, m):
         rng = np.random.default_rng(m * 7 + sum(lanes))
         F, K = self.gram_pair(rng, lanes, m, m + 3)
-        np.testing.assert_array_equal(decompose(F, K), linalg_decompose(F, K))
         eye = np.broadcast_to(np.eye(m), K.shape)  # the fold's decompose(I, K)
-        np.testing.assert_array_equal(decompose(eye, K), linalg_decompose(eye, K))
+        for start in (F, eye):
+            Q = decompose(start, K)
+            np.testing.assert_array_equal(Q, linalg_decompose(start, K))
+            assert_close_by_condition(Q, solve_decompose(start, K), K)
+
+
+class TestBorder:
+    """``BORDER`` only has to keep the bordered matrix's trailing block
+    positive definite, which takes more than 1/lambda_min of the Gram
+    matrix: a Gram matrix with eigenvalues far below 1 still factors, to
+    CholeskyQR2's result, with no false SketchConditionError."""
+
+    def test_square_z_gives_a_near_singular_k(self):
+        rng = np.random.default_rng(3)
+        Z = rng.standard_normal((20, 5, 5))
+        K = Z @ Z.mT
+        assert np.linalg.eigvalsh(K)[:, 0].min() < 1e-3
+        F = rng.standard_normal((20, 5, 5))
+        for start in (F, np.broadcast_to(np.eye(5), K.shape)):
+            assert_close_by_condition(decompose(start, K), solve_decompose(start, K), K)
+
+    @pytest.mark.parametrize("lanes", [(), (20,)], ids=str)
+    def test_rows_scaled_by_2_to_minus_30(self, lanes):
+        # V V^T's eigenvalues are ~2**-60: scaling by a power of two is
+        # exact, so the rows orthonormalize to the unscaled rows' bits
+        V = np.random.default_rng(4).standard_normal(lanes + (5, 123))
+        tiny = V * 2.0**-30
+        Q = orthonormalize_rows(tiny)
+        np.testing.assert_array_equal(Q, orthonormalize_rows(V))
+        assert_close_by_condition(Q, inv_orthonormalize_rows(tiny), tiny)
+        F = np.broadcast_to(np.eye(5), lanes + (5, 5))
+        K = V @ V.mT
+        np.testing.assert_array_equal(decompose(F, K * 2.0**-60), decompose(F, K) * 2.0**30)
 
 
 class TestFailuresRaiseWithoutWarning:
