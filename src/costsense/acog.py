@@ -46,13 +46,14 @@ PENDING_TERMS = 32
 def covariance_update(
     sigma: np.ndarray, positions: np.ndarray, values: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """In place, sigma -= s s^T / (gamma + x^T s) with s = sigma x gathered from
-    the support's columns: the inverse of sigma^{-1} + x x^T / gamma.  s s^T
-    is exactly symmetric, so sigma stays bitwise symmetric.  The outer
-    product is built in one buffer, a block of rows at a time: 256 KB of
-    rows, or 16 rows past d = 2048 (one block up to d = 181).  Returns
-    ``sigma``."""
-    s = sigma[:, positions] @ values
+    """In place, sigma -= s s^T / (gamma + x^T s) with s = sigma x: the
+    inverse of sigma^{-1} + x x^T / gamma.  sigma must be symmetric: s is
+    gathered from the support's rows, which are then its columns and cost a
+    fraction of a column gather.  s s^T is exactly symmetric, so sigma stays
+    bitwise symmetric.  The outer product is built in one buffer, a block of
+    rows at a time: 256 KB of rows, or 16 rows past d = 2048 (one block up to
+    d = 181).  Returns ``sigma``."""
+    s = values @ sigma.take(positions, axis=0)
     denom = gamma + float(values @ s[positions])
     d = s.size
     # einsum zeroes its output and then adds to it, so a buffer that stays
@@ -196,13 +197,14 @@ class AdaptiveCSGD(LinearLearner):
         if self._pending:
             _apply_terms(sigma, self._terms[:self._pending])
             self._pending = 0
-        # the subgradient lives on the support, so sigma @ g reads only its columns
+        # the subgradient lives on the support, so sigma @ g reads only its
+        # rows there, its columns as sigma is symmetric
         g = a * values
         if self.update_rule == "old":
-            step = sigma[:, positions] @ g
+            step = g @ sigma.take(positions, axis=0)
         covariance_update(sigma, positions, values, self.gamma)
         if self.update_rule == "new":
-            step = sigma[:, positions] @ g
+            step = g @ sigma.take(positions, axis=0)
         self.w -= self.eta * step
         return l
 

@@ -8,11 +8,12 @@ returns the surrogate loss that drove it (0.0 when the step was passive).
 score = 0 predict +1 everywhere in this package.
 
 PA-I and COG given a sequence of G step sizes run them as lanes: column g
-of the d x G weights is the learner with value g.  Each lane reads its own
-row in a round, so one batch covers every (step size, permutation) pair of
-a selection, or every permutation of an evaluation.  ``advance(flat,
-values, y, weight, sq_norms)`` runs a chunk of rounds (axis 0) and returns
-their scores: in each round every lane scores its row and then takes
+of the d x G weights is the learner with value g; the perceptron, which has
+no step size, runs ``lanes`` of them.  Each lane reads its own row in a
+round, so one batch covers every (step size, permutation) pair of a
+selection, or every permutation of an evaluation.  ``advance(flat, values,
+y, weight, sq_norms)`` runs a chunk of rounds (axis 0) and returns their
+scores: in each round every lane scores its row and then takes
 ``update``'s step on it.  Row g of a round's ``flat``/``values`` (G x K, K
 the longest row) is lane g's sample, addressed as ``position * G + g`` in
 the C-order weights and padded with value 0.0 at a position no sample uses;
@@ -21,10 +22,10 @@ values``) hold one entry per round and lane, though a caller passes
 ``sq_norms`` only to a learner that ``reads_sq_norms`` (PA-I) and None to
 the others.  The caller owns the chunks, the labels and rho; the learner
 owns the rounds.  Whatever does not depend on a round's scores (the slope
-and ``eta`` times it, and COG's step along x) is computed once per chunk,
-and the weights a lane's score gathers are the ones its step updates.
+and ``eta`` times it, and the step along x of COG and the perceptron) is
+computed once per chunk, and the weights a lane's score gathers are the
+ones its step updates.
 ``scores`` gives the scores of frozen lanes.
-The core's ``advance`` runs one lane, a learner of one step size, by ``update``.
 """
 
 from __future__ import annotations
@@ -77,28 +78,21 @@ class LinearLearner:
         rounds): one dot product per row, as ``score`` takes it."""
         return np.vecdot(self.w.take(flat), values)
 
-    def advance(self, flat, values, y, weight, sq_norms=None):
-        """One lane (d weights, so ``flat`` is the positions): ``score`` then
-        ``update`` on each round's row in turn; returns the chunk's scores.
-        ``update`` reads rho only through its class weight, so it takes the
-        round's ``weight`` as rho."""
-        scores = np.empty(flat.shape[:2])
-        for t, (f, x, yt, r) in enumerate(zip(flat[:, 0], values[:, 0], y[:, 0].tolist(),
-                                              weight[:, 0].tolist())):
-            s = scores[t, 0] = self.score(f, x)
-            self.update(f, x, yt, r, score=s)
-        return scores
-
     def predict(self, positions: np.ndarray, values: np.ndarray) -> tuple[float, int]:
         s = self.score(positions, values)
         return s, predict_label(s)
 
 
 class Perceptron(LinearLearner):
-    """Mistake-driven additive updates: w += y*x whenever y*score <= 0."""
+    """Mistake-driven additive updates: w += y*x whenever y*score <= 0 (d x
+    ``lanes`` weights when ``lanes`` is given)."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, *, lanes: int | None = None):
         super().__init__(d)
+        if lanes is not None:
+            if lanes < 1:
+                raise ValueError("lanes must be >= 1")
+            self.w = np.zeros((d, lanes))
 
     def update(self, positions, values, y, rho=None, score=None):
         s = self.score(positions, values) if score is None else score
@@ -106,6 +100,21 @@ class Perceptron(LinearLearner):
             self.w[positions] += y * values
             return 1.0
         return 0.0
+
+    def advance(self, flat, values, y, weight, sq_norms=None):
+        """``update`` on every lane's own row, round by round over a chunk;
+        returns the chunk's scores.  A lane that scores its row right keeps
+        its weights."""
+        w = self.w.reshape(-1)  # a view: entry position * G + g
+        step = y[..., None] * values
+        scores = np.empty(flat.shape[:2])
+        for t, (f, x) in enumerate(zip(flat, values)):
+            rows = w[f]
+            s = scores[t] = np.vecdot(rows, x)
+            active = y[t] * s <= 0.0
+            if np.count_nonzero(active):
+                w[f] = np.add(rows, step[t], out=rows, where=active[:, None])
+        return scores
 
 
 class PassiveAggressiveI(LinearLearner):

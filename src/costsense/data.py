@@ -53,12 +53,6 @@ class PaddedRows:
     positions: np.ndarray
     values: np.ndarray
     width: int
-    dataset: Dataset = field(repr=False)
-
-    @property
-    def sq_norms(self) -> np.ndarray:
-        """Each row's ``values @ values``: the dataset's :attr:`Dataset.sq_norms`."""
-        return self.dataset.sq_norms
 
 
 @dataclass(eq=False)
@@ -156,7 +150,7 @@ class Dataset:
         values = np.zeros(shape)
         values[row, slot] = self.values
         positions.flags.writeable = values.flags.writeable = False
-        rows = self._padded[keep] = PaddedRows(positions, values, used.size + 1, self)
+        rows = self._padded[keep] = PaddedRows(positions, values, used.size + 1)
         return rows
 
     @cached_property

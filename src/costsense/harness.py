@@ -9,14 +9,12 @@ evaluation permutation at the selected value, and k-fold mode a pass per
 fold, whose frozen learner then scores the fold's held-out rows; and
 :func:`run_single`, which can record a :class:`RunTrace`, runs one pass
 over one order.  Every pass runs as a lane of :func:`_lane_rounds`, the one
-streaming loop, on the columns the rows use.  For the learners of
-:data:`LANE_ALGOS` (PA-I, COG, full and diagonal ACOG and the sketched
-learners) the passes of a phase run batched: ``make_learner`` given a
-sequence of step sizes builds one learner with a lane per value, and each
-lane reads the rows in its own order.  A sketched lane carries a sketch of
-its own, about (m + 1) x (u + 2m) doubles with u the columns the rows use
-(all d under a random init), and a full-ACOG lane a u x u covariance.  The
-perceptron runs one lane per pass.
+streaming loop, on the columns the rows use, and the passes of a phase run
+batched: ``make_learner`` given a sequence of step sizes builds one learner
+with a lane per value, and each lane reads the rows in its own order.  A
+sketched lane carries a sketch of its own, about (m + 1) x (u + 2m) doubles
+with u the columns the rows use (all d under a random init), and a
+full-ACOG lane a u x u covariance.
 Selection and evaluation orders (``Dataset.order``) and CV's fold splits
 and training orders (``Dataset.cv_split``) are the dataset's, computed
 once and kept for as long as the loaded dataset lives.  Everything
@@ -66,12 +64,6 @@ ALGO_IDS = (
     "ssacog2",
 )
 
-# learners that run many lanes per pass: selection every (grid value,
-# permutation) pair, evaluation every permutation; a sketched lane carries
-# its own sketch, a full-ACOG lane its own covariance.  The perceptron runs
-# one lane per pass
-LANE_ALGOS = ("pa1", "cog1", "cog2", "acog1", "acog2", "acog1-diag", "acog2-diag",
-              "sacog1", "sacog2", "ssacog1", "ssacog2")
 SKETCHED_ALGOS = ("sacog1", "sacog2", "ssacog1", "ssacog2")
 FULL_ACOG_ALGOS = ("acog1", "acog2")
 # the covariances of one block of full-ACOG lanes stay within this many
@@ -191,11 +183,12 @@ class RunReport:
 
 def make_learner(cfg: ExperimentConfig, d: int, eta):
     """The learner ``cfg.algo`` names, at step size ``eta``: one lane, or for
-    a sequence of step sizes (:data:`LANE_ALGOS` only) a lane per value."""
+    a sequence of step sizes a lane per value (the perceptron ignores the
+    values)."""
     variant = cfg.loss_variant
     algo = cfg.algo
     if algo == "perceptron":
-        return Perceptron(d)
+        return Perceptron(d) if np.ndim(eta) == 0 else Perceptron(d, lanes=len(eta))
     if algo == "pa1":
         # the grid value plays the role of the aggressiveness cap C
         return PassiveAggressiveI(d, C=eta)
@@ -280,9 +273,10 @@ def run_single(
 
 
 def _lane_bytes(cfg: ExperimentConfig, width: int) -> int:
-    """One lane's state over ``width`` columns, in bytes: the weights of PA-I
-    and COG, mu and sigma of diagonal ACOG, a sketched learner's weights, m
-    sketch rows and m x m factors, or full ACOG's covariance."""
+    """One lane's state over ``width`` columns, in bytes: the weights of the
+    perceptron, PA-I and COG, mu and sigma of diagonal ACOG, a sketched
+    learner's weights, m sketch rows and m x m factors, or full ACOG's
+    covariance."""
     if cfg.algo in FULL_ACOG_ALGOS:
         return 8 * width * width
     if cfg.algo in SKETCHED_ALGOS:
@@ -311,7 +305,6 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
     g, k = len(orders), padded.positions.shape[1]
     lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
     chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
-    sq_norms = padded.sq_norms if step and lanes.reads_sq_norms else None
     m_pos = m_neg = 0
     for t0 in range(0, len(orders[0]), chunk):
         idx = np.stack([order[t0:t0 + chunk] for order in orders], axis=1)
@@ -324,7 +317,7 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
         if step:
             rho = observe_label(cm, y)
             scores = lanes.advance(flat, values, y, lane_class_weight(y, rho),
-                                   None if sq_norms is None else sq_norms[idx])
+                                   dataset.sq_norms[idx] if lanes.reads_sq_norms else None)
             if record is not None:
                 record.append((scores, y, np.broadcast_to(rho, y.shape)))
         else:
@@ -351,20 +344,18 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
     columns would stay the identity's.  A sketched learner keeps the columns
     of its init, 0..m-1 or all d for a random one, and m is checked against
     d, not the width.  Each lane's oracle rho comes from its own class
-    counts.  A block of :data:`LANE_ALGOS` holds as many lanes as keep
-    their state (:func:`_lane_bytes` per lane) within
-    ``FULL_SIGMA_MAX_BYTES``, or for full ACOG their covariances within
-    ``FULL_LANES_MAX_BYTES``, and at least one; the perceptron runs one lane
-    per block.
+    counts.  A block holds as many lanes as keep their state
+    (:func:`_lane_bytes` per lane) within ``FULL_SIGMA_MAX_BYTES``, or for
+    full ACOG their covariances within ``FULL_LANES_MAX_BYTES``, and at
+    least one.
     """
     keep = 0
     if cfg.algo in SKETCHED_ALGOS:
         check_size(cfg.sketch_size, dataset.d)
         keep = dataset.d if cfg.sketch_init == "random" else cfg.sketch_size
     padded = dataset.padded(keep)
-    lanes = cfg.algo in LANE_ALGOS
     budget = FULL_LANES_MAX_BYTES if cfg.algo in FULL_ACOG_ALGOS else FULL_SIGMA_MAX_BYTES
-    block = max(1, budget // _lane_bytes(cfg, padded.width)) if lanes else 1
+    block = max(1, budget // _lane_bytes(cfg, padded.width))
     if counts is None:
         counts = [(dataset.t_pos, dataset.t_neg)] * len(orders)
 
@@ -376,8 +367,7 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
         group = list(group)
         for lo in range(0, len(group), block):
             ids = group[lo:lo + block]
-            eta = [etas[i] for i in ids] if lanes else etas[ids[0]]
-            learner = make_learner(cfg, padded.width, eta)
+            learner = make_learner(cfg, padded.width, [etas[i] for i in ids])
             cms = [make_cost_model(cfg, counts[i]) for i in ids]
             cm = cms[0]
             cm.rho = np.array([c.rho for c in cms])

@@ -172,6 +172,21 @@ class TestCovarianceUpdate:
             assert out is sigma
             assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("d", [124, 1000, 4096])
+    def test_row_gather_is_bitwise_the_column_gather(self, d):
+        # covariance_update and the full update take sigma x from sigma's
+        # rows at the support; on a symmetric sigma that must be the column
+        # gather sigma[:, positions] @ values, bit for bit (the test below
+        # pins covariance_update to the column gather's formula)
+        rng = np.random.default_rng(d)
+        sigma = rng.standard_normal((d, d))
+        sigma += sigma.T
+        for nnz in (1, 2, 3, 4, 5, 7, 8, 16, 17, 31, 33, 64):
+            pos = np.sort(rng.choice(d, nnz, replace=False))
+            vals = rng.standard_normal(nnz)
+            rows = vals @ sigma.take(pos, axis=0)
+            assert rows.tobytes() == (sigma[:, pos] @ vals).tobytes(), nnz
+
     @pytest.mark.parametrize("d", [1, 22, 63, 64, 65, 123, 181, 182, 300, 2100])
     def test_bitwise_like_outer_product_in_64_row_blocks(self, d):
         # the formula the one-buffer einsum replaced; einsum may write +0.0

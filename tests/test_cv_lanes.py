@@ -1,15 +1,14 @@
 """CV folds as lanes against one scalar pass per fold.
 
-``run_cv`` trains the folds of a ``LANE_ALGOS`` config, full ACOG's among
-them, as the lanes of one batched pass per group of equally long folds, and
-those of every other config (the perceptron) as one-lane passes, and then
-scores each fold's held-out rows with its frozen lane.  Each fold's row must count
-the mistakes that a scalar reference counts: a learner from
-``make_learner`` over all d columns, trained by :func:`scalar_pass` (score,
-then the per-sample ``update``, row by row) on the fold's training order,
-with oracle rho from the training rows' class counts, then its ``score`` on
-each held-out row.  The toy set's 320 rows split into folds of 107, 107
-and 106 rows, so every case runs two groups.
+``run_cv`` trains the folds of every config as the lanes of one batched
+pass per group of equally long folds, and then scores each fold's held-out
+rows with its frozen lane.  Each fold's row must count the mistakes that a
+scalar reference counts: a learner from ``make_learner`` over all d
+columns, trained by :func:`scalar_pass` (score, then the per-sample
+``update``, row by row) on the fold's training order, with oracle rho from
+the training rows' class counts, then its ``score`` on each held-out row.
+The toy set's 320 rows split into folds of 107, 107 and 106 rows, so every
+case runs two groups.
 
 :func:`scalar_pass` and :func:`scalar_single` are also the reference that
 ``test_lanes.py`` and ``test_harness.py`` check ``run_single`` and the

@@ -283,7 +283,7 @@ class TestPadded:
         # a row of 3 entries keeps its last two slots on, after two padding slots
         assert rows.positions.tolist() == [[0, 4, 4, 4, 4], [1, 2, 4, 4, 3]]
         np.testing.assert_array_equal(rows.values[1], [ds[1][1][0], ds[1][1][1], 0, 0, ds[1][1][2]])
-        np.testing.assert_array_equal(rows.sq_norms, [1.0, float(ds[1][1] @ ds[1][1])])
+        np.testing.assert_array_equal(ds.sq_norms, [1.0, float(ds[1][1] @ ds[1][1])])
         assert ds.padded() is rows
 
     def test_kept_columns_lead_the_renumbering(self, tmp_path):

@@ -8,9 +8,9 @@ chunks.  Every learner must give bitwise the same scores and lane state
 whether its pass advances in chunks of 1, of 7, or of the default size (the
 whole toy pass): under both loss variants, each rho mode, the old update
 rule, each sketch cadence, a random sketch init, and on a stream on which
-the sparse sketch folds.  The perceptron runs one lane per pass, the
-others one pass of every lane.  A state view that turned out to
-be a copy would lose every write and fail here too.
+the sparse sketch folds.  Every learner runs one pass of every lane.  A
+state view that turned out to be a copy would lose every write and fail
+here too.
 """
 
 from pathlib import Path
@@ -20,7 +20,7 @@ import pytest
 
 from costsense import harness
 from costsense.data import Dataset, load_dataset, permutation
-from costsense.harness import ALGO_IDS, LANE_ALGOS, SKETCHED_ALGOS, ExperimentConfig
+from costsense.harness import ALGO_IDS, SKETCHED_ALGOS, ExperimentConfig
 from costsense.sketch import SparseOjaSketch
 
 TOY = Path(__file__).resolve().parent.parent / "datasets" / "toy_imbalanced.libsvm"
@@ -50,8 +50,8 @@ def lane_state(lanes) -> dict:
 
 
 def chunked_pass(monkeypatch, cfg, ds, chunk):
-    """The lane passes over every (eta, seed) of ``ETAS`` x ``SEEDS``, one
-    pass or one per lane, in chunks of ``chunk`` rounds (None: the default).
+    """The lane pass over every (eta, seed) of ``ETAS`` x ``SEEDS``, in
+    chunks of ``chunk`` rounds (None: the default).
     Returns their scores (one row per round), the lengths of their chunks,
     each pass's lane state, their rows, and how many lanes their sparse
     sketch folded, over all their rounds."""
@@ -82,7 +82,7 @@ def chunked_pass(monkeypatch, cfg, ds, chunk):
     monkeypatch.setattr(harness, "make_learner", make_learner)
     if chunk is not None:
         slots = ds.padded(cfg.sketch_size if cfg.algo in SKETCHED_ALGOS else 0).positions.shape[1]
-        lanes = len(ETAS) * len(SEEDS) if cfg.algo in LANE_ALGOS else 1
+        lanes = len(ETAS) * len(SEEDS)
         monkeypatch.setattr(harness, "LANE_GATHER_ENTRIES", chunk * lanes * slots)
     etas = [eta for eta in ETAS for _ in SEEDS]
     seeds = SEEDS * len(ETAS)

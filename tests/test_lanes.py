@@ -1,7 +1,7 @@
 """Batched lane passes against one scalar pass per (step size, permutation).
 
-For the learners in ``LANE_ALGOS`` grid selection runs every (eta, selection
-seed) pair, and evaluation every permutation, as lanes of one pass in which
+For every learner grid selection runs every (eta, selection seed) pair,
+and evaluation every permutation, as lanes of one pass in which
 each lane reads the rows in its own order.  Each lane must count the same
 mistakes as a scalar pass with that eta and seed (``scalar_single`` of
 ``test_cv_lanes.py``: a learner over all d columns that runs the per-sample
@@ -17,7 +17,8 @@ checked the same way on the toy set with a two-value grid (their scalar
 passes cost about 40 ms each there), under each rho mode and metric and
 each sketch cadence (every round, every third round, loss-active rounds
 only), and with a random sketch init under both protocols.  So is the
-perceptron, whose passes run one lane per block.  Lane state is checked
+perceptron, which ignores the step size; one learner runs all its
+evaluation lanes.  Lane state is checked
 against scalar learners (full ACOG's lanes, which delay their covariance
 terms, within 1e-12 of the largest weight), and over a stream on which the
 sparse sketch folds many times.  A block of full-ACOG lanes keeps their
@@ -37,7 +38,7 @@ import pytest
 from costsense import harness
 from costsense.data import Dataset, load_dataset
 from costsense.harness import (
-    LANE_ALGOS,
+    ALGO_IDS,
     SKETCHED_ALGOS,
     SELECTION_PERMUTATIONS,
     SELECTION_SEED_OFFSET,
@@ -116,7 +117,8 @@ def scalar_choice(means: dict, metric: str) -> float:
 
 
 def test_every_case_is_a_lane_algo():
-    assert {algo for algo, _ in ALGO_RULES} | set(SKETCHED_ALGOS) == set(LANE_ALGOS)
+    # the perceptron ignores the step size: RUN_SINGLE_CASES covers it
+    assert {algo for algo, _ in ALGO_RULES} | {*SKETCHED_ALGOS, "perceptron"} == set(ALGO_IDS)
 
 
 SELECTION_SEEDS = [SELECTION_SEED_OFFSET + i for i in range(SELECTION_PERMUTATIONS)]
@@ -199,6 +201,16 @@ def test_full_acog_blocks_keep_their_covariances_within_16_mib(monkeypatch, used
     assert ds.padded().width == used + 1
     cfg = ExperimentConfig(algo="acog2", eta_grid=(1.0,), permutations=2)
     assert block_lanes(monkeypatch, run_experiment, cfg, ds) == [block] * (2 // block)
+
+
+def test_perceptron_runs_its_passes_as_lanes(monkeypatch):
+    # one learner for the 20 evaluation permutations; the toy set's 3 CV
+    # folds (107, 107 and 106 rows) form two groups of equal lengths
+    ds = load_dataset(TOY)
+    cfg = ExperimentConfig(algo="perceptron", permutations=20)
+    assert block_lanes(monkeypatch, run_experiment, cfg, ds) == [20]
+    cv = dataclasses.replace(cfg, folds=3)
+    assert block_lanes(monkeypatch, run_cv, cv, ds) == [2, 1]
 
 
 def test_a9a_folds_form_one_full_acog_block(monkeypatch, tmp_path):
@@ -360,7 +372,7 @@ def assert_passes_match_scalar(cfg, toy):
         for eta in cfg.eta_grid}
 
 
-# the perceptron, which runs one lane per pass, full ACOG under each
+# the perceptron, whose lanes ignore the step size, full ACOG under each
 # option, and a random sketch init, whose lanes keep all d columns
 RUN_SINGLE_CASES = [
     dict(algo="perceptron"),

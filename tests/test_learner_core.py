@@ -66,6 +66,12 @@ def test_perceptron_takes_the_dimension_alone():
         Perceptron(3, 0.5)
 
 
+def test_perceptron_lanes_are_weight_columns():
+    assert Perceptron(3, lanes=2).w.shape == (3, 2)
+    with pytest.raises(ValueError, match="^lanes must be >= 1$"):
+        Perceptron(3, lanes=0)
+
+
 def test_sketched_signatures_name_their_arguments():
     names = ["d", "eta", "gamma", "m", "variant", "sketch_init", "seed", "sketch_every",
              "sketch_on_loss_only"]

@@ -1,10 +1,11 @@
-"""A sketched lane's step touches no other lane.
+"""A sketched lane's step, or a perceptron lane's, touches no other lane.
 
 ``SketchedCSGD.advance`` and ``SparseSketchedCSGD.advance`` compute each
 round's mean (or ``b``) step for every lane and write it back only where the
-lane's loss is positive (``where=``).  So a passive lane keeps its weights
-bit for bit, and what a lane does cannot depend on what the other lanes
-hold, even inf or NaN.  Both rest on numpy: ``where=`` leaving masked
+lane's loss is positive (``where=``), as ``Perceptron.advance`` writes y x
+back only where a lane's score was a mistake.  So a passive lane keeps its
+weights bit for bit, and what a lane does cannot depend on what the other
+lanes hold, even inf or NaN.  Both rest on numpy: ``where=`` leaving masked
 entries untouched, and stacked matmul giving each lane the same bits
 whatever the other lanes hold.
 """
@@ -75,6 +76,37 @@ def test_passive_lanes_keep_their_weights(toy, monkeypatch, algo, cadence):
     assert checked["mixed rounds"] > 50 and checked["lanes"] > 100
     if algo == "ssacog2" and cadence != "loss-only":
         assert checked["due lanes"] > 100
+
+
+def test_passive_perceptron_lanes_keep_their_weights(toy, monkeypatch):
+    # chunks of one round: after each, a lane that scored its row right has
+    # the weights it had before, and a mistaken lane added y x to its row's
+    cfg = ExperimentConfig(algo="perceptron")
+    checked = {"lanes": 0, "mixed rounds": 0}
+    make = harness.make_learner
+
+    def make_learner(*args):
+        lanes = make(*args)
+        advance = lanes.advance
+
+        def checked_advance(flat, values, y, weight, sq_norms=None):
+            w = lanes.w.copy()
+            scores = advance(flat, values, y, weight, sq_norms)
+            passive = y[0] * scores[0] > 0.0
+            checked["mixed rounds"] += bool(passive.any() and not passive.all())
+            checked["lanes"] += np.count_nonzero(passive)
+            assert lanes.w[:, passive].tobytes() == w[:, passive].tobytes()
+            w.reshape(-1)[flat[0]] += y[0][:, None] * values[0]
+            assert lanes.w[:, ~passive].tobytes() == w[:, ~passive].tobytes()
+            return scores
+        lanes.advance = checked_advance
+        return lanes
+
+    monkeypatch.setattr(harness, "make_learner", make_learner)
+    seeds = list(range(6))
+    monkeypatch.setattr(harness, "LANE_GATHER_ENTRIES", len(seeds) * toy.padded().positions.shape[1])
+    harness._pass_rows(cfg, toy, [1.0] * len(seeds), seeds, [toy.order(s) for s in seeds])
+    assert checked["mixed rounds"] > 50 and checked["lanes"] > 100
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -4,6 +4,7 @@ columns, shared read-only by every pass, and row norms only for PA-I."""
 import numpy as np
 import pytest
 
+from costsense import data
 from costsense.data import load_dataset
 from costsense.harness import ExperimentConfig, run_experiment
 
@@ -23,18 +24,23 @@ def test_kept_columns_in_use_share_the_unkept_layout(five_columns):
     assert ds.padded(0).width == 6
 
 
-def test_row_norms_are_computed_once_per_dataset(tmp_path):
+def test_row_norms_are_computed_once_per_dataset(tmp_path, monkeypatch):
     p = tmp_path / "gap.libsvm"
     p.write_text("+1 4:1\n-1 5:1 7:1 9:1\n")
     ds = load_dataset(p)
-    unkept, kept = ds.padded(0), ds.padded(3)
-    assert unkept is not kept
-    assert kept.sq_norms is unkept.sq_norms is ds.sq_norms
+    calls, row_dots = [], data._row_dots
+    monkeypatch.setattr(data, "_row_dots", lambda *args: calls.append(args) or row_dots(*args))
+    cfg = ExperimentConfig(algo="pa1", eta_grid=(0.1, 1.0), permutations=2)
+    run_experiment(cfg, ds)
+    norms = ds.sq_norms
+    run_experiment(cfg, ds)
+    assert ds.sq_norms is norms and len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["positions", "values", "sq_norms"])
 def test_shared_arrays_are_read_only(five_columns, name):
-    array = getattr(load_dataset(five_columns).padded(), name)
+    ds = load_dataset(five_columns)
+    array = getattr(ds if name == "sq_norms" else ds.padded(), name)
     with pytest.raises(ValueError, match="read-only"):
         array[0] = 1
 

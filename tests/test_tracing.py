@@ -5,12 +5,11 @@ the class that owns them, and module functions by name.  Moving one of them
 breaks only traced benchmark runs, so this test installs the unmodified
 tracer, runs small experiments under both protocols on the toy set, and
 checks that the learner counters were hit.  The batched lane passes of
-both protocols, full ACOG's too, call no patched learner method.  So the
-scalar updates are reached through the perceptron's one-lane passes (its CV
-run), which run its own ``update``, and through plain ``update`` loops over
-learners from ``costsense.harness.make_learner``: the sketched learners with
-a random sketch init, and diagonal and full ACOG, whose ``update`` calls
-``covariance_update``.
+both protocols call no patched learner method.  So the scalar updates are
+reached through plain ``update`` loops over learners from
+``costsense.harness.make_learner``: the perceptron, the sketched learners
+with a random sketch init, and diagonal and full ACOG, whose ``update``
+calls ``covariance_update``.
 """
 
 import importlib.util
@@ -49,12 +48,12 @@ def test_tracer_installs_and_counts_every_learner_layer(tmp_path):
         ds = load_dataset(TOY)
         runs = [(run_experiment, algo, dict(eta_grid=(0.1, 1.0), permutations=2))
                 for algo in ("cog2", "acog2-diag", "ssacog2")]
-        # the lane learners run as batched lanes under both protocols, full
-        # ACOG too; the perceptron's one-lane passes call its update
+        # every learner runs as batched lanes under both protocols, full ACOG
+        # and the perceptron too
         runs += [(run_cv, algo, dict(eta_grid=(1.0,), folds=3)) for algo in ("acog2", "perceptron")]
-        # and plain update loops call the other learners' update
+        # and plain update loops call the learners' update
         runs += [(update_loop, algo, dict(sketch_init="random")) for algo in ("sacog2", "ssacog2")]
-        runs += [(update_loop, algo, {}) for algo in ("acog2-diag", "acog2")]
+        runs += [(update_loop, algo, {}) for algo in ("perceptron", "acog2-diag", "acog2")]
         for run, algo, kw in runs:
             span = tracer.open("experiment", algo=algo,
                                mode="cv" if run is run_cv else "experiment")
