@@ -12,8 +12,8 @@ over one order.  Every pass runs as a lane of :func:`_lane_rounds`, the one
 streaming loop, on the columns the rows use, and the passes of a phase run
 batched: ``make_learner`` given a sequence of step sizes builds one learner
 with a lane per value, and each lane reads the rows in its own order.  A
-sketched lane carries a sketch of its own, about (m + 1) x (u + 2m) doubles
-with u the columns the rows use (all d under a random init), and a
+sketched lane carries a sketch of its own, about (m + 1) x (u + 2m) + 4m^2
+doubles with u the columns the rows use (all d under a random init), and a
 full-ACOG lane a u x u covariance.
 Selection and evaluation orders (``Dataset.order``) and CV's fold splits
 and training orders (``Dataset.cv_split``) are the dataset's, computed
@@ -275,13 +275,13 @@ def run_single(
 def _lane_bytes(cfg: ExperimentConfig, width: int) -> int:
     """One lane's state over ``width`` columns, in bytes: the weights of the
     perceptron, PA-I and COG, mu and sigma of diagonal ACOG, a sketched
-    learner's weights, m sketch rows and m x m factors, or full ACOG's
-    covariance."""
+    learner's weights, m sketch rows, m x m factors and 2m x 2m bordered
+    matrix (``sketch.py``'s kept stack), or full ACOG's covariance."""
     if cfg.algo in FULL_ACOG_ALGOS:
         return 8 * width * width
     if cfg.algo in SKETCHED_ALGOS:
         m = cfg.sketch_size
-        return 8 * (m + 1) * (width + 2 * m)
+        return 8 * ((m + 1) * (width + 2 * m) + 4 * m * m)
     return 8 * width * (2 if cfg.algo.startswith("acog") else 1)
 
 

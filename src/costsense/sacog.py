@@ -20,7 +20,8 @@ computed for every lane and written only where the lane's loss is positive
 (``where=``), so a passive lane keeps its weights bit for bit, with no
 per-round copy of the active lanes; numpy's stacked matmul gives each lane
 the same bits whatever the others hold, so an active lane's step is the one
-it would take alone.  A lane's state is about (m + 1) x (d + 2m) doubles.
+it would take alone.  A lane's state is about (m + 1) x (d + 2m) + 4m^2
+doubles, the last its sketch's bordered matrix.
 Lanes fall out of step under ``sketch_on_loss_only``, so each lane counts
 its own sketch rounds, and a lane whose sketch is not due keeps its state
 as it is.
@@ -213,9 +214,15 @@ class SparseSketchedCSGD(_SketchedLearner):
             s = scores[t] = np.vecdot(rows, x) + np.vecdot(self.b, lane_products(zrows, x))
             active = lane_active(self.variant, y[t], weight[t], s)
             due = self._due_lanes(active)
-            if due is not None:
+            if due is EVERY_LANE:
+                # every lane steps: its inputs go unindexed and the stepped
+                # rows come back as zrows, with no copy
+                xh = xhat[t]
+                delta, zrows, fold = sk.step(due, f, xh, zrows, xx[t])
+            elif due is not None:
                 xh = xhat[t][due]
                 delta, zrows[due], fold = sk.step(due, f[due], xh, zrows[due], xx[t][due])
+            if due is not None:
                 # update's delta compensation; where delta . b is 0, which
                 # update skips, this subtracts zeros
                 rows[due] -= np.vecdot(delta, self.b[due])[:, None] * xh

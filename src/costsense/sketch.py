@@ -31,7 +31,10 @@ are gathered as lanes x slots x m and multiplied transposed
 reaches BLAS in ``update``.  The sparse sketch's ``step`` takes the rows
 its learner gathered to score the round, and the values' ``xhat @ xhat``
 its learner computed once per chunk (:func:`sketch_inputs`), and returns
-the rows it wrote back.
+the rows it wrote back.  It writes them through a 1-D view of Z's m-double
+rows as ``np.void`` records: one scatter of whole rows, in the order of the
+2-D assignment, so a padding slot repeated in a row writes last what the
+2-D assignment writes last.
 
 Each CholeskyQR pass is one Cholesky factorization, of a bordered matrix
 (:func:`_cholesky_solve`): the lower factor of [[A, B], [B^T, BORDER I]] is
@@ -41,7 +44,11 @@ Q; with B = I, R^{-1}), and that factorization is the module's only LAPACK
 call.  It calls the stacked LAPACK gufunc behind ``np.linalg.cholesky``
 directly: the same bits, without that wrapper's per-call checks, which on
 small stacks cost more than LAPACK.  A failed factorization comes back as
-NaN, not LinAlgError.
+NaN, not LinAlgError.  A lane sketch builds its G bordered matrices once,
+as ``border`` (the dense sketch's with B = I written in), and a step of n
+due lanes factors in the first n of them: each pass writes A, and in
+:func:`decompose` B^T, over what the last step left there.  The public
+functions, ``update`` and the fold build bordered matrices of their own.
 
 Overflow and invalid values in a step's arithmetic, which an extreme gamma
 brings about, and a failed factorization end in a pivot that
@@ -147,15 +154,25 @@ def orthonormalize_rows(V: np.ndarray) -> np.ndarray:
         return _orthonormalize_rows(V)
 
 
-def _orthonormalize_rows(V: np.ndarray) -> np.ndarray:
-    """:func:`orthonormalize_rows` for a caller already under :data:`QUIET`."""
-    m = V.shape[-2]
-    M = _border(V.shape[:-2], m)
+def _identity_border(lead: tuple, m: int) -> np.ndarray:
+    """:func:`_border` with B = I: the bordered stack of
+    :func:`_orthonormalize_rows`, in which a pass writes only A."""
+    M = _border(lead, m)
     # B = I, so R^{-1} B is R^{-1}: an m x m inverse, then one matmul over
     # V's columns, not a triangular system over them.  On 5 x 1e5 rows, one
     # core of a 2-core Xeon VM, LAPACK took 18 ms a call for the system, 3 ms
     # for the m x m inverse and a matmul
-    M.reshape(V.shape[:-2] + (-1,))[..., 2 * m * m::2 * m + 1] = 1.0
+    M.reshape(lead + (-1,))[..., 2 * m * m::2 * m + 1] = 1.0
+    return M
+
+
+def _orthonormalize_rows(V: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
+    """:func:`orthonormalize_rows` for a caller already under :data:`QUIET`,
+    in the bordered stack ``M`` (:func:`_identity_border`, of V's stack
+    shape) if given, else in a new one."""
+    m = V.shape[-2]
+    if M is None:
+        M = _identity_border(V.shape[:-2], m)
     for _ in range(2):
         np.matmul(V, V.mT, out=M[..., :m, :m])  # A, bitwise as V @ V.mT
         V = _cholesky_solve(M) @ V
@@ -207,6 +224,7 @@ class OjaSketch(_Sketch):
                  lanes: int = 0):
         super().__init__(m, d, lanes)
         self.V = _per_lane(_init_rows(m, d, init, seed, lanes), lanes)
+        self.border = _identity_border((lanes,), m) if lanes else None
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> None:
         """One streaming step with the (already scaled) to-sketch vector."""
@@ -232,7 +250,7 @@ class OjaSketch(_Sketch):
             p = lane_products(rows, values)
             lam = (1.0 - step) * self.lam[due] + step * p * p
             cols[lane, positions] = rows + step[..., None] * (values[..., None] * p[:, None])
-            V = _orthonormalize_rows(self.V[due])
+            V = _orthonormalize_rows(self.V[due], self.border[:len(t)])
         if due is EVERY_LANE:
             self.lam, self.V = lam, V
         else:
@@ -260,6 +278,8 @@ class SparseOjaSketch(_Sketch):
         Z = _init_rows(m, d, init, seed, lanes)
         self.Z = np.repeat(Z.T[:, None], lanes, axis=1) if lanes else Z
         self.last_fold = None
+        self.border = _border((lanes,), m) if lanes else None
+        self.record = np.dtype((np.void, 8 * m))  # one of Z's m-double rows
 
     def update(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One streaming step; returns the direction-update coefficients delta."""
@@ -308,8 +328,12 @@ class SparseOjaSketch(_Sketch):
             K = self.K[due]
             K += (step * (2.0 + xx[:, None] * step))[..., None] * (Zx[:, :, None] * Zx[:, None])
             rows = rows + values[..., None] * delta[:, None]
-            self.Z.reshape(-1, self.m)[flat] = rows  # a view: row position * G + g
-            F = _decompose(F, K)
+            # a 1-D view of Z's rows as records, row position * G + g: one
+            # scatter of whole rows, at a third to a half of the 2-D one's
+            # cost, and the same last-write-wins order on repeated slots
+            rec = self.record
+            self.Z.reshape(-1, self.m).view(rec)[:, 0][flat] = rows.view(rec)[..., 0]
+            F = _decompose(F, K, self.border[:len(t)])
             if due is EVERY_LANE:
                 self.lam, self.F = lam, F
             else:
@@ -344,11 +368,14 @@ def decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
         return _decompose(F, K)
 
 
-def _decompose(F: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """:func:`decompose` for a caller already under :data:`QUIET`."""
+def _decompose(F: np.ndarray, K: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
+    """:func:`decompose` for a caller already under :data:`QUIET`, in the
+    bordered stack ``M`` (:func:`_border`, of F and K's stack shape) if
+    given, else in a new one."""
     m = F.shape[-1]
     # B = Q, so R^{-1} B is the next Q
-    M = _border(np.broadcast(F[..., 0, 0], K[..., 0, 0]).shape, m)
+    if M is None:
+        M = _border(np.broadcast(F[..., 0, 0], K[..., 0, 0]).shape, m)
     Q = F
     for _ in range(2):
         np.matmul(Q @ K, Q.mT, out=M[..., :m, :m])  # A, bitwise as Q @ K @ Q.mT

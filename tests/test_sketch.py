@@ -5,6 +5,7 @@ import pytest
 
 from costsense import sketch
 from costsense.acog import covariance_update
+from costsense.data import load_dataset
 from costsense.sketch import (
     FOLD_TRACE,
     OjaSketch,
@@ -543,3 +544,94 @@ class TestFailuresRaiseWithoutWarning:
     def test_decompose_bad_rows(self, case):
         V = self.bases()[case]
         self.raises_quietly(decompose, V[..., :3], np.eye(3))
+
+
+class TestKeptStack:
+    """A lane sketch keeps one bordered stack (``border``) and steps n due
+    lanes in its first n matrices, into which each CholeskyQR pass writes A,
+    and in ``_decompose`` B^T, over whatever the last call left there: no
+    block of one call may reach the next."""
+
+    @staticmethod
+    def used_stack(make, lanes, call, *args):
+        """A prefix of ``lanes`` matrices of a larger stack from ``make``, after
+        ``call`` has left its blocks in all of it."""
+        M = make((7,), 5)
+        with np.errstate(**sketch.QUIET):
+            call(*args, M)
+        return M[:lanes]
+
+    @pytest.mark.parametrize("lanes", [1, 3, 5])
+    def test_decompose_in_a_used_prefix(self, lanes):
+        rng = np.random.default_rng(lanes)
+        M = self.used_stack(sketch._border, lanes, sketch._decompose,
+                            *TestKernelsMatchLinalg.gram_pair(rng, (7,), 5, 8))
+        F, K = TestKernelsMatchLinalg.gram_pair(rng, (lanes,), 5, 8)
+        with np.errstate(**sketch.QUIET):
+            Q = sketch._decompose(F, K, M)
+        assert Q.tobytes() == decompose(F, K).tobytes()
+
+    @pytest.mark.parametrize("lanes", [1, 3, 5])
+    def test_orthonormalize_rows_in_a_used_prefix(self, lanes):
+        rng = np.random.default_rng(lanes)
+        M = self.used_stack(sketch._identity_border, lanes, sketch._orthonormalize_rows,
+                            rng.standard_normal((7, 5, 123)))
+        V = rng.standard_normal((lanes, 5, 123))
+        with np.errstate(**sketch.QUIET):
+            Q = sketch._orthonormalize_rows(V, M)
+        assert Q.tobytes() == orthonormalize_rows(V).tobytes()
+
+    @pytest.mark.parametrize("sketch_type", [OjaSketch, SparseOjaSketch])
+    def test_lane_steps_over_prefixes_equal_scalar_updates(self, sketch_type):
+        # 4, 1, 3 and 4 due lanes: each step reads a prefix of the stack that
+        # the step before it wrote, and each lane must come out as a sketch
+        # of its own that ``update`` stepped on the same rows
+        d, m, lanes = 40, 5, 4
+        rng = np.random.default_rng(8)
+        sk = sketch_type(m, d, lanes=lanes)
+        scalars = [sketch_type(m, d) for _ in range(lanes)]
+        for due, k in zip([sketch.EVERY_LANE, np.array([2]), np.array([0, 1, 3]),
+                           sketch.EVERY_LANE], (7, 4, 11, 6)):
+            ids = np.arange(lanes) if due is sketch.EVERY_LANE else due
+            positions = np.stack([np.sort(rng.choice(d, k, replace=False)) for _ in ids])
+            values = rng.standard_normal((ids.size, k))
+            if sketch_type is OjaSketch:
+                sk.step(due, positions, values)
+            else:
+                flat = positions * lanes + ids[:, None]
+                rows = sk.Z.reshape(-1, m).take(flat, axis=0)
+                sk.step(due, flat, values, rows, np.vecdot(values, values))
+            for j, g in enumerate(ids):
+                scalars[g].update(positions[j], values[j])
+        for g, scalar in enumerate(scalars):
+            assert sk.t[g, 0] == scalar.t
+            if sketch_type is OjaSketch:
+                pairs = [(sk.lam[g], scalar.lam), (sk.V[g], scalar.V)]
+            else:
+                pairs = [(sk.lam[g], scalar.lam), (sk.F[g], scalar.F), (sk.K[g], scalar.K),
+                         (sk.Z[:, g].T, scalar.Z)]
+            for got, want in pairs:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_record_write_back_on_padded_rows(tmp_path):
+    # Dataset.padded's layout: rows of 2 and 3 entries leave several slots
+    # at the padding column, and the row of 7 = 4 + 3 entries has two padding
+    # slots before its last entry
+    p = tmp_path / "padded.libsvm"
+    p.write_text("+1 1:1 2:2 3:1 4:3 6:1 7:2 9:1\n-1 2:1 8:2\n+1 1:2 5:1 9:3\n")
+    rows = load_dataset(p).padded(3)
+    assert (rows.positions[0, 6:8] == rows.width - 1).all()
+    m, lanes = 3, 3
+    sk = SparseOjaSketch(m, rows.width, lanes=lanes)
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+        flat = rows.positions[order] * lanes + np.arange(lanes)[:, None]
+        values = rows.values[order]
+        want = sk.Z.copy()
+        *_, stepped, _ = sk.step(sketch.EVERY_LANE, flat, values,
+                                 sk.Z.reshape(-1, m).take(flat, axis=0),
+                                 np.vecdot(values, values))
+        want.reshape(-1, m)[flat] = stepped
+        assert sk.Z.tobytes() == want.tobytes()
+        padding = sk.Z[rows.width - 1]
+        assert (padding == 0.0).all() and not np.signbit(padding).any()
