@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import LinearLearner
-from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
+from .losses import LossVariant, gradient_scale, lane_slope, lane_threshold, loss
 
 # Largest full sigma allocated (16384 columns): a fixed policy, not a measured limit.
 FULL_SIGMA_MAX_BYTES = 2**31
@@ -224,29 +224,31 @@ class AdaptiveCSGD(LinearLearner):
         lane = np.arange(g)[:, None]
         positions = flat // g
         rows = positions + lane * d  # also lane g's entry p of the flat sx
+        thr = lane_threshold(self.variant, weight)
         eta_slope = self.eta * lane_slope(self.variant, y, weight)
-        new = self.update_rule == "new"
+        gamma, new = self.gamma, self.update_rule == "new"
         k = self._pending
         scores = np.empty(flat.shape[:2])
-        for t, (f, p, x) in enumerate(zip(flat, positions, values)):
-            s = scores[t] = np.vecdot(mu[f], x)
-            active = lane_active(self.variant, y[t], weight[t], s)
+        for s, f, p, r, x, yt, th, es in zip(scores, flat, positions, rows, values, y, thr,
+                                             eta_slope):
+            np.vecdot(mu[f], x, out=s)
+            active = yt * s < th
             n = np.count_nonzero(active)
             if not n:
                 continue
             # sigma's rows at the support are its columns there, as sigma is
             # symmetric, and numpy gathers columns sigma[:, positions] into
             # Fortran order, so BLAS gets the same layout from the rows
-            sx = (x[:, None] @ sigma_rows.take(rows[t], axis=0))[:, 0]
+            sx = (x[:, None] @ sigma_rows.take(r, axis=0))[:, 0]
             if k:
                 # each lane's held terms at the support, support by slot: the
                 # Fortran-ordered layout of the column gather U[:, positions]
                 held = terms[lane, :k, p]
                 sx -= ((x[:, None] @ held) @ terms[:, :k])[:, 0]
-            denom = self.gamma + np.vecdot(x, sx.reshape(-1).take(rows[t]))
+            denom = gamma + np.vecdot(x, sx.reshape(-1).take(r))
             slot = terms[:, k]
             np.divide(sx, np.sqrt(denom)[:, None], out=slot)
-            coef = eta_slope[t] * (self.gamma / denom) if new else eta_slope[t]
+            coef = es * (gamma / denom) if new else es
             step = (coef[:, None] * sx).T
             if n < g:  # a passive lane keeps its mu and holds a zero term
                 slot[~active] = 0.0
@@ -265,12 +267,14 @@ class AdaptiveCSGD(LinearLearner):
         """The diagonal learner's ``advance``: every lane steps in place in
         its column, under its activity mask."""
         mu, sigma = self.w.reshape(-1), self._sigma.reshape(-1)  # views
-        eta_slope = self.eta * lane_slope(self.variant, y, weight)
+        thr = lane_threshold(self.variant, weight)
+        eta_slope = (self.eta * lane_slope(self.variant, y, weight))[..., None]
+        gamma, old = self.gamma, self.update_rule == "old"
         scores = np.empty(flat.shape[:2])
-        for t, (f, x) in enumerate(zip(flat, values)):
+        for s, f, x, yt, th, es in zip(scores, flat, values, y, thr, eta_slope):
             rows = mu[f]
-            s = scores[t] = np.vecdot(rows, x)
-            active = lane_active(self.variant, y[t], weight[t], s)
+            np.vecdot(rows, x, out=s)
+            active = yt * s < th
             if not np.count_nonzero(active):
                 continue
             on = active[:, None]
@@ -278,8 +282,8 @@ class AdaptiveCSGD(LinearLearner):
             # covariance_update_diag on the active lanes only, in place in
             # before: the new rule's step reads it shrunk, the old rule's a copy
             sx = before * x
-            denom = self.gamma + np.vecdot(x, sx)
-            sigma_used = before.copy() if self.update_rule == "old" else before
+            denom = gamma + np.vecdot(x, sx)
+            sigma_used = before.copy() if old else before
             sigma[f] = np.subtract(before, (sx * sx) / denom[:, None], out=before, where=on)
-            mu[f] = np.subtract(rows, eta_slope[t][:, None] * sigma_used * x, out=rows, where=on)
+            mu[f] = np.subtract(rows, es * sigma_used * x, out=rows, where=on)
         return scores

@@ -21,10 +21,11 @@ the C-order weights and padded with value 0.0 at a position no sample uses;
 values``) hold one entry per round and lane, though a caller passes
 ``sq_norms`` only to a learner that ``reads_sq_norms`` (PA-I) and None to
 the others.  The caller owns the chunks, the labels and rho; the learner
-owns the rounds.  Whatever does not depend on a round's scores (the slope
-and ``eta`` times it, and the step along x of COG and the perceptron) is
-computed once per chunk, and the weights a lane's score gathers are the
-ones its step updates.
+owns the rounds.  Whatever does not depend on a round's scores (the loss
+threshold of ``losses.lane_threshold``, the slope and ``eta`` times it, and
+the step along x of COG and the perceptron) is computed once per chunk, so
+a round's activity test is one multiply and one compare, and the weights a
+lane's score gathers are the ones its step updates.
 ``scores`` gives the scores of frozen lanes.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
+from .losses import LossVariant, gradient_scale, lane_slope, lane_threshold, loss
 
 
 def predict_label(score: float) -> int:
@@ -108,12 +109,12 @@ class Perceptron(LinearLearner):
         w = self.w.reshape(-1)  # a view: entry position * G + g
         step = y[..., None] * values
         scores = np.empty(flat.shape[:2])
-        for t, (f, x) in enumerate(zip(flat, values)):
+        for s, f, x, yt, st in zip(scores, flat, values, y, step):
             rows = w[f]
-            s = scores[t] = np.vecdot(rows, x)
-            active = y[t] * s <= 0.0
+            np.vecdot(rows, x, out=s)
+            active = yt * s <= 0.0
             if np.count_nonzero(active):
-                w[f] = np.add(rows, step[t], out=rows, where=active[:, None])
+                w[f] = np.add(rows, st, out=rows, where=active[:, None])
         return scores
 
 
@@ -142,14 +143,15 @@ class PassiveAggressiveI(LinearLearner):
         given each row's ``values @ values``; returns the chunk's scores.
         PA-I is rho-free: its hinge is the variant-II loss at weight 1, and
         a lane whose hinge is 0 keeps its weights."""
-        w = self.w.reshape(-1)  # a view: entry position * G + g
+        w, C = self.w.reshape(-1), self.C  # w as a view: entry position * G + g
         scores = np.empty(flat.shape[:2])
-        for t, (f, x, yt) in enumerate(zip(flat, values, y)):
+        for s, f, x, yt, sq in zip(scores, flat, values, y, sq_norms):
             rows = w[f]
-            s = scores[t] = np.vecdot(rows, x)
-            active = lane_active(LossVariant.II, yt, 1.0, s)
+            np.vecdot(rows, x, out=s)
+            margin = yt * s
+            active = margin < 1.0  # lane_threshold(LossVariant.II, 1.0)
             if np.count_nonzero(active):
-                tau = np.minimum(self.C, (1.0 - yt * s) / sq_norms[t])
+                tau = np.minimum(C, (1.0 - margin) / sq)
                 w[f] = np.add(rows, (tau * yt)[:, None] * x, out=rows, where=active[:, None])
         return scores
 
@@ -175,12 +177,13 @@ class CostSensitiveGD(LinearLearner):
         returns the chunk's scores.  A lane whose loss is 0 keeps its
         weights."""
         w = self.w.reshape(-1)  # a view: entry position * G + g
+        thr = lane_threshold(self.variant, weight)
         step = (self.eta * lane_slope(self.variant, y, weight))[..., None] * values
         scores = np.empty(flat.shape[:2])
-        for t, (f, x) in enumerate(zip(flat, values)):
+        for s, f, x, yt, th, st in zip(scores, flat, values, y, thr, step):
             rows = w[f]
-            s = scores[t] = np.vecdot(rows, x)
-            active = lane_active(self.variant, y[t], weight[t], s)
+            np.vecdot(rows, x, out=s)
+            active = yt * s < th
             if np.count_nonzero(active):
-                w[f] = np.subtract(rows, step[t], out=rows, where=active[:, None])
+                w[f] = np.subtract(rows, st, out=rows, where=active[:, None])
         return scores

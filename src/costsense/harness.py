@@ -303,14 +303,15 @@ def _lane_rounds(lanes, cm, dataset: Dataset, padded, orders: list, step: bool =
     given, receives each chunk's (scores, labels, rho), rounds by lanes.
     Without ``step``, the frozen lanes score a chunk at once."""
     g, k = len(orders), padded.positions.shape[1]
-    lane = np.arange(g)[:, None]  # entry c * g + j of the state is lane j's column c
+    # entry c * g + j of the state is lane j's column c: each row's c * g
+    # once per call, and + j per chunk
+    scaled, lane = padded.positions * g, np.arange(g)[:, None]
     chunk = max(1, LANE_GATHER_ENTRIES // (g * k))
     m_pos = m_neg = 0
     for t0 in range(0, len(orders[0]), chunk):
         idx = np.stack([order[t0:t0 + chunk] for order in orders], axis=1)
         # take(axis=0) gathers whole rows, at a third to a half of [idx]'s cost
-        flat = padded.positions.take(idx, axis=0)
-        flat *= g
+        flat = scaled.take(idx, axis=0)
         flat += lane
         values = padded.values.take(idx, axis=0)
         y = dataset.labels[idx].astype(np.float64)

@@ -64,10 +64,50 @@ def lane_slope(variant: LossVariant, y: np.ndarray, weight: np.ndarray) -> np.nd
 
 def lane_active(variant: LossVariant, y: np.ndarray, weight, scores: np.ndarray) -> np.ndarray:
     """Where each lane's :func:`loss` is > 0, by the same floating-point test;
-    a NaN score is passive."""
+    a NaN score is passive.  The reference rule that tests compare
+    :func:`lane_threshold` against; no ``advance`` calls it."""
     if variant == LossVariant.I:
         return weight - y * scores > 0.0
     return weight * (1.0 - y * scores) > 0.0
+
+
+# the largest class weight at which a variant-II loss can round to 0 while
+# y * score < 1: there weight * 2**-53 (1 - y * score just below 1) is at
+# most 2**-1075, which rounds to 0
+_TINY_WEIGHT = 2.0**-1022
+
+
+def lane_threshold(variant: LossVariant, weight):
+    """``thr`` with ``lane_active(variant, y, weight, s) == (y * s < thr)``
+    for every weight >= 0 and every score, +-0, +-inf and NaN included, so
+    that a round's activity test is one multiply and one compare.
+
+    Variant I's is the weight itself: under gradual underflow a - b > 0
+    exactly when b < a.  Variant II's is 1.0 for a weight above 2**-1022 and
+    -inf for a zero weight; for a weight in between it is the exact boundary,
+    which lies in (0, 1) (:func:`_variant_two_boundary`)."""
+    if variant == LossVariant.I:
+        return weight
+    weight = np.asarray(weight, dtype=np.float64)
+    thr = np.where(weight > _TINY_WEIGHT, 1.0, -np.inf)
+    tiny = (weight > 0.0) & (weight <= _TINY_WEIGHT)
+    if tiny.any():
+        thr[tiny] = _variant_two_boundary(weight[tiny])
+    return thr
+
+
+def _variant_two_boundary(weight: np.ndarray) -> np.ndarray:
+    """The least p with weight * (1 - p) not > 0, for each weight in
+    (0, 2**-1022].  p = 0 keeps the loss at the weight and p = 1 zeroes it,
+    and the loss falls with p, so a bisection over the bit patterns of the
+    floats in [0, 1], which order as the floats do, finds it."""
+    lo = np.zeros(weight.shape, dtype=np.int64)  # 0.0: active
+    hi = np.full(weight.shape, np.float64(1.0).view(np.int64))  # 1.0: passive
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        active = weight * (1.0 - mid.view(np.float64)) > 0.0
+        lo, hi = np.where(active, mid, lo), np.where(active, hi, mid)
+    return hi.view(np.float64)
 
 
 # the metrics a cost model optimizes, named as in ExperimentConfig

@@ -14,13 +14,13 @@ with a sketch of its own (``sketch.py``'s ``lanes``): column g of the d x G
 ``mu`` or ``w`` is lane g's weights, row g of the G x m ``b`` its sketch
 coefficients, and ``advance`` and ``scores`` follow the lane layout that
 ``baselines`` describes.  Per chunk ``advance`` also computes the sketch's
-xhat (and xhat @ xhat); per round, the Z rows gathered for the score are
-the ones the sketch step updates.  A round's mean (or ``b``) step is
-computed for every lane and written only where the lane's loss is positive
-(``where=``), so a passive lane keeps its weights bit for bit, with no
-per-round copy of the active lanes; numpy's stacked matmul gives each lane
-the same bits whatever the others hold, so an active lane's step is the one
-it would take alone.  A lane's state is about (m + 1) x (d + 2m) + 4m^2
+xhat (and xhat @ xhat) beside the loss threshold; per round, the Z rows
+gathered for the score are the ones the sketch step updates.  A round's
+mean (or ``b``) step is computed for every lane and written only where the
+lane's loss is positive (``where=``), so a passive lane keeps its weights
+bit for bit, with no per-round copy of the active lanes; numpy's stacked
+matmul gives each lane the same bits whatever the others hold, so an
+active lane's step is the one it would take alone.  A lane's state is about (m + 1) x (d + 2m) + 4m^2
 doubles, the last its sketch's bordered matrix.
 Lanes fall out of step under ``sketch_on_loss_only``, so each lane counts
 its own sketch rounds, and a lane whose sketch is not due keeps its state
@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import LinearLearner
-from .losses import LossVariant, gradient_scale, lane_active, lane_slope, loss
+from .losses import LossVariant, gradient_scale, lane_slope, lane_threshold, loss
 from .sketch import (EVERY_LANE, OjaSketch, SparseOjaSketch, lane_products, sketch_inputs,
                      to_sketch_vector)
 
@@ -121,27 +121,30 @@ class SketchedCSGD(_SketchedLearner):
         weights."""
         mu, sk = self.w.reshape(-1), self.sketch  # mu as a view: entry position * G + g
         lane_mu = self.w.T  # lane by column, as the mean step's product comes
+        eta = self.eta[:, None]
+        thr = lane_threshold(self.variant, weight)
         slope = lane_slope(self.variant, y, weight)
         step = (self.eta * slope)[..., None] * values
         positions = flat // self.lanes
         xhat = to_sketch_vector(values, self.gamma)
         scores = np.empty(flat.shape[:2])
-        for t, (f, x) in enumerate(zip(flat, values)):
+        for s, f, p, x, xh, yt, th, sl, st in zip(scores, flat, positions, values, xhat, y, thr,
+                                                  slope[..., None], step):
             rows = mu[f]
-            s = scores[t] = np.vecdot(rows, x)
-            active = lane_active(self.variant, y[t], weight[t], s)
+            np.vecdot(rows, x, out=s)
+            active = yt * s < th
             due = self._due_lanes(active)
             if due is not None:
-                sk.step(due, positions[t][due], xhat[t][due])
+                sk.step(due, p[due], xh[due])
             if not np.count_nonzero(active):
                 continue
+            on = active[:, None]
             tl = sk.t * sk.lam  # the sketch's H is 1 / (1 + tl)
             S = np.sqrt(tl)[..., None] * sk.V
-            Sg = slope[t][:, None] * lane_products(S.mT[sk.lane, positions[t]], x)
-            mu[f] = np.subtract(rows, step[t], out=rows, where=active[:, None])
+            Sg = sl * lane_products(S.mT[sk.lane, p], x)
+            mu[f] = np.subtract(rows, st, out=rows, where=on)
             HSg = 1.0 / (1.0 + tl) * Sg
-            np.add(lane_mu, self.eta[:, None] * (S.mT @ HSg[..., None])[..., 0], out=lane_mu,
-                   where=active[:, None])
+            np.add(lane_mu, eta * (S.mT @ HSg[..., None])[..., 0], out=lane_mu, where=on)
         return scores
 
 
@@ -205,23 +208,25 @@ class SparseSketchedCSGD(_SketchedLearner):
         weights, and a lane whose sketch is not due its sketch."""
         w, sk = self.w.reshape(-1), self.sketch  # w as a view: entry position * G + g
         Z = sk.Z.reshape(-1, sk.m)  # a view: row position * G + g
+        eta = self.eta[:, None]
+        thr = lane_threshold(self.variant, weight)
         slope = lane_slope(self.variant, y, weight)
         step = (self.eta * slope)[..., None] * values
         xhat, xx = sketch_inputs(values, self.gamma)
         scores = np.empty(flat.shape[:2])
-        for t, (f, x) in enumerate(zip(flat, values)):
+        for s, f, x, xh, xxt, yt, th, sl, st in zip(scores, flat, values, xhat, xx, y, thr,
+                                                    slope[..., None], step):
             rows, zrows = w[f], Z.take(f, axis=0)
-            s = scores[t] = np.vecdot(rows, x) + np.vecdot(self.b, lane_products(zrows, x))
-            active = lane_active(self.variant, y[t], weight[t], s)
+            np.add(np.vecdot(rows, x), np.vecdot(self.b, lane_products(zrows, x)), out=s)
+            active = yt * s < th
             due = self._due_lanes(active)
             if due is EVERY_LANE:
                 # every lane steps: its inputs go unindexed and the stepped
                 # rows come back as zrows, with no copy
-                xh = xhat[t]
-                delta, zrows, fold = sk.step(due, f, xh, zrows, xx[t])
+                delta, zrows, fold = sk.step(due, f, xh, zrows, xxt)
             elif due is not None:
-                xh = xhat[t][due]
-                delta, zrows[due], fold = sk.step(due, f[due], xh, zrows[due], xx[t][due])
+                xh = xh[due]
+                delta, zrows[due], fold = sk.step(due, f[due], xh, zrows[due], xxt[due])
             if due is not None:
                 # update's delta compensation; where delta . b is 0, which
                 # update skips, this subtracts zeros
@@ -236,11 +241,11 @@ class SparseSketchedCSGD(_SketchedLearner):
                 if due is not None:
                     w[f] = rows
                 continue
-            w[f] = np.subtract(rows, step[t], out=rows, where=active[:, None])
+            on = active[:, None]
+            w[f] = np.subtract(rows, st, out=rows, where=on)
             tl = sk.t * sk.lam
-            Zg = slope[t][:, None] * lane_products(zrows, x)
+            Zg = sl * lane_products(zrows, x)
             # t lam H, with the sketch's H = 1 / (1 + t lam)
             v = (tl * (1.0 / (1.0 + tl))) * (sk.F @ Zg[..., None])[..., 0]
-            np.add(self.b, self.eta[:, None] * (sk.F.mT @ v[..., None])[..., 0], out=self.b,
-                   where=active[:, None])
+            np.add(self.b, eta * (sk.F.mT @ v[..., None])[..., 0], out=self.b, where=on)
         return scores

@@ -372,8 +372,17 @@ def assert_passes_match_scalar(cfg, toy):
         for eta in cfg.eta_grid}
 
 
+# class weights at the edges of losses.lane_threshold: a rho of 0 from
+# alpha_p = 0 or c_p = 0, and a subnormal fixed rho
+EDGE_WEIGHTS = {
+    "rho0-alpha": dict(alpha_p=0.0, alpha_n=1.0),
+    "rho0-cost": dict(metric="cost", c_p=0.0, c_n=1.0),
+    "rho-subnormal": dict(rho_mode="fixed:1e-310"),
+}
+
 # the perceptron, whose lanes ignore the step size, full ACOG under each
-# option, and a random sketch init, whose lanes keep all d columns
+# option, a random sketch init, whose lanes keep all d columns, and the
+# edge class weights
 RUN_SINGLE_CASES = [
     dict(algo="perceptron"),
     dict(algo="acog1"),
@@ -382,11 +391,12 @@ RUN_SINGLE_CASES = [
     dict(algo="acog2", update_rule="old"),
     dict(algo="sacog2", sketch_init="random"),
     dict(algo="ssacog2", sketch_init="random"),
-]
+] + [pytest.param(dict(algo=algo, **weights), id=f"{algo}-{name}")
+     for algo in ("cog2", "acog2-diag", "acog2", "ssacog2")
+     for name, weights in EDGE_WEIGHTS.items()]
 
 
-@pytest.mark.parametrize("case", RUN_SINGLE_CASES,
-                         ids=["-".join(case.values()) for case in RUN_SINGLE_CASES])
+@pytest.mark.parametrize("case", RUN_SINGLE_CASES, ids=lambda case: "-".join(case.values()))
 def test_lane_passes_match_run_single(toy, case):
     cfg = ExperimentConfig(eta_grid=(0.1, 1.0), permutations=2, seed=3, **case)
     assert_passes_match_scalar(cfg, toy)

@@ -10,6 +10,7 @@ from costsense.losses import (
     gradient_scale,
     lane_active,
     lane_slope,
+    lane_threshold,
     loss,
     observe_label,
     resolve_rho,
@@ -143,6 +144,36 @@ class TestSubgradient:
             predicted = 1 if s >= 0 else -1
             if predicted != y:
                 assert loss(variant, s, y, rho) >= class_weight(y, rho) - 1e-12
+
+
+# class weights at and around the edges of lane_threshold's rule: zero, the
+# least subnormals, the last weights whose variant-II boundary lies below 1
+# (up to 2**-1022) and the first above, and normal weights
+EDGE_WEIGHTS = [0.0, 2.0**-1074, 3 * 2.0**-1074, 2.0**-1023, 2.0**-1022,
+                float(np.nextafter(2.0**-1022, 1.0)), 1.0, 9.42, 1e300]
+weights = st.one_of(
+    st.sampled_from(EDGE_WEIGHTS),
+    st.integers(1, 2**52 - 1).map(lambda bits: float(np.int64(bits).view(np.float64))),
+    st.floats(-1021.0, 1023.0).map(lambda e: 2.0**e),
+)
+FIXED_PRODUCTS = [0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, float(np.nextafter(0.5, 0.0)),
+                  float(np.nextafter(1.0, 0.0))]
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(weights)
+def test_lane_threshold_is_the_product_rule(weight):
+    # y * s < thr is lane_active's own test at every y * s, thr and its two
+    # neighbours included; 0 * inf is NaN, which lane_active must read as
+    # passive without a warning turned error
+    for variant in LossVariant:
+        thr = lane_threshold(variant, np.array([weight]))
+        products = [*thr, *np.nextafter(thr, np.inf), *np.nextafter(thr, -np.inf), *FIXED_PRODUCTS]
+        for y in (1.0, -1.0):
+            s = y * np.array(products)  # so that y * s is each product exactly
+            with np.errstate(invalid="ignore"):
+                rule = lane_active(variant, y, weight, s)
+            np.testing.assert_array_equal(y * s < thr, rule, err_msg=f"{variant!r} {y}")
 
 
 class TestCostModel:
