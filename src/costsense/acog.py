@@ -13,21 +13,24 @@ column g of the diagonal learner's d x G ``sigma`` or matrix g of the full
 learner's G x d x d stack its covariance; ``advance`` and ``scores``
 follow the lane layout that ``baselines`` describes.
 
-The full-matrix learner's ``update`` subtracts each round's term from
-``sigma`` at once.  Its ``advance``, which runs one lane as it runs G,
-delays them instead.  A round in which any lane is active fills the next
-slot of a ``PENDING_TERMS`` x d buffer U per lane, whose slot counter the
-lanes share: an active lane writes its term s / sqrt(gamma + x^T s), where
-s = sigma x is taken from sigma less the terms U holds, and a passive lane
-a zero row.  Once the slots are full, each lane's U is applied to its sigma
-as one symmetric rank-k product, sigma -= U^T U (the compact representation
-of Byrd, Nocedal and Schnabel, Math. Programming 63, 1994).  Rounds still
-cost O(d^2) on average, but that part runs as a matrix-matrix product.
+A learner of one step size is the per-sample learner (``update``,
+``score``, ``predict``), and the full-matrix one's ``update`` subtracts each
+round's term from ``sigma`` at once.  ``advance`` runs a learner of a
+sequence of step sizes, one lane being ``[eta]``, and the full-matrix one
+delays the terms instead.  A round in which any lane is active fills the
+next slot of a ``PENDING_TERMS`` x d buffer U per lane, whose slot counter
+the lanes share: an active lane writes its term s / sqrt(gamma + x^T s),
+where s = sigma x is taken from sigma less the terms U holds, and a passive
+lane a zero row.  Once the slots are full, each lane's U is applied to its
+sigma as one symmetric rank-k product, sigma -= U^T U (the compact
+representation of Byrd, Nocedal and Schnabel, Math. Programming 63, 1994).
+Rounds still cost O(d^2) on average, but that part runs as a matrix-matrix
+product.
 sigma x is gathered from sigma's rows at the support, which holds only
 because sigma is symmetric, so the ``sigma`` setter refuses a matrix that
 is not.
 ``sigma`` read from outside is the covariance with the pending terms
-applied, and ``update`` applies them before its own term.
+applied.
 """
 
 from __future__ import annotations
@@ -141,30 +144,28 @@ class AdaptiveCSGD(LinearLearner):
             self._sigma = np.zeros((*lane_shape, d, d))
             self._sigma.reshape(*lane_shape, d * d)[..., ::d + 1] = 1.0  # each lane's identity
         # the terms a lane pass has not applied to _sigma yet, in slots
-        # [:_pending] of each lane's PENDING_TERMS x d buffer
-        self._terms = None if diagonal else np.empty((*lane_shape, PENDING_TERMS, d))
+        # [:_pending] of each lane's PENDING_TERMS x d buffer; a learner of
+        # one step size has no lane pass and no buffer
+        full_lanes = bool(lane_shape) and not diagonal
+        self._terms = np.empty((*lane_shape, PENDING_TERMS, d)) if full_lanes else None
         self._pending = 0
 
     # own entries, not inherited ones: the benchmark's tracer wraps them per class
     score, predict = LinearLearner.score, LinearLearner.predict
     mu = property(lambda self: self.w, doc="The mean weights: the core's ``w``.")
 
-    def _stacked(self, a: np.ndarray) -> np.ndarray:
-        """The full-matrix state ``a`` with a leading lane axis: itself for
-        lanes, a view of length one for one learner."""
-        return a if np.ndim(self.eta) else a[None]
-
     @property
     def sigma(self) -> np.ndarray:
-        """The covariance: the stored one, updated in place, or while a lane
-        pass holds terms back, a copy with them applied as ``update`` would.
-        Setting it drops any pending terms; the value must have the stored
-        covariance's shape, and a full-matrix one must be exactly symmetric,
-        since ``advance`` reads sigma x from sigma's rows."""
+        """The covariance: the stored one, updated in place, or while a
+        full-matrix lane pass holds terms back, a copy with each lane's
+        pending terms applied.  Setting it drops any pending terms; the value
+        must have the stored covariance's shape, and a full-matrix one must
+        be exactly symmetric, since ``update`` and ``advance`` read sigma x
+        from sigma's rows."""
         if not self._pending:
             return self._sigma
         sigma = self._sigma.copy()
-        for lane, terms in zip(self._stacked(sigma), self._stacked(self._terms)):
+        for lane, terms in zip(sigma, self._terms):
             _apply_terms(lane, terms[:self._pending])
         return sigma
 
@@ -194,9 +195,6 @@ class AdaptiveCSGD(LinearLearner):
             # touched coordinates only: both sigma and the gradient live on the support
             self.w[positions] -= self.eta * a * sigma_used * values
             return l
-        if self._pending:
-            _apply_terms(sigma, self._terms[:self._pending])
-            self._pending = 0
         # the subgradient lives on the support, so sigma @ g reads only its
         # rows there, its columns as sigma is symmetric
         g = a * values
@@ -211,13 +209,13 @@ class AdaptiveCSGD(LinearLearner):
     def advance(self, flat, values, y, weight, sq_norms=None):
         """``update`` on every lane's own row, round by round over a chunk;
         returns the chunk's scores.  A lane whose loss is 0 keeps its state.
-        The full-matrix learner, one lane or G, delays its covariance terms
-        as the module docstring describes.  With sx = sigma x taken before
-        this round's term, the new rule's step sigma x is sx * gamma / denom
-        and the old rule's is sx, so the mean step reads no sigma."""
+        The full-matrix learner delays its covariance terms as the module
+        docstring describes.  With sx = sigma x taken before this round's
+        term, the new rule's step sigma x is sx * gamma / denom and the old
+        rule's is sx, so the mean step reads no sigma."""
         if self.diagonal:
             return self._advance_diag(flat, values, y, weight)
-        sigma, terms = self._stacked(self._sigma), self._stacked(self._terms)
+        sigma, terms = self._sigma, self._terms
         g, d = len(sigma), self.d
         mu, w = self.w.reshape(-1), self.w.reshape(d, g)  # views: entry position * G + g
         sigma_rows = sigma.reshape(-1, d)  # a view: lane g's row p is row g * d + p

@@ -217,9 +217,10 @@ def make_learner(cfg: ExperimentConfig, d: int, eta):
     )
 
 
-def make_cost_model(cfg: ExperimentConfig, counts: tuple[int, int]) -> CostModel:
+def make_cost_model(cfg: ExperimentConfig, counts: tuple) -> CostModel:
     """A pass's fresh cost model from the config, with oracle rho resolved from
-    the class counts ``counts`` = (T_p, T_n).  The rho-free learners' rho is
+    the class counts ``counts`` = (T_p, T_n), for a block of lanes two arrays
+    of per-lane counts (:func:`resolve_rho`).  The rho-free learners' rho is
     fixed at 1, where both surrogates are the plain hinge."""
     mode = "fixed:1" if cfg.algo in RHO_FREE_ALGOS else cfg.rho_mode
     cm = CostModel(cfg.metric, cfg.alpha_p, cfg.alpha_n, cfg.c_p, cfg.c_n, mode)
@@ -344,11 +345,11 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
     the padding column, not d: full ACOG's sigma too, whose unused rows and
     columns would stay the identity's.  A sketched learner keeps the columns
     of its init, 0..m-1 or all d for a random one, and m is checked against
-    d, not the width.  Each lane's oracle rho comes from its own class
-    counts.  A block holds as many lanes as keep their state
-    (:func:`_lane_bytes` per lane) within ``FULL_SIGMA_MAX_BYTES``, or for
-    full ACOG their covariances within ``FULL_LANES_MAX_BYTES``, and at
-    least one.
+    d, not the width.  A block has one learner and one cost model, whose
+    oracle rho is each lane's from its own class counts.  A block holds as
+    many lanes as keep their state (:func:`_lane_bytes` per lane) within
+    ``FULL_SIGMA_MAX_BYTES``, or for full ACOG their covariances within
+    ``FULL_LANES_MAX_BYTES``, and at least one.
     """
     keep = 0
     if cfg.algo in SKETCHED_ALGOS:
@@ -369,9 +370,7 @@ def _pass_rows(cfg: ExperimentConfig, dataset: Dataset, etas: list, seeds: list,
         for lo in range(0, len(group), block):
             ids = group[lo:lo + block]
             learner = make_learner(cfg, padded.width, [etas[i] for i in ids])
-            cms = [make_cost_model(cfg, counts[i]) for i in ids]
-            cm = cms[0]
-            cm.rho = np.array([c.rho for c in cms])
+            cm = make_cost_model(cfg, np.array([counts[i] for i in ids]).T)
             start = time.perf_counter()
             mistakes = _lane_rounds(learner, cm, dataset, padded, [orders[i] for i in ids],
                                     record=record)

@@ -169,18 +169,20 @@ class CostModel:
         return (self.alpha_p * (seen_neg + 1)) / (self.alpha_n * (seen_pos + 1))
 
 
-def resolve_rho(cm: CostModel, dataset_counts: tuple[int, int] | None = None) -> float:
+def resolve_rho(cm: CostModel, dataset_counts: tuple | None = None):
     """The rho this model should use right now.
 
-    ``dataset_counts`` is (T_p, T_n) and is required only for the sum metric
-    in oracle mode with no rho given.
+    ``dataset_counts`` is (T_p, T_n), two counts or two arrays of per-lane
+    counts, and is required only for the sum metric in oracle mode with no
+    rho given.  Arrays give each lane's oracle rho, elementwise as for its
+    own two counts; every lane needs a positive example.
     """
     if cm.rho is not None:
         return cm.rho
     if dataset_counts is None:
         raise ValueError("sum-metric oracle rho needs dataset counts (T_p, T_n)")
     t_p, t_n = dataset_counts
-    if t_p <= 0:
+    if np.min(t_p) <= 0:
         raise ValueError("oracle rho undefined with no positive examples; "
                          "use rho mode 'laplace' or 'fixed:<value>' (--rho-mode)")
     return (cm.alpha_p * t_n) / (cm.alpha_n * t_p)

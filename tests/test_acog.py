@@ -336,41 +336,34 @@ def lane_rounds(stream, chunk):
 
 class TestDelayedTerms:
     """The full-matrix lane pass holds up to ``PENDING_TERMS`` - 1 covariance
-    terms back, and applies them on its own count of active rounds."""
+    terms back, and applies them on its own count of active rounds.  One
+    lane is a learner of one step size in a sequence."""
+
+    def test_a_learner_of_one_step_size_holds_no_terms(self):
+        assert AdaptiveCSGD(4, eta=0.5, gamma=1.0)._terms is None
+        assert AdaptiveCSGD(4, eta=[0.5], gamma=1.0)._terms.shape == (1, PENDING_TERMS, 4)
 
     @pytest.mark.parametrize("update_rule", ["new", "old"])
     def test_reading_sigma_mid_pass_changes_nothing(self, update_rule):
         stream = random_stream(np.random.default_rng(16), 10, 300)
         passes = []
         for read in (False, True):
-            m = AdaptiveCSGD(10, eta=0.5, gamma=0.5, variant=LossVariant.II,
+            m = AdaptiveCSGD(10, eta=[0.5], gamma=0.5, variant=LossVariant.II,
                              update_rule=update_rule)
             scores, pending = [], []
             for chunk in lane_rounds(stream, 7):
                 scores.append(m.advance(*chunk))
                 if read:
                     pending.append(m._pending)
-                    assert np.array_equal(m.sigma, m.sigma.T)
-            passes.append((np.concatenate(scores), m.mu, m.sigma, m._sigma, m._terms[:m._pending]))
+                    assert np.array_equal(m.sigma[0], m.sigma[0].T)
+            passes.append((np.concatenate(scores), m.mu, m.sigma, m._sigma,
+                           m._terms[:, :m._pending]))
         assert len({k for k in pending if k}) >= 5  # read at many pending counts
         for unread, read in zip(*passes):
             assert unread.tobytes() == read.tobytes()
 
-    def test_update_after_advance_applies_the_pending_terms_first(self):
-        stream = random_stream(np.random.default_rng(17), 8, 200)
-        m = AdaptiveCSGD(8, eta=0.5, gamma=1.0, variant=LossVariant.II)
-        for chunk in lane_rounds(stream[:-1], 50):
-            m.advance(*chunk)
-        assert m._pending
-        ref = AdaptiveCSGD(8, eta=0.5, gamma=1.0, variant=LossVariant.II)
-        ref.sigma, ref.mu[:] = m.sigma, m.mu
-        pos, vals, y = stream[-1]
-        assert m.update(pos, vals, y, rho=2.0) == ref.update(pos, vals, y, rho=2.0) > 0.0
-        assert m._pending == 0
-        assert np.array_equal(m.sigma, ref.sigma) and np.array_equal(m.mu, ref.mu)
-
     def test_setting_sigma_drops_the_pending_terms(self):
-        m = AdaptiveCSGD(8, eta=0.5, gamma=1.0, variant=LossVariant.II)
+        m = AdaptiveCSGD(8, eta=[0.5], gamma=1.0, variant=LossVariant.II)
         for chunk in lane_rounds(random_stream(np.random.default_rng(17), 8, 199), 50):
             m.advance(*chunk)
         assert m._pending
@@ -385,7 +378,7 @@ class TestDelayedTerms:
         m = AdaptiveCSGD(6, eta=0.5, gamma=1.0, variant=LossVariant.I)
         active = [m.update(pos, vals, y, rho=2.0) > 0.0 for pos, vals, y in stream]
         assert sum(active) >= 2 * PENDING_TERMS
-        lanes = AdaptiveCSGD(6, eta=0.5, gamma=1.0, variant=LossVariant.I)
+        lanes = AdaptiveCSGD(6, eta=[0.5], gamma=1.0, variant=LossVariant.I)
         pending, applied = [], []
         for chunk in lane_rounds(stream, 1):
             before = lanes._sigma.copy()
@@ -394,8 +387,8 @@ class TestDelayedTerms:
             applied.append(not np.array_equal(lanes._sigma, before))
         assert pending == (np.cumsum(active) % PENDING_TERMS).tolist()
         assert applied == [a and k == 0 for a, k in zip(active, pending)]
-        assert np.abs(lanes.sigma - m.sigma).max() <= 1e-12
-        assert np.abs(lanes.mu - m.mu).max() <= 1e-12
+        assert np.abs(lanes.sigma[0] - m.sigma).max() <= 1e-12
+        assert np.abs(lanes.mu[:, 0] - m.mu).max() <= 1e-12
 
     def test_terms_applied_in_blocks_of_rows_past_724_columns(self):
         # past 724 columns the terms go into sigma a block of rows at a time,
@@ -404,16 +397,17 @@ class TestDelayedTerms:
         rng = np.random.default_rng(19)
         stream = [(np.sort(rng.choice(d, size=20, replace=False)), 3.0 * unit, 1)
                   for unit in (v / np.linalg.norm(v) for v in rng.standard_normal((40, 20)))]
-        m, ref = (AdaptiveCSGD(d, eta=0.5, gamma=1.0, variant=LossVariant.II) for _ in range(2))
+        m = AdaptiveCSGD(d, eta=[0.5], gamma=1.0, variant=LossVariant.II)
+        ref = AdaptiveCSGD(d, eta=0.5, gamma=1.0, variant=LossVariant.II)
         for pos, vals, y in stream:
             assert ref.update(pos, vals, y, rho=2.0) > 0.0
         for chunk in lane_rounds(stream, 40):
             m.advance(*chunk)
         assert m._pending == len(stream) % PENDING_TERMS
-        assert np.array_equal(m._sigma, m._sigma.T)
+        assert np.array_equal(m._sigma[0], m._sigma[0].T)
         assert np.abs(m._sigma - m.sigma).max() > 1e-3  # holds terms back, so applied some
-        assert np.abs(m.sigma - ref.sigma).max() <= 1e-12
-        assert np.abs(m.mu - ref.mu).max() <= 1e-12
+        assert np.abs(m.sigma[0] - ref.sigma).max() <= 1e-12
+        assert np.abs(m.mu[:, 0] - ref.mu).max() <= 1e-12
 
     def test_lane_sigma_applies_each_lanes_pending_terms(self):
         # three lanes, each on rows of its own, against each lane's one-lane
@@ -431,12 +425,12 @@ class TestDelayedTerms:
         assert sigma.shape == (len(etas), d, d)
         assert np.abs(lanes._sigma - sigma).max() > 1e-3  # holds terms back
         for g, eta in enumerate(etas):
-            one = AdaptiveCSGD(d, eta=eta, gamma=0.5, variant=LossVariant.II)
+            one = AdaptiveCSGD(d, eta=[eta], gamma=0.5, variant=LossVariant.II)
             for lane_chunks in chunks:
                 one.advance(*lane_chunks[g])
             assert np.array_equal(sigma[g], sigma[g].T)
-            assert np.abs(sigma[g] - one.sigma).max() <= 1e-12
-            assert np.abs(lanes.mu[:, g] - one.mu).max() <= 1e-12
+            assert np.abs(sigma[g] - one.sigma[0]).max() <= 1e-12
+            assert np.abs(lanes.mu[:, g] - one.mu[:, 0]).max() <= 1e-12
 
 
 class TestSigmaSetter:

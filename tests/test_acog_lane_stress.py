@@ -5,8 +5,9 @@ covariance term and applies ``PENDING_TERMS`` of them at once, where the
 scalar ``update`` subtracts each term as it comes.  Hypothesis (derandomized,
 no example database) draws the shape of each stream: duplicated rows,
 one-hot rows and collinear rows, with norms over [1e-3, 1e3], under both
-loss variants and both update rules.  Each stream runs through ``advance``
-one round at a time and through ``update`` beside it.  After every round,
+loss variants and both update rules.  Each stream runs through a one-lane
+learner's ``advance`` (``eta=[0.5]``) one round at a time and through
+``update`` beside it.  After every round,
 so at every count of pending terms from 0 to ``PENDING_TERMS`` - 1:
 
 - the lane learner's effective sigma is bitwise symmetric and its
@@ -51,8 +52,8 @@ def feed(stream, d, rule, seed, gamma=1.0):
     every round.  Labels are random, one in three positive, at rho 3.
     Returns the number of loss-active rounds."""
     variant, update_rule = rule
-    kw = dict(eta=0.5, gamma=gamma, variant=variant, update_rule=update_rule)
-    lanes, scalar = AdaptiveCSGD(d, **kw), AdaptiveCSGD(d, **kw)
+    kw = dict(gamma=gamma, variant=variant, update_rule=update_rule)
+    lanes, scalar = AdaptiveCSGD(d, eta=[0.5], **kw), AdaptiveCSGD(d, eta=0.5, **kw)
     rng = np.random.default_rng(seed)
     active = 0
     for pos, vals in stream:
@@ -61,13 +62,13 @@ def feed(stream, d, rule, seed, gamma=1.0):
         lanes.advance(pos[None, None], vals[None, None], np.array([[y]]), np.array([[weight]]))
         active += scalar.update(pos, vals, y, weight) > 0.0
         assert lanes._pending == active % PENDING_TERMS
-        sigma = lanes.sigma
+        sigma = lanes.sigma[0]
         assert np.array_equal(sigma, sigma.T)
         eig = np.linalg.eigvalsh(sigma)
         assert eig.min() > 0.0 and eig.max() <= 1.0 + EIG_SLACK, (eig.min(), eig.max())
         assert np.abs(sigma - scalar.sigma).max() <= BOUND
         mu = scalar.mu
-        assert np.abs(lanes.mu - mu).max() <= BOUND * max(1.0, np.abs(mu).max())
+        assert np.abs(lanes.mu[:, 0] - mu).max() <= BOUND * max(1.0, np.abs(mu).max())
     return active
 
 

@@ -280,6 +280,24 @@ class TestRunExperiment:
         one = run_experiment(ExperimentConfig(algo="cog2", eta_grid=(1.0,), permutations=1), toy)
         assert one.grid == {}
 
+    def test_an_evaluation_block_has_one_cost_model(self, toy, monkeypatch):
+        # the 20 permutations run as one block of lanes, whose cost model
+        # comes from per-lane class counts in one call
+        from costsense import harness
+
+        calls = []
+
+        def counted(cfg, counts):
+            calls.append(counts)
+            return make_cost_model(cfg, counts)
+        monkeypatch.setattr(harness, "make_cost_model", counted)
+        cfg = ExperimentConfig(algo="acog2", eta_grid=(1.0,), permutations=20)
+        seeds = list(range(20))
+        rows = harness._pass_rows(cfg, toy, [1.0] * 20, seeds, [toy.order(s) for s in seeds])
+        assert len(rows) == 20 and len(calls) == 1
+        (counts,) = calls
+        assert np.array_equal(counts, np.array([(toy.t_pos, toy.t_neg)] * 20).T)
+
     def test_writes_csv_when_out_set(self, toy, tmp_path):
         out = tmp_path / "report.csv"
         cfg = ExperimentConfig(

@@ -241,6 +241,16 @@ class TestResolveRho:
         cm = CostModel(metric="sum", rho=4.5)
         assert resolve_rho(cm) == 4.5
 
+    def test_per_lane_counts_give_each_lanes_rho_bitwise(self):
+        cm = CostModel(metric="sum", alpha_p=0.7, alpha_n=0.3)
+        counts = [(100, 900), (3, 7), (7, 3), (1, 2**40 + 1), (33, 67)]
+        lanes = resolve_rho(cm, np.array(counts).T)
+        assert lanes.tobytes() == np.array([resolve_rho(cm, c) for c in counts]).tobytes()
+
+    def test_per_lane_counts_refused_when_one_lane_has_no_positives(self):
+        with pytest.raises(ValueError, match="oracle rho undefined"):
+            resolve_rho(CostModel(metric="sum"), np.array([(5, 10), (0, 10), (4, 11)]).T)
+
 
 class TestObserveLabel:
     def test_first_positive(self):
